@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuation import build_bifurcation_report, rigidity_sweep, switch_directions
+from .continuation import build_bifurcation_report, rigidity_sweep
 from .diagnostics import run_diagnostics
 from .errors import (
     BranchLostError,
@@ -45,6 +45,7 @@ from .newton import (
     default_tol,
     newton_solve,
     sup_fluct_of,
+    switch_directions,
     weighted_mean,
 )
 

@@ -37,6 +37,7 @@ from .newton import (
     multi_start,
     newton_solve,
     residual,
+    switch_directions,
 )
 
 
@@ -74,17 +75,17 @@ class BifurcationReport:
 
 
 def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperator,
-                        tol: float = 1e-9,
-                        x0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Smallest mean-zero-subspace eigenvalue of the Jacobian pencil at u.
+                        tol: float = 1e-9) -> tuple[float, np.ndarray]:
+    """Smallest mean-zero-subspace eigenvalue of the Jacobian pencil at u,
+    with its eigenvector.
 
     The pointwise reaction slope bounds the spectrum from below by
-    -max f'(u), which places the shift for the inverse iteration.
+    -max f'(u), which places the shift of the shift-invert eigensolver.
     """
     j_mat = jacobian(u, eps, a, op)
     fp, _ = eval_f_prime_clipped(u, a)
     lower = -float(fp.max())
-    return restricted_smallest_eigen(j_mat, op.lumped_mass, lower, tol=tol, x0=x0)
+    return restricted_smallest_eigen(j_mat, op.lumped_mass, lower, tol=tol)
 
 
 def _constant_record(value: float, eps: float, a: float, op: DiscreteOperator,
@@ -108,10 +109,9 @@ def trivial_branch_stability(eps_grid: list[float], a: float, op: DiscreteOperat
     decreasing, so instability appears at the end)."""
     xi = find_xi(a)
     points = []
-    vec = None
     for eps in eps_grid:
         rec = _constant_record(xi, eps, a, op, opts)
-        lam, vec = stability_indicator(rec.u, eps, a, op, tol=indicator_tol, x0=vec)
+        lam, _ = stability_indicator(rec.u, eps, a, op, tol=indicator_tol)
         points.append(BranchPoint(epsilon=eps, solution=rec, stability_indicator=lam))
     return points
 
@@ -128,12 +128,9 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
         raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")
     xi = find_xi(a)
     u = np.full(op.n, xi)
-    vec = None
 
     def indicator(eps):
-        nonlocal vec
-        lam, vec = stability_indicator(u, eps, a, op, tol=indicator_tol, x0=vec)
-        return lam
+        return stability_indicator(u, eps, a, op, tol=indicator_tol)[0]
 
     f_lo, f_hi = indicator(lo), indicator(hi)
     if np.sign(f_lo) == np.sign(f_hi):
@@ -150,27 +147,6 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
         else:
             hi, f_hi = mid, f_mid
     return 0.5 * (lo + hi)
-
-
-def switch_directions(op: DiscreteOperator) -> list[tuple[str, np.ndarray]]:
-    """Candidate perturbation directions for branch switching, normalized to
-    sup norm one.
-
-    A (near-)degenerate first eigenvalue carries a two-dimensional mode
-    space, and which combination the emerging branch follows is a property
-    of the nonlinearity, not of the eigensolver's arbitrary basis choice;
-    the candidates span the extreme combinations of the leading pair.
-    """
-    pair = first_eigenpair(op)
-    dirs = [("phi1", pair.phi1)]
-    if pair.phi2 is not None and pair.mu2 is not None and pair.mu1 > 0.0 \
-            and (pair.mu2 - pair.mu1) <= 0.05 * pair.mu1:
-        dirs += [
-            ("phi1+phi2", pair.phi1 + pair.phi2),
-            ("phi1-phi2", pair.phi1 - pair.phi2),
-            ("phi2", pair.phi2),
-        ]
-    return [(name, d / np.abs(d).max()) for name, d in dirs]
 
 
 def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
@@ -225,7 +201,6 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
     points: list[BranchPoint] = []
     u_prev = start.u
     eps_prev = start.epsilon
-    vec = None
     for target in eps_schedule:
         halvings = 0
         current = target
@@ -241,8 +216,7 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
                     ) from exc
                 current = 0.5 * (eps_prev + current)
                 continue
-            lam, vec = stability_indicator(rec.u, current, a, op,
-                                           tol=indicator_tol, x0=vec)
+            lam, _ = stability_indicator(rec.u, current, a, op, tol=indicator_tol)
             points.append(BranchPoint(epsilon=current, solution=rec,
                                       stability_indicator=lam))
             u_prev, eps_prev = rec.u, current

@@ -1,11 +1,21 @@
-"""Singular-consistent sparse solves on the mean-zero subspace and the
-first nonzero no-flux eigenvalue by inverse iteration.
+"""Direct solves on the weighted-mean-zero subspace and the first nonzero
+no-flux eigenvalue by shift-invert Lanczos.
 
 The stiffness matrix of the natural boundary condition annihilates
-constants, so linear solves live on the weighted-mean-zero subspace: the
-right-hand side is first made range-compatible (its plain sum removed along
-the mass vector), conjugate gradients run with re-projection each iteration,
-and the returned field is normalized to weighted mean zero.
+constants, so linear solves live on the weighted-mean-zero subspace.  One
+sparse LU factorization of the bordered matrix
+
+    K = [[B, m], [m', 0]]
+
+does the whole job: its solution of  B x + m*lam = b,  m'x = 0  is the
+weighted-mean-zero solution of B x = b with the range-incompatible part of b
+(along the mass vector) absorbed by the multiplier lam.  The same factors of
+B - shift*M are the shift-invert operator of the eigensolver; they send
+constants to zero, which restricts the spectrum to mean-zero fields without
+any projection.  The factorization uses SuperLU's minimum-degree ordering
+on the pattern of K + K' (``MMD_AT_PLUS_A``): the default column ordering
+fills in about a quarter more memory on large meshes, and ordering on K'K
+turns the dense border row into a dense block.
 """
 
 from __future__ import annotations
@@ -14,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NoConvergenceError
 
-_RNG_SEED = 20260810  # deterministic start vectors for inverse iteration
+_RNG_SEED = 20260810  # deterministic Lanczos start vector
 
 
 def weighted_mean(u: np.ndarray, m: np.ndarray) -> float:
@@ -46,79 +57,41 @@ def project_mean_zero(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x - np.dot(m, x) / m.sum()
 
 
-def _project_compatible(b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Remove the range-incompatible part of a load vector.
+def _bordered_solver(b_mat: sp.spmatrix, m: np.ndarray):
+    """Factor K = [[B, m], [m', 0]] once and return b -> x, the field part of
+    K^{-1} [b; 0] for an (n,) or (n, k) right-hand side.
 
-    For a symmetric matrix with constants in its nullspace the solvable
-    right-hand sides are exactly those with zero plain sum; the removed
-    component is distributed along the mass vector (the adjoint of the
-    weighted mean-zero projection of fields).
+    Raises NoConvergenceError when K is singular, i.e. when B is singular
+    on the weighted-mean-zero subspace, or when the solve overflows.
     """
-    return b - (b.sum() / m.sum()) * m
+    n = m.shape[0]
+    border = sp.csc_matrix(m.reshape(n, 1))
+    k_mat = sp.bmat([[b_mat, border], [border.T, None]], format="csc")
+    try:
+        lu = splu(k_mat, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NoConvergenceError(f"bordered matrix is singular: {exc}") from exc
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        rhs = np.concatenate([b, np.zeros((1,) + b.shape[1:])])
+        x = lu.solve(rhs)[:n]
+        if not np.all(np.isfinite(x)):
+            raise NoConvergenceError("bordered solve produced non-finite values")
+        return x
+
+    return solve
 
 
-def _projected_pcg(matvec, diag: np.ndarray, m: np.ndarray, b: np.ndarray,
-                   tol: float, maxiter: int, x0: np.ndarray | None = None) -> np.ndarray:
-    """Preconditioned CG for the projected system on the mean-zero subspace.
+def solve_projected(a_mat: sp.spmatrix, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b on the weighted-mean-zero subspace by one bordered LU.
 
-    Solves P' B P x = P' b where P projects fields to weighted mean zero.
-    The iterate, residual and search direction are re-projected every
-    iteration; the preconditioner is the matrix diagonal with nonpositive
-    entries replaced by 1.
+    ``b`` is an (n,) vector or an (n, k) block of right-hand sides sharing
+    the factorization.  For a symmetric A with A 1 = 0 the multiplier
+    removes exactly the range-incompatible part of b (its plain sum, along
+    the mass vector).  Raises NoConvergenceError when A is singular on the
+    subspace.
     """
-    d = np.where(diag > 0.0, diag, 1.0)
-    b_hat = _project_compatible(b, m)
-    b_norm = float(np.linalg.norm(b_hat))
-    if b_norm == 0.0:
-        return np.zeros_like(b)
-
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b_hat.copy()
-    else:
-        x = project_mean_zero(x0, m)
-        r = _project_compatible(b_hat - matvec(x), m)
-    z = project_mean_zero(r / d, m)
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    for _ in range(maxiter):
-        if np.linalg.norm(r) <= tol * b_norm:
-            return project_mean_zero(x, m)
-        q = _project_compatible(matvec(p), m)
-        pq = float(np.dot(p, q))
-        # pq < 0 happens on indefinite Jacobians below the bifurcation point;
-        # CG still advances there, only an exact breakdown is fatal.
-        if pq == 0.0 or not np.isfinite(pq):
-            raise NoConvergenceError("projected CG broke down (p'Ap = 0)")
-        alpha = rz / pq
-        x = project_mean_zero(x + alpha * p, m)
-        r = _project_compatible(r - alpha * q, m)
-        z = project_mean_zero(r / d, m)
-        rz_next = float(np.dot(r, z))
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    if np.linalg.norm(r) <= tol * b_norm:
-        return project_mean_zero(x, m)
-    raise NoConvergenceError(
-        f"projected CG did not reach tol={tol:g} within {maxiter} iterations"
-    )
-
-
-def solve_projected(a_mat: sp.spmatrix, m: np.ndarray, b: np.ndarray, tol: float = 1e-12,
-                    maxiter: int | None = None, x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve A x = b on the weighted-mean-zero subspace.
-
-    The right-hand side is first projected onto the compatible range; the
-    residual is measured against the projected load.  Raises
-    NoConvergenceError after the iteration cap (default 10n), which signals
-    ill-conditioning or a genuinely incompatible right-hand side.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    n = b.shape[0]
-    if maxiter is None:
-        maxiter = 10 * n
-    return _projected_pcg(a_mat.dot, a_mat.diagonal().copy(), m, b, tol, maxiter, x0=x0)
+    return _bordered_solver(a_mat, m)(np.asarray(b, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -129,7 +102,7 @@ class EigenPair:
     flags a second eigenvalue within 10*tol of mu1 (disks carry an exactly
     degenerate first pair; on structured square meshes the diagonal split
     direction separates the pair by O(h**2), so the flag stays off there);
-    ``mu2``/``phi2`` are the second Ritz pair, kept because branch switching
+    ``mu2``/``phi2`` are the second eigenpair, kept because branch switching
     near a (near-)degenerate first mode needs the whole two-dimensional
     eigenspace.
     """
@@ -141,111 +114,56 @@ class EigenPair:
     phi2: np.ndarray | None = None
 
 
-def _orthonormalize(x_block: np.ndarray, m: np.ndarray, rng) -> np.ndarray:
-    """Weighted-mean-zero projection plus Gram-Schmidt in the mass inner
-    product; collapsed columns are reseeded randomly."""
-    n, p = x_block.shape
-    out = np.empty_like(x_block)
-    for i in range(p):
-        v = project_mean_zero(x_block[:, i], m)
-        for attempt in range(3):
-            for j in range(i):
-                v -= np.dot(m * out[:, j], v) * out[:, j]
-            nrm = mass_norm(v, m)
-            if nrm > 1e-13 * np.sqrt(m.sum()):
-                break
-            v = project_mean_zero(rng.standard_normal(n), m)
-        else:
-            raise NoConvergenceError("could not orthonormalize the iteration block")
-        out[:, i] = v / nrm
-    return out
+def _smallest_restricted(b_mat: sp.spmatrix, m: np.ndarray, shift: float,
+                         tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two eigenvalues of the pencil (B, diag(m)) on the mean-zero
+    subspace nearest to ``shift``, ascending, with their eigenvectors.
 
-
-def _block_inverse_smallest(b_mat: sp.spmatrix, m: np.ndarray, shift: float, tol: float,
-                            p: int = 3, x0: np.ndarray | None = None,
-                            maxiter: int = 200,
-                            cg_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalues of the pencil (P'BP, diag(m)) on the mean-zero
-    subspace by block inverse iteration on the shifted operator B - shift*M.
-
-    Each sweep applies one projected solve plus weighted orthonormalization
-    per block column, then a small Rayleigh-Ritz rotation; a block (default
-    three columns) is needed because near-degenerate first pairs (squares,
-    disks) stall single-vector iteration.  The shift must lie strictly below
-    the smallest eigenvalue so the shifted operator is positive definite on
-    the subspace.  Returns the ascending Ritz values and their vectors;
-    convergence is relative stagnation of the smallest Ritz value.
+    Shift-invert Lanczos whose inverse is the bordered LU of B - shift*M:
+    its range is the mean-zero subspace, and Lanczos in the M inner product
+    returns vectors of weighted norm one.  The start vector is seeded, so
+    repeated calls give identical results.
     """
     n = m.shape[0]
-    p = max(1, min(p, n - 2))
-    diag = b_mat.diagonal() - shift * m
-
-    def matvec(x):
-        return b_mat.dot(x) - shift * (m * x)
-
-    rng = np.random.default_rng(_RNG_SEED)
-    if x0 is None:
-        block = rng.standard_normal((n, p))
-    else:
-        x0 = np.atleast_2d(x0.T).T  # (n,) -> (n, 1)
-        block = np.hstack([x0[:, :p], rng.standard_normal((n, max(0, p - x0.shape[1])))])
-    x_blk = _orthonormalize(block, m, rng)
-
-    cap = 10 * n
-    floor = 0.01 * abs(shift) + 1e-300
-    # watch the two leading Ritz values: the trailing one may straddle the
-    # next degenerate cluster and never settle
-    n_watch = min(2, p)
-    theta_prev = None
-    y_blk = np.zeros_like(x_blk)
-    for _ in range(maxiter):
-        for i in range(p):
-            y_blk[:, i] = _projected_pcg(matvec, diag, m, m * x_blk[:, i], cg_tol, cap,
-                                         x0=y_blk[:, i] if theta_prev is not None else None)
-        x_blk = _orthonormalize(y_blk, m, rng)
-        small = x_blk.T @ b_mat.dot(x_blk)
-        theta, q_rot = np.linalg.eigh(0.5 * (small + small.T))
-        x_blk = x_blk @ q_rot
-        y_blk = y_blk @ q_rot
-        if theta_prev is not None and all(
-            abs(theta[i] - theta_prev[i]) <= tol * max(abs(theta[i]), floor)
-            for i in range(n_watch)
-        ):
-            return theta, x_blk
-        theta_prev = theta[:n_watch].copy()
-    raise NoConvergenceError("block inverse iteration did not stagnate within its cap")
+    solve = _bordered_solver(b_mat - sp.diags(shift * m), m)
+    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
+    v0 = project_mean_zero(np.random.default_rng(_RNG_SEED).standard_normal(n), m)
+    try:
+        theta, vecs = eigsh(b_mat, k=2, M=sp.diags(m), sigma=shift, OPinv=op_inv,
+                            v0=v0, tol=tol)
+    except ArpackNoConvergence as exc:
+        raise NoConvergenceError(f"shift-invert Lanczos did not converge: {exc}") from exc
+    order = np.argsort(theta)
+    return theta[order], vecs[:, order]
 
 
-def smallest_nonzero_eigen(a_mat: sp.spmatrix, m: np.ndarray, tol: float = 1e-10,
-                           x0: np.ndarray | None = None) -> EigenPair:
+def smallest_nonzero_eigen(a_mat: sp.spmatrix, m: np.ndarray,
+                           tol: float = 1e-10) -> EigenPair:
     """First nonzero eigenvalue mu1 of A x = mu * m x with A psd, A 1 = 0.
 
-    Block inverse iteration on the mean-zero subspace (each step one
-    projected solve plus weighted normalization per column); the second
-    Ritz value detects a (near-)degenerate first eigenvalue.
+    Shift-invert Lanczos at shift 0 on the mean-zero subspace; the second
+    eigenvalue detects a (near-)degenerate first eigenvalue.
     """
-    theta, vecs = _block_inverse_smallest(a_mat, m, 0.0, tol, x0=x0)
-    mu1 = float(theta[0])
-    mu2 = float(theta[1]) if theta.shape[0] > 1 else None
-    phi2 = vecs[:, 1].copy() if theta.shape[0] > 1 else None
-    degenerate = mu2 is not None and abs(mu2 - mu1) <= 10.0 * tol * max(1.0, abs(mu1))
+    theta, vecs = _smallest_restricted(a_mat, m, 0.0, tol)
+    mu1, mu2 = float(theta[0]), float(theta[1])
+    degenerate = abs(mu2 - mu1) <= 10.0 * tol * max(1.0, abs(mu1))
     return EigenPair(mu1=mu1, phi1=vecs[:, 0].copy(), degenerate=degenerate,
-                     mu2=mu2, phi2=phi2)
+                     mu2=mu2, phi2=vecs[:, 1].copy())
 
 
 def restricted_smallest_eigen(b_mat: sp.spmatrix, m: np.ndarray, lower_bound: float,
-                              tol: float = 1e-9,
-                              x0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Smallest mean-zero-subspace eigenvalue of a symmetric pencil (B, diag(m)).
+                              tol: float = 1e-9) -> tuple[float, np.ndarray]:
+    """Smallest mean-zero-subspace eigenvalue of a symmetric pencil (B, diag(m))
+    and its eigenvector.
 
     ``lower_bound`` must be a guaranteed lower bound on the eigenvalue (for
     reaction Jacobians, minus the largest pointwise reaction slope); the
-    shift is placed below it with a safety margin.  The second return value
-    is the whole iteration block, reusable to warm-start nearby pencils.
+    shift is placed below it with a safety margin, so the eigenvalue nearest
+    the shift is the smallest one.
     """
     shift = lower_bound - max(1.0, 0.1 * abs(lower_bound))
-    theta, vecs = _block_inverse_smallest(b_mat, m, shift, tol, x0=x0)
-    return float(theta[0]), vecs
+    theta, vecs = _smallest_restricted(b_mat, m, shift, tol)
+    return float(theta[0]), vecs[:, 0].copy()
 
 
 def first_eigenpair(op, tol: float = 1e-10) -> EigenPair:

@@ -3,10 +3,11 @@ eps*A*u = m*f(u), a deterministic multi-start search over its solution set,
 and classification of converged states as constant or patterned.
 
 The Newton linear step splits into mean and fluctuation parts.  The
-fluctuation part is a projected solve with the symmetric Jacobian
+fluctuation part is a mean-zero solve with the symmetric Jacobian
 eps*A - diag(m*f'(u)); the mean part comes from the mass-weighted row sum,
-closed exactly through the rank-one coupling between the two (the coupling
-vanishes identically at constant states, where the extra solve is skipped).
+closed exactly through the rank-one coupling between the two.  Both
+right-hand sides (the residual and the coupling) share one bordered LU
+factorization of the Jacobian per iteration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import ModelParams, eval_f_clipped, eval_f_prime_clipped, find_xi
 __all__ = [
     "Constant", "Nonconstant", "SolutionRecord", "NewtonOpts", "StartOutcome",
     "MultiStartResult", "residual", "jacobian", "newton_solve", "classify",
-    "weighted_mean", "multi_start", "dedup_records",
+    "weighted_mean", "multi_start", "dedup_records", "switch_directions",
 ]
 
 CLASSIFY_REL_TOL = 1e-6  # sup-fluctuation threshold separating round-off from pattern
@@ -70,7 +71,6 @@ class NewtonOpts:
     max_iter: int = 40
     damping: float = 0.5
     min_alpha: float = 1e-8
-    cg_maxiter: int | None = None  # None: max(600, 15*sqrt(n)); failures must fail fast
     stall_window: int = 10         # give up when 10 iterations shrink the residual
     stall_factor: float = 0.3      # by less than this factor (0 disables)
     attach_diagnostics: bool = True
@@ -109,26 +109,21 @@ def classify(u: np.ndarray, m: np.ndarray) -> Classification:
 
 
 def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
-                 op: DiscreteOperator, cg_tol: float, cg_maxiter: int) -> np.ndarray:
+                 op: DiscreteOperator) -> np.ndarray:
     """One exact Newton direction via the mean/fluctuation decomposition."""
     m = op.lumped_mass
     fp, _ = eval_f_prime_clipped(u, a)
-    j_mat = (eps * op.stiffness - sp.diags(m * fp)).tocsr()
+    mfp = m * fp
+    j_mat = (eps * op.stiffness - sp.diags(mfp)).tocsr()
 
     try:
-        w0 = solve_projected(j_mat, m, -r, tol=cg_tol, maxiter=cg_maxiter)
-        coupling = m * fp
-        coupling_fluct = coupling - (coupling.sum() / m.sum()) * m
-        if np.linalg.norm(coupling_fluct) <= 1e-14 * (np.linalg.norm(coupling) + 1e-300):
-            w1 = np.zeros_like(u)  # constant reaction slope: mean and fluctuation decouple
-        else:
-            w1 = solve_projected(j_mat, m, coupling, tol=cg_tol, maxiter=cg_maxiter)
+        w = solve_projected(j_mat, m, np.column_stack([-r, mfp]))
     except NoConvergenceError as exc:
-        raise SingularJacobianError(f"inner projected solve failed: {exc}") from exc
+        raise SingularJacobianError(f"inner mean-zero solve failed: {exc}") from exc
+    w0, w1 = w[:, 0], w[:, 1]
 
     fu, _ = eval_f_clipped(u, a)
     mf = float(np.dot(m, fu))
-    mfp = m * fp
     den = float(mfp.sum() + np.dot(mfp, w1))
     scale = float(np.abs(mfp).sum()) * (1.0 + float(np.abs(w1).max(initial=0.0)))
     if abs(den) <= 1e-12 * scale + 1e-300:
@@ -154,9 +149,6 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
     u = np.asarray(u0, dtype=float).copy()
     if u.shape != m.shape:
         raise ValueError("start vector length does not match the operator")
-    cg_maxiter = opts.cg_maxiter
-    if cg_maxiter is None:
-        cg_maxiter = max(600, int(15 * np.sqrt(m.shape[0])))
     r = residual(u, eps, a, op)
     rnorm = dual_norm(r, m)
     history = [rnorm]
@@ -171,8 +163,7 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
             raise NoConvergenceError(
                 f"Newton stalled near residual {rnorm:.3e} after {iters} iterations"
             )
-        cg_tol = float(np.clip(1e-3 * np.sqrt(rnorm), 1e-10, 1e-3))
-        delta = _newton_step(u, r, eps, a, op, cg_tol, cg_maxiter)
+        delta = _newton_step(u, r, eps, a, op)
 
         alpha = 1.0
         while True:
@@ -237,36 +228,47 @@ class MultiStartResult:
     runs: list[StartOutcome] = field(default_factory=list)
 
 
+def switch_directions(op: DiscreteOperator) -> list[tuple[str, np.ndarray]]:
+    """Perturbation directions out of the constant state, normalized to sup
+    norm one.
+
+    A (near-)degenerate first eigenvalue carries a two-dimensional mode
+    space, and which combination an emerging branch follows is a property
+    of the nonlinearity, not of the eigensolver's arbitrary basis choice;
+    the candidates span the extreme combinations of the leading pair.
+    """
+    pair = first_eigenpair(op)
+    dirs = [("phi1", pair.phi1)]
+    if pair.phi2 is not None and pair.mu2 is not None and pair.mu1 > 0.0 \
+            and (pair.mu2 - pair.mu1) <= 0.05 * pair.mu1:
+        dirs += [
+            ("phi1+phi2", pair.phi1 + pair.phi2),
+            ("phi1-phi2", pair.phi1 - pair.phi2),
+            ("phi2", pair.phi2),
+        ]
+    return [(name, d / np.abs(d).max()) for name, d in dirs]
+
+
 def start_family(eps: float, a: float, op: DiscreteOperator, n_starts: int,
                  seed: int) -> list[tuple[str, np.ndarray]]:
     """Deterministic start states: the three distinguished constants,
-    first-mode perturbations of xi_a, then seeded uniform noise fields.
-
-    When the first eigenvalue is a near-degenerate pair, the emerging
-    branches live on specific combinations inside the two-dimensional mode
-    space, so perturbations along the extreme combinations (sup norm one)
-    are included as well.
+    perturbations of xi_a along the ``switch_directions`` (relative sup
+    amplitudes 0.15, 0.45 and 1, both signs, smallest first), then seeded
+    uniform noise fields.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     n = op.n
     xi = find_xi(a)
-    pair = first_eigenpair(op)
     starts: list[tuple[str, np.ndarray]] = [
         ("const:0", np.zeros(n)),
         ("const:xi", np.full(n, xi)),
         ("const:log_a", np.full(n, np.log(a))),
     ]
-    for amp in (0.1, -0.1, 0.5, -0.5, 1.0, -1.0):
-        starts.append((f"eig:{amp:+g}", xi + amp * xi * pair.phi1))
-    if pair.phi2 is not None and pair.mu2 is not None \
-            and (pair.mu2 - pair.mu1) <= 0.05 * pair.mu1:
-        for name, d in (("mix:+", pair.phi1 + pair.phi2),
-                        ("mix:-", pair.phi1 - pair.phi2),
-                        ("eig2", pair.phi2)):
-            d = d / np.abs(d).max()
-            for amp in (0.15, -0.15, 0.45, -0.45):
-                starts.append((f"{name}:{amp:+g}", xi + amp * xi * d))
+    directions = switch_directions(op)
+    for amp in (0.15, -0.15, 0.45, -0.45, 1.0, -1.0):
+        for name, d in directions:
+            starts.append((f"{name}:{amp:+g}", xi + amp * xi * d))
     rng = np.random.default_rng(seed)
     k = 0
     while len(starts) < n_starts:

@@ -38,9 +38,8 @@ class TestStabilityIndicator:
         # at u = xi the restricted Jacobian spectrum is eps*mu_k - f'(xi)
         mu1 = first_eigenpair(square20).mu1
         u = np.full(square20.n, XI)
-        vec = None
         for eps in rng.uniform(0.05, 2.0, size=10):
-            lam, vec = stability_indicator(u, float(eps), A, square20, tol=1e-10, x0=vec)
+            lam, _ = stability_indicator(u, float(eps), A, square20, tol=1e-10)
             predicted = eps * mu1 - FP_XI
             assert abs(lam - predicted) <= 1e-6 * max(abs(predicted), FP_XI)
 

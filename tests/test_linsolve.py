@@ -41,13 +41,13 @@ class TestSolveProjected:
         m = square20.lumped_mass
         y = project_mean_zero(rng.standard_normal(square20.n), m)
         b = square20.stiffness.dot(y)
-        x = solve_projected(square20.stiffness, m, b, tol=1e-12)
+        x = solve_projected(square20.stiffness, m, b)
         assert np.abs(x - y).max() <= 1e-8 * (1.0 + np.abs(y).max())
 
     def test_result_mean_zero(self, square20, rng):
         m = square20.lumped_mass
         b = square20.stiffness.dot(project_mean_zero(rng.standard_normal(square20.n), m))
-        x = solve_projected(square20.stiffness, m, b, tol=1e-12)
+        x = solve_projected(square20.stiffness, m, b)
         assert abs(np.dot(m, x)) <= 1e-10 * m.sum()
 
     def test_incompatible_rhs_projected_first(self, square20, rng):
@@ -55,21 +55,29 @@ class TestSolveProjected:
         # residual against the compatible projection
         m = square20.lumped_mass
         b = m * rng.standard_normal(square20.n) + 3.0 * m
-        x = solve_projected(square20.stiffness, m, b, tol=1e-12)
+        x = solve_projected(square20.stiffness, m, b)
         b_proj = b - (b.sum() / m.sum()) * m
         res = np.linalg.norm(square20.stiffness.dot(x) - b_proj)
         assert res <= 1e-11 * np.linalg.norm(b_proj)
 
-    def test_iteration_cap_raises(self, square20, rng):
+    def test_block_rhs_matches_columns(self, square20, rng):
         m = square20.lumped_mass
-        b = m * project_mean_zero(rng.standard_normal(square20.n), m)
-        with pytest.raises(NoConvergenceError):
-            solve_projected(square20.stiffness, m, b, tol=1e-14, maxiter=3)
+        b = m[:, None] * rng.standard_normal((square20.n, 3))
+        x = solve_projected(square20.stiffness, m, b)
+        for j in range(3):
+            x_j = solve_projected(square20.stiffness, m, b[:, j])
+            assert np.abs(x[:, j] - x_j).max() <= 1e-12 * (1.0 + np.abs(x_j).max())
 
-    def test_rejects_bad_tol(self, square20):
-        with pytest.raises(ValueError):
-            solve_projected(square20.stiffness, square20.lumped_mass,
-                            np.zeros(square20.n), tol=0.0)
+    def test_singular_on_mean_zero_subspace_raises(self):
+        # the path Laplacian has the mean-zero eigenvector (1, -1, -1, 1) at
+        # eigenvalue 2, so L - 2I is singular there as at a bifurcation point
+        import scipy.sparse as sp
+
+        lap = sp.csr_matrix(np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0],
+                                      [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 1.0]]))
+        with pytest.raises(NoConvergenceError):
+            solve_projected(lap - 2.0 * sp.identity(4), np.ones(4),
+                            np.array([1.0, 0.0, 0.0, -1.0]))
 
 
 class TestSmallestNonzeroEigen:
@@ -121,6 +129,13 @@ class TestSmallestNonzeroEigen:
             quotient = v @ square20.stiffness.dot(v) / np.dot(m, v * v)
             assert quotient >= pair.mu1 * (1.0 - 1e-8)
 
+    def test_repeat_call_is_bitwise_identical(self, square20, square16):
+        pair = smallest_nonzero_eigen(square20.stiffness, square20.lumped_mass)
+        smallest_nonzero_eigen(square16.stiffness, square16.lumped_mass)
+        again = smallest_nonzero_eigen(square20.stiffness, square20.lumped_mass)
+        assert again.mu1 == pair.mu1
+        assert np.array_equal(again.phi1, pair.phi1)
+
     def test_second_ritz_value_orders(self, rect2x1):
         pair = first_eigenpair(rect2x1)
         assert pair.mu2 is not None and pair.mu2 > pair.mu1
@@ -145,12 +160,12 @@ class TestRestrictedSmallestEigen:
         lam, _ = restricted_smallest_eigen(b_mat, m, lower_bound=-c, tol=1e-10)
         assert lam == pytest.approx(first_eigenpair(square20).mu1 - c, rel=1e-8)
 
-    def test_warm_start(self, square20):
-        lam1, block = restricted_smallest_eigen(square20.stiffness, square20.lumped_mass,
-                                                lower_bound=0.0, tol=1e-10)
-        lam2, _ = restricted_smallest_eigen(square20.stiffness, square20.lumped_mass,
-                                            lower_bound=0.0, tol=1e-10, x0=block)
-        assert lam2 == pytest.approx(lam1, rel=1e-9)
+    def test_returns_mean_zero_eigenvector(self, square20):
+        m = square20.lumped_mass
+        lam, vec = restricted_smallest_eigen(square20.stiffness, m, lower_bound=0.0)
+        assert abs(np.dot(m, vec)) <= 1e-10 * m.sum()
+        rayleigh = vec @ square20.stiffness.dot(vec) / np.dot(m, vec * vec)
+        assert rayleigh == pytest.approx(lam, rel=1e-8)
 
 
 class TestNorms:
