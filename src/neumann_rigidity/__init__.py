@@ -35,7 +35,9 @@ from .diagnostics import (
     run_diagnostics,
 )
 from .linsolve import (
+    BorderedSystem,
     EigenPair,
+    bordered,
     dual_norm,
     first_eigenpair,
     mass_norm,

@@ -278,11 +278,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> i
     eps = cfg.require_eps()
     pair = first_eigenpair(op, tol=cfg.eig_tol)
     u0 = _start_state(start_spec, cfg, op)
-    try:
-        rec = newton_solve(u0, eps, cfg.a, op, _newton_opts(cfg, pair.mu1))
-    except NoConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        raise
+    rec = newton_solve(u0, eps, cfg.a, op, _newton_opts(cfg, pair.mu1))
     payload = _record_payload(rec, op)
     payload["start"] = start_spec
     _emit_json(payload, out_dir, "solution.json")

@@ -23,7 +23,7 @@ from .errors import (
     NoConvergenceError,
     SingularJacobianError,
 )
-from .linsolve import dual_norm, first_eigenpair, restricted_smallest_eigen
+from .linsolve import bordered, dual_norm, first_eigenpair, restricted_smallest_eigen
 from .meshing import DiscreteOperator
 from .model import bifurcation_epsilon, eval_f_prime_clipped, find_xi
 from .newton import (
@@ -33,7 +33,6 @@ from .newton import (
     StartOutcome,
     attach_diagnostics,
     classify,
-    jacobian,
     multi_start,
     newton_solve,
     residual,
@@ -81,11 +80,12 @@ def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperato
 
     The pointwise reaction slope bounds the spectrum from below by
     -max f'(u), which places the shift of the shift-invert eigensolver.
+    The Jacobian eps*A - diag(m*f'(u)) is never assembled: its bordered
+    factor is filled straight into the operator's cached layout.
     """
-    j_mat = jacobian(u, eps, a, op)
     fp, _ = eval_f_prime_clipped(u, a)
-    lower = -float(fp.max())
-    return restricted_smallest_eigen(j_mat, op.lumped_mass, lower, tol=tol)
+    return restricted_smallest_eigen(bordered(op), -float(fp.max()), scale=eps,
+                                     d=op.lumped_mass * fp, tol=tol)
 
 
 def _constant_record(value: float, eps: float, a: float, op: DiscreteOperator,

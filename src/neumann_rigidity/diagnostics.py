@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ZeroFieldError
-from .linsolve import mass_norm, project_mean_zero, solve_projected, weighted_mean
+from .linsolve import bordered, mass_norm, project_mean_zero, solve_projected, weighted_mean
 from .meshing import DiscreteOperator, mesh_size
 from .model import ModelParams, eval_f, eval_f_clipped, find_xi
 
@@ -91,7 +91,7 @@ def check_representation(u: np.ndarray, eps: float, a: float, op: DiscreteOperat
     m = op.lumped_mass
     v = u - weighted_mean(u, m)
     fu, _ = eval_f_clipped(u, a)
-    w = solve_projected(op.stiffness, m, m * fu / eps)
+    w = solve_projected(bordered(op), m * fu / eps)
     error = float(np.abs(w - v).max() / (1.0 + np.abs(v).max()))
     return error, error <= tol
 
@@ -123,7 +123,7 @@ def estimate_green_constants(op: DiscreteOperator, sample_count: int = 8,
     c2 = 0.0
     loads = np.tile((-m / op.area)[:, None], (1, samples.size))
     loads[samples, np.arange(samples.size)] += 1.0
-    greens = solve_projected(op.stiffness, m, loads)  # one factorization for all columns
+    greens = solve_projected(bordered(op), loads)  # the Poisson factor, all columns at once
     for y, g in zip(samples, greens.T):
         dist = np.sqrt(((nodes - nodes[y]) ** 2).sum(axis=1))
         far = dist > 2.0 * h

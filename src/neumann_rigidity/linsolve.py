@@ -5,17 +5,28 @@ The stiffness matrix of the natural boundary condition annihilates
 constants, so linear solves live on the weighted-mean-zero subspace.  One
 sparse LU factorization of the bordered matrix
 
-    K = [[B, m], [m', 0]]
+    K = [[B, m], [m', 0]],   B = scale*A - diag(d),
 
 does the whole job: its solution of  B x + m*lam = b,  m'x = 0  is the
 weighted-mean-zero solution of B x = b with the range-incompatible part of b
 (along the mass vector) absorbed by the multiplier lam.  The same factors of
 B - shift*M are the shift-invert operator of the eigensolver; they send
 constants to zero, which restricts the spectrum to mean-zero fields without
-any projection.  The factorization uses SuperLU's minimum-degree ordering
-on the pattern of K + K' (``MMD_AT_PLUS_A``): the default column ordering
-fills in about a quarter more memory on large meshes, and ordering on K'K
-turns the dense border row into a dense block.
+any projection.
+
+Every matrix the package solves with (Poisson, Newton Jacobians, shifted
+stability pencils) has the form of B above, so all share one sparsity
+pattern.  ``bordered(op)`` splits the work into the symbolic phase, done
+once per operator, and a numeric phase per matrix.  Once: the Poisson
+matrix K(1, 0) is factored with SuperLU's minimum-degree ordering on the
+pattern of K + K' (``MMD_AT_PLUS_A``; the default column ordering fills in
+about a quarter more memory on large meshes, and ordering on K'K turns the
+dense border row into a dense block), that factor is kept for the Poisson
+solves and mu1, and its column order lays out the pattern of K
+symmetrically permuted.  Per matrix: fill the values into that layout and
+factor with the ``NATURAL`` ordering, which gives the same fill without a
+minimum-degree pass.  The SuperLU factors do not pickle; a pickled system
+carries only its matrix and mass and refactors when it is loaded.
 """
 
 from __future__ import annotations
@@ -57,41 +68,143 @@ def project_mean_zero(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x - np.dot(m, x) / m.sum()
 
 
-def _bordered_solver(b_mat: sp.spmatrix, m: np.ndarray):
-    """Factor K = [[B, m], [m', 0]] once and return b -> x, the field part of
-    K^{-1} [b; 0] for an (n,) or (n, k) right-hand side.
+class BorderedFactor:
+    """SuperLU factors of one bordered matrix K.
 
-    Raises NoConvergenceError when K is singular, i.e. when B is singular
-    on the weighted-mean-zero subspace, or when the solve overflows.
+    ``solve`` returns the field part of K^{-1} [b; 0] for an (n,) or (n, k)
+    right-hand side.  ``rows`` are the positions of the field rows in the
+    matrix that was factored: a slice when K was factored in its own
+    order, the permutation when it was laid out symmetrically permuted.
     """
-    n = m.shape[0]
-    border = sp.csc_matrix(m.reshape(n, 1))
-    k_mat = sp.bmat([[b_mat, border], [border.T, None]], format="csc")
-    try:
-        lu = splu(k_mat, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NoConvergenceError(f"bordered matrix is singular: {exc}") from exc
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        rhs = np.concatenate([b, np.zeros((1,) + b.shape[1:])])
-        x = lu.solve(rhs)[:n]
+    def __init__(self, lu, rows):
+        self.lu = lu
+        self._rows = rows
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        rhs = np.zeros((self.lu.shape[0],) + b.shape[1:])
+        rhs[self._rows] = b
+        x = self.lu.solve(rhs)[self._rows]
         if not np.all(np.isfinite(x)):
             raise NoConvergenceError("bordered solve produced non-finite values")
         return x
 
-    return solve
+
+def _factorize(k_mat: sp.csc_matrix, permc_spec: str):
+    try:
+        return splu(k_mat, permc_spec=permc_spec)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NoConvergenceError(f"bordered matrix is singular: {exc}") from exc
 
 
-def solve_projected(a_mat: sp.spmatrix, m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b on the weighted-mean-zero subspace by one bordered LU.
+@dataclass(frozen=True)
+class _Layout:
+    """CSC pattern of K under a symmetric permutation, with the data
+    positions of the diagonal and the border and the values of A."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    a_data: np.ndarray
+    diag_pos: np.ndarray
+    border_pos: np.ndarray
+
+
+def _layout(a_mat: sp.spmatrix, new: np.ndarray) -> _Layout:
+    """Lay out K = [[A - diag(d), m], [m', 0]] with old index i at new[i].
+
+    The pattern holds the entries of A, the whole diagonal and the border
+    column and row; the corner stays structurally zero.
+    """
+    a_coo = sp.coo_matrix(a_mat)
+    n1 = new.shape[0]
+    n = n1 - 1
+    idx = np.arange(n)
+    rows = np.concatenate([a_coo.row, idx, idx, np.full(n, n)])
+    cols = np.concatenate([a_coo.col, idx, np.full(n, n), idx])
+    keys = new[cols].astype(np.int64) * n1 + new[rows]
+    uniq, slot = np.unique(keys, return_inverse=True)
+    slot = slot.astype(np.int32)
+    return _Layout(
+        indices=(uniq % n1).astype(np.int32),
+        indptr=np.searchsorted(uniq // n1, np.arange(n1 + 1)).astype(np.int32),
+        # bincount sums duplicate entries of a non-canonical A
+        a_data=np.bincount(slot[:a_coo.nnz], weights=a_coo.data, minlength=uniq.shape[0]),
+        diag_pos=slot[a_coo.nnz:a_coo.nnz + n],
+        border_pos=slot[a_coo.nnz + n:],
+    )
+
+
+class BorderedSystem:
+    """Symbolic analysis of the bordered matrices
+
+        K(scale, d) = [[scale*A - diag(d), m], [m', 0]]
+
+    of one operator.  Construction factors the Poisson case K(1, 0) with
+    SuperLU's minimum-degree ordering on the pattern of K + K'
+    (``MMD_AT_PLUS_A``) and keeps that factor.  Every other K shares the
+    pattern, so ``factor`` lays its values out in the Poisson factor's
+    column order once and factors with the ``NATURAL`` ordering: the same
+    fill, without a minimum-degree pass per matrix.
+    """
+
+    def __init__(self, a_mat: sp.spmatrix, m: np.ndarray):
+        self.a_mat = a_mat
+        self.m = np.asarray(m, dtype=float)
+        self.n = self.m.shape[0]
+        self._border = np.concatenate([self.m, self.m])
+        lu = _factorize(self._csc(_layout(a_mat, np.arange(self.n + 1)), 1.0, None),
+                        "MMD_AT_PLUS_A")
+        self._poisson = BorderedFactor(lu, slice(None, self.n))
+        self._perm = lu.perm_c.astype(np.int32)
+        self._permuted: _Layout | None = None  # laid out on the first non-Poisson factor
+
+    def __reduce__(self):
+        # SuperLU factors do not pickle: a copy (an operator sent to a worker
+        # process) refactors from the matrix and the mass when it is loaded
+        return BorderedSystem, (self.a_mat, self.m)
+
+    def _csc(self, lay: _Layout, scale: float, d) -> sp.csc_matrix:
+        data = scale * lay.a_data
+        if d is not None:
+            data[lay.diag_pos] -= d
+        data[lay.border_pos] = self._border
+        return sp.csc_matrix((data, lay.indices, lay.indptr), shape=(self.n + 1,) * 2)
+
+    def factor(self, scale: float = 1.0, d: np.ndarray | float | None = None) -> BorderedFactor:
+        """Factors of K(scale, d); the default call returns the Poisson factor.
+
+        Raises NoConvergenceError when K is singular, i.e. when
+        scale*A - diag(d) is singular on the weighted-mean-zero subspace.
+        """
+        if scale == 1.0 and d is None:
+            return self._poisson
+        if self._permuted is None:
+            self._permuted = _layout(self.a_mat, self._perm)
+        lu = _factorize(self._csc(self._permuted, scale, d), "NATURAL")
+        return BorderedFactor(lu, self._perm[:self.n])
+
+
+def bordered(op) -> BorderedSystem:
+    """Memoized bordered system of a DiscreteOperator's stiffness and mass."""
+    if "bordered" not in op._cache:
+        op._cache["bordered"] = BorderedSystem(op.stiffness, op.lumped_mass)
+    return op._cache["bordered"]
+
+
+def solve_projected(system: BorderedSystem, b: np.ndarray, scale: float = 1.0,
+                    d: np.ndarray | float | None = None) -> np.ndarray:
+    """Solve (scale*A - diag(d)) x = b on the weighted-mean-zero subspace by
+    one bordered LU; the default is the Poisson problem A x = b, whose
+    factor is reused.
 
     ``b`` is an (n,) vector or an (n, k) block of right-hand sides sharing
-    the factorization.  For a symmetric A with A 1 = 0 the multiplier
-    removes exactly the range-incompatible part of b (its plain sum, along
-    the mass vector).  Raises NoConvergenceError when A is singular on the
-    subspace.
+    the factorization.  For a symmetric matrix that annihilates constants
+    the multiplier removes exactly the range-incompatible part of b (its
+    plain sum, along the mass vector).  Raises NoConvergenceError when the
+    matrix is singular on the subspace.
     """
-    return _bordered_solver(a_mat, m)(np.asarray(b, dtype=float))
+    return system.factor(scale, d).solve(b)
 
 
 @dataclass(frozen=True)
@@ -114,22 +227,27 @@ class EigenPair:
     phi2: np.ndarray | None = None
 
 
-def _smallest_restricted(b_mat: sp.spmatrix, m: np.ndarray, shift: float,
+def _smallest_restricted(system: BorderedSystem, scale: float, d, shift: float,
                          tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two eigenvalues of the pencil (B, diag(m)) on the mean-zero
-    subspace nearest to ``shift``, ascending, with their eigenvectors.
+    """The two eigenvalues of the pencil (scale*A - diag(d), diag(m)) on the
+    mean-zero subspace nearest to ``shift``, ascending, with their
+    eigenvectors.
 
-    Shift-invert Lanczos whose inverse is the bordered LU of B - shift*M:
-    its range is the mean-zero subspace, and Lanczos in the M inner product
-    returns vectors of weighted norm one.  The start vector is seeded, so
-    repeated calls give identical results.
+    Shift-invert Lanczos whose inverse is the bordered LU of
+    scale*A - diag(d + shift*m): its range is the mean-zero subspace, and
+    Lanczos in the M inner product returns vectors of weighted norm one.
+    In this mode ARPACK never multiplies by the pencil matrix itself.  The
+    start vector is seeded, so repeated calls give identical results.
     """
-    n = m.shape[0]
-    solve = _bordered_solver(b_mat - sp.diags(shift * m), m)
-    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
+    n, m = system.n, system.m
+    diag = 0.0 if d is None else d
+    pencil = LinearOperator((n, n), matvec=lambda x: scale * system.a_mat.dot(x) - diag * x,
+                            dtype=float)
+    shifted = d if shift == 0.0 else diag + shift * m
+    op_inv = LinearOperator((n, n), matvec=system.factor(scale, shifted).solve, dtype=float)
     v0 = project_mean_zero(np.random.default_rng(_RNG_SEED).standard_normal(n), m)
     try:
-        theta, vecs = eigsh(b_mat, k=2, M=sp.diags(m), sigma=shift, OPinv=op_inv,
+        theta, vecs = eigsh(pencil, k=2, M=sp.diags(m), sigma=shift, OPinv=op_inv,
                             v0=v0, tol=tol)
     except ArpackNoConvergence as exc:
         raise NoConvergenceError(f"shift-invert Lanczos did not converge: {exc}") from exc
@@ -137,24 +255,25 @@ def _smallest_restricted(b_mat: sp.spmatrix, m: np.ndarray, shift: float,
     return theta[order], vecs[:, order]
 
 
-def smallest_nonzero_eigen(a_mat: sp.spmatrix, m: np.ndarray,
-                           tol: float = 1e-10) -> EigenPair:
+def smallest_nonzero_eigen(system: BorderedSystem, tol: float = 1e-10) -> EigenPair:
     """First nonzero eigenvalue mu1 of A x = mu * m x with A psd, A 1 = 0.
 
-    Shift-invert Lanczos at shift 0 on the mean-zero subspace; the second
-    eigenvalue detects a (near-)degenerate first eigenvalue.
+    Shift-invert Lanczos at shift 0 on the mean-zero subspace, inverting
+    with the Poisson factor; the second eigenvalue detects a
+    (near-)degenerate first eigenvalue.
     """
-    theta, vecs = _smallest_restricted(a_mat, m, 0.0, tol)
+    theta, vecs = _smallest_restricted(system, 1.0, None, 0.0, tol)
     mu1, mu2 = float(theta[0]), float(theta[1])
     degenerate = abs(mu2 - mu1) <= 10.0 * tol * max(1.0, abs(mu1))
     return EigenPair(mu1=mu1, phi1=vecs[:, 0].copy(), degenerate=degenerate,
                      mu2=mu2, phi2=vecs[:, 1].copy())
 
 
-def restricted_smallest_eigen(b_mat: sp.spmatrix, m: np.ndarray, lower_bound: float,
+def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
+                              scale: float = 1.0, d: np.ndarray | float | None = None,
                               tol: float = 1e-9) -> tuple[float, np.ndarray]:
-    """Smallest mean-zero-subspace eigenvalue of a symmetric pencil (B, diag(m))
-    and its eigenvector.
+    """Smallest mean-zero-subspace eigenvalue of the symmetric pencil
+    (scale*A - diag(d), diag(m)) and its eigenvector.
 
     ``lower_bound`` must be a guaranteed lower bound on the eigenvalue (for
     reaction Jacobians, minus the largest pointwise reaction slope); the
@@ -162,7 +281,7 @@ def restricted_smallest_eigen(b_mat: sp.spmatrix, m: np.ndarray, lower_bound: fl
     the shift is the smallest one.
     """
     shift = lower_bound - max(1.0, 0.1 * abs(lower_bound))
-    theta, vecs = _smallest_restricted(b_mat, m, shift, tol)
+    theta, vecs = _smallest_restricted(system, scale, d, shift, tol)
     return float(theta[0]), vecs[:, 0].copy()
 
 
@@ -170,5 +289,5 @@ def first_eigenpair(op, tol: float = 1e-10) -> EigenPair:
     """Memoized first nonzero eigenpair of a DiscreteOperator."""
     key = ("eig", tol)
     if key not in op._cache:
-        op._cache[key] = smallest_nonzero_eigen(op.stiffness, op.lumped_mass, tol=tol)
+        op._cache[key] = smallest_nonzero_eigen(bordered(op), tol=tol)
     return op._cache[key]

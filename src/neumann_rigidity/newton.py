@@ -7,7 +7,8 @@ fluctuation part is a mean-zero solve with the symmetric Jacobian
 eps*A - diag(m*f'(u)); the mean part comes from the mass-weighted row sum,
 closed exactly through the rank-one coupling between the two.  Both
 right-hand sides (the residual and the coupling) share one bordered LU
-factorization of the Jacobian per iteration.
+factorization of the Jacobian per iteration, laid out in the operator's
+cached ordering (``linsolve.bordered``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 
 from .diagnostics import DiagnosticsReport, run_diagnostics
 from .errors import NoConvergenceError, SingularJacobianError
-from .linsolve import dual_norm, first_eigenpair, solve_projected, weighted_mean
+from .linsolve import bordered, dual_norm, first_eigenpair, solve_projected, weighted_mean
 from .meshing import DiscreteOperator
 from .model import ModelParams, eval_f_clipped, eval_f_prime_clipped, find_xi
 
@@ -41,6 +42,7 @@ class Constant:
 @dataclass(frozen=True)
 class Nonconstant:
     sup_fluct: float
+    mean: float  # mass-weighted
 
 
 Classification = Constant | Nonconstant
@@ -105,7 +107,7 @@ def classify(u: np.ndarray, m: np.ndarray) -> Classification:
     sup_fluct = float(np.abs(u - mean).max())
     if sup_fluct <= CLASSIFY_REL_TOL * max(1.0, abs(mean)):
         return Constant(value=mean)
-    return Nonconstant(sup_fluct=sup_fluct)
+    return Nonconstant(sup_fluct=sup_fluct, mean=mean)
 
 
 def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
@@ -114,10 +116,8 @@ def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
     m = op.lumped_mass
     fp, _ = eval_f_prime_clipped(u, a)
     mfp = m * fp
-    j_mat = (eps * op.stiffness - sp.diags(mfp)).tocsr()
-
     try:
-        w = solve_projected(j_mat, m, np.column_stack([-r, mfp]))
+        w = solve_projected(bordered(op), np.column_stack([-r, mfp]), eps, mfp)
     except NoConvergenceError as exc:
         raise SingularJacobianError(f"inner mean-zero solve failed: {exc}") from exc
     w0, w1 = w[:, 0], w[:, 1]
@@ -279,8 +279,8 @@ def start_family(eps: float, a: float, op: DiscreteOperator, n_starts: int,
 
 def dedup_records(records: list[SolutionRecord]) -> list[SolutionRecord]:
     """Drop duplicates (sup-distance below 1e-5*(1 + sup)) and order the
-    survivors canonically by mean, so the output does not depend on the
-    order the solutions were found in."""
+    survivors canonically by mass-weighted mean, so the output does not
+    depend on the order the solutions were found in."""
     distinct: list[SolutionRecord] = []
     for rec in records:
         is_dup = any(
@@ -297,7 +297,7 @@ def dedup_records(records: list[SolutionRecord]) -> list[SolutionRecord]:
 def weighted_mean_of(record: SolutionRecord) -> float:
     if isinstance(record.classification, Constant):
         return record.classification.value
-    return float(np.mean(record.u))
+    return record.classification.mean
 
 
 def sup_fluct_of(record: SolutionRecord) -> float:

@@ -131,6 +131,14 @@ class TestSolveCommand:
         cfg = make_config(tmp_path)
         assert main(["solve", "--config", str(cfg), "--start", "const:log_a"]) == 3
 
+    def test_no_convergence_reports_one_line(self, tmp_path, capsys):
+        # a residual target below round-off cannot be met
+        cfg = make_config(tmp_path, newton_tol=1e-300)
+        assert main(["solve", "--config", str(cfg), "--start", "const:0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: ")
+
 
 class TestSweepCommand:
     def test_outputs_and_determinism(self, tmp_path):
@@ -147,6 +155,14 @@ class TestSweepCommand:
         assert runs[0] == "epsilon,start_id,converged,classification,mean,sup_fluct,residual_norm,iters"
         assert len(runs) == 1 + 2 * 8
         assert (out1 / "diagnostics_summary.csv").exists()
+
+    def test_worker_processes_match_serial(self, tmp_path):
+        cfg = make_config(tmp_path, eps_grid=[0.08, 1.0], n_starts=6, nx=8, ny=8)
+        out1, out2 = tmp_path / "serial", tmp_path / "workers"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
+        for name in ("runs.csv", "sweep_summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_needs_grid(self, tmp_path):
         cfg = make_config(tmp_path, eps_grid=None)

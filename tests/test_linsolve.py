@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import neumann_rigidity.linsolve as linsolve
 from neumann_rigidity import (
+    BorderedSystem,
+    NewtonOpts,
+    assemble,
+    bordered,
+    build_rectangle_mesh,
     first_eigenpair,
     mass_norm,
+    multi_start,
     project_mean_zero,
     smallest_nonzero_eigen,
     solve_projected,
@@ -34,20 +43,20 @@ class TestProjectMeanZero:
 
 class TestSolveProjected:
     def test_zero_rhs(self, square20):
-        x = solve_projected(square20.stiffness, square20.lumped_mass, np.zeros(square20.n))
+        x = solve_projected(bordered(square20), np.zeros(square20.n))
         assert np.all(x == 0.0)
 
     def test_roundtrip(self, square20, rng):
         m = square20.lumped_mass
         y = project_mean_zero(rng.standard_normal(square20.n), m)
         b = square20.stiffness.dot(y)
-        x = solve_projected(square20.stiffness, m, b)
+        x = solve_projected(bordered(square20), b)
         assert np.abs(x - y).max() <= 1e-8 * (1.0 + np.abs(y).max())
 
     def test_result_mean_zero(self, square20, rng):
         m = square20.lumped_mass
         b = square20.stiffness.dot(project_mean_zero(rng.standard_normal(square20.n), m))
-        x = solve_projected(square20.stiffness, m, b)
+        x = solve_projected(bordered(square20), b)
         assert abs(np.dot(m, x)) <= 1e-10 * m.sum()
 
     def test_incompatible_rhs_projected_first(self, square20, rng):
@@ -55,7 +64,7 @@ class TestSolveProjected:
         # residual against the compatible projection
         m = square20.lumped_mass
         b = m * rng.standard_normal(square20.n) + 3.0 * m
-        x = solve_projected(square20.stiffness, m, b)
+        x = solve_projected(bordered(square20), b)
         b_proj = b - (b.sum() / m.sum()) * m
         res = np.linalg.norm(square20.stiffness.dot(x) - b_proj)
         assert res <= 1e-11 * np.linalg.norm(b_proj)
@@ -63,21 +72,99 @@ class TestSolveProjected:
     def test_block_rhs_matches_columns(self, square20, rng):
         m = square20.lumped_mass
         b = m[:, None] * rng.standard_normal((square20.n, 3))
-        x = solve_projected(square20.stiffness, m, b)
+        x = solve_projected(bordered(square20), b)
         for j in range(3):
-            x_j = solve_projected(square20.stiffness, m, b[:, j])
+            x_j = solve_projected(bordered(square20), b[:, j])
             assert np.abs(x[:, j] - x_j).max() <= 1e-12 * (1.0 + np.abs(x_j).max())
 
     def test_singular_on_mean_zero_subspace_raises(self):
         # the path Laplacian has the mean-zero eigenvector (1, -1, -1, 1) at
         # eigenvalue 2, so L - 2I is singular there as at a bifurcation point
-        import scipy.sparse as sp
-
         lap = sp.csr_matrix(np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0],
                                       [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 1.0]]))
         with pytest.raises(NoConvergenceError):
-            solve_projected(lap - 2.0 * sp.identity(4), np.ones(4),
-                            np.array([1.0, 0.0, 0.0, -1.0]))
+            solve_projected(BorderedSystem(lap, np.ones(4)),
+                            np.array([1.0, 0.0, 0.0, -1.0]), d=2.0)
+
+
+def _fresh_bordered_lu(op, scale, d):
+    """MMD_AT_PLUS_A factor of [[scale*A - diag(d), m], [m', 0]] assembled from scratch."""
+    border = sp.csc_matrix(op.lumped_mass.reshape(-1, 1))
+    b_mat = scale * op.stiffness - sp.diags(d)
+    return splu(sp.bmat([[b_mat, border], [border.T, None]], format="csc"),
+                permc_spec="MMD_AT_PLUS_A")
+
+
+def _reaction_diagonals(op):
+    """A Newton-like diagonal m*f' and the same diagonal shifted as the
+    stability eigensolver shifts it (below -max f')."""
+    m = op.lumped_mass
+    fp = np.random.default_rng(7).uniform(-1.0, 4.0, op.n)
+    shift = -fp.max() - 1.0
+    return [m * fp, m * fp + shift * m]
+
+
+class TestBorderedSystem:
+    def test_one_minimum_degree_ordering_per_operator(self, monkeypatch):
+        specs = []
+
+        def counting_splu(k_mat, permc_spec):
+            specs.append(permc_spec)
+            return splu(k_mat, permc_spec=permc_spec)
+
+        monkeypatch.setattr(linsolve, "splu", counting_splu)
+        op = assemble(build_rectangle_mesh(20, 20, 1.0, 1.0))  # nothing cached yet
+        result = multi_start(0.12, 2.0, op, 12, seed=0, opts=NewtonOpts())
+        assert result.distinct and all(r.diagnostics is not None for r in result.distinct)
+        assert specs.count("MMD_AT_PLUS_A") == 1
+        assert specs.count("NATURAL") == len(specs) - 1 > 0
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["newton", "eigen_shift"])
+    def test_factor_matches_fresh_assembly(self, square20, rng, which):
+        n = square20.n
+        d = _reaction_diagonals(square20)[which]
+        fresh = _fresh_bordered_lu(square20, 0.3, d)
+        cached = bordered(square20).factor(0.3, d)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            want = fresh.solve(np.concatenate([b, np.zeros((1,) + b.shape[1:])]))[:n]
+            got = cached.solve(b)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_poisson_factor_matches_fresh_assembly(self, square20, rng):
+        n = square20.n
+        b = rng.standard_normal(n)
+        want = _fresh_bordered_lu(square20, 1.0, np.zeros(n)).solve(np.append(b, 0.0))[:n]
+        got = bordered(square20).factor().solve(b)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["newton", "eigen_shift"])
+    def test_fill_equals_fresh_ordering(self, square20, which):
+        # the symmetric permutation must send old index i to perm_c[i]; the
+        # inverse direction multiplies the fill several times over
+        d = _reaction_diagonals(square20)[which]
+        fresh = _fresh_bordered_lu(square20, 0.3, d)
+        cached = bordered(square20).factor(0.3, d).lu
+        assert cached.L.nnz + cached.U.nnz == fresh.L.nnz + fresh.U.nnz
+
+    def test_repeat_factor_is_bitwise_identical(self, square20, rng):
+        d = _reaction_diagonals(square20)[0]
+        b = rng.standard_normal((square20.n, 2))
+        system = bordered(square20)
+        first = system.factor(0.3, d).solve(b)
+        system.factor(0.7, 2.0 * d)
+        assert np.array_equal(system.factor(0.3, d).solve(b), first)
+
+    def test_pickled_operator_refactors(self, square16):
+        import pickle
+
+        pair = first_eigenpair(square16)
+        copy = pickle.loads(pickle.dumps(square16))
+        assert first_eigenpair(copy).mu1 == pair.mu1
+        b = square16.lumped_mass * np.cos(np.arange(square16.n))
+        d = square16.lumped_mass * np.sin(np.arange(square16.n))
+        for args in ((), (0.5, d)):
+            assert np.array_equal(solve_projected(bordered(copy), b, *args),
+                                  solve_projected(bordered(square16), b, *args))
 
 
 class TestSmallestNonzeroEigen:
@@ -115,8 +202,7 @@ class TestSmallestNonzeroEigen:
         assert abs(mu32 - np.pi**2) < abs(mu16 - np.pi**2)
 
     def test_direct_call_matches_memoized(self, square20):
-        pair = smallest_nonzero_eigen(square20.stiffness, square20.lumped_mass,
-                                      tol=1e-9)
+        pair = smallest_nonzero_eigen(bordered(square20), tol=1e-9)
         assert pair.mu1 == pytest.approx(first_eigenpair(square20).mu1, rel=1e-7)
 
     def test_spectral_gap_bound(self, square20, rng):
@@ -130,9 +216,9 @@ class TestSmallestNonzeroEigen:
             assert quotient >= pair.mu1 * (1.0 - 1e-8)
 
     def test_repeat_call_is_bitwise_identical(self, square20, square16):
-        pair = smallest_nonzero_eigen(square20.stiffness, square20.lumped_mass)
-        smallest_nonzero_eigen(square16.stiffness, square16.lumped_mass)
-        again = smallest_nonzero_eigen(square20.stiffness, square20.lumped_mass)
+        pair = smallest_nonzero_eigen(bordered(square20))
+        smallest_nonzero_eigen(bordered(square16))
+        again = smallest_nonzero_eigen(bordered(square20))
         assert again.mu1 == pair.mu1
         assert np.array_equal(again.phi1, pair.phi1)
 
@@ -146,23 +232,19 @@ class TestSmallestNonzeroEigen:
 class TestRestrictedSmallestEigen:
     def test_matches_plain_eigen_for_stiffness(self, square20):
         pair = first_eigenpair(square20)
-        lam, _ = restricted_smallest_eigen(square20.stiffness, square20.lumped_mass,
-                                           lower_bound=0.0, tol=1e-10)
+        lam, _ = restricted_smallest_eigen(bordered(square20), lower_bound=0.0, tol=1e-10)
         assert lam == pytest.approx(pair.mu1, rel=1e-8)
 
     def test_shifted_pencil(self, square20):
         # B = A - c*M has restricted eigenvalues mu_k - c
-        import scipy.sparse as sp
-
         c = 3.0
-        m = square20.lumped_mass
-        b_mat = (square20.stiffness - c * sp.diags(m)).tocsr()
-        lam, _ = restricted_smallest_eigen(b_mat, m, lower_bound=-c, tol=1e-10)
+        lam, _ = restricted_smallest_eigen(bordered(square20), lower_bound=-c,
+                                           d=c * square20.lumped_mass, tol=1e-10)
         assert lam == pytest.approx(first_eigenpair(square20).mu1 - c, rel=1e-8)
 
     def test_returns_mean_zero_eigenvector(self, square20):
         m = square20.lumped_mass
-        lam, vec = restricted_smallest_eigen(square20.stiffness, m, lower_bound=0.0)
+        lam, vec = restricted_smallest_eigen(bordered(square20), lower_bound=0.0)
         assert abs(np.dot(m, vec)) <= 1e-10 * m.sum()
         rayleigh = vec @ square20.stiffness.dot(vec) / np.dot(m, vec * vec)
         assert rayleigh == pytest.approx(lam, rel=1e-8)

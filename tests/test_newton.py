@@ -8,6 +8,7 @@ from neumann_rigidity import (
     Constant,
     NewtonOpts,
     Nonconstant,
+    SolutionRecord,
     classify,
     find_xi,
     first_eigenpair,
@@ -18,7 +19,7 @@ from neumann_rigidity import (
     weighted_mean,
 )
 from neumann_rigidity.errors import NoConvergenceError, SingularJacobianError
-from neumann_rigidity.linsolve import restricted_smallest_eigen
+from neumann_rigidity.linsolve import bordered, restricted_smallest_eigen
 from neumann_rigidity.model import eval_f, eval_f_prime
 from neumann_rigidity.newton import dedup_records, default_tol, start_family
 
@@ -75,9 +76,9 @@ class TestJacobian:
         # of the Jacobian pencil vanishes
         pair = first_eigenpair(square20)
         eps = eval_f_prime(XI, A) / pair.mu1
-        j_mat = jacobian(np.full(square20.n, XI), eps, A, square20)
-        lam, _ = restricted_smallest_eigen(j_mat, square20.lumped_mass,
-                                           lower_bound=-eval_f_prime(XI, A), tol=1e-11)
+        m = square20.lumped_mass
+        lam, _ = restricted_smallest_eigen(bordered(square20), -eval_f_prime(XI, A), scale=eps,
+                                           d=m * eval_f_prime(XI, A), tol=1e-11)
         assert abs(lam) <= 1e-6 * eval_f_prime(XI, A)
 
 
@@ -223,6 +224,18 @@ class TestDedup:
             assert len(again) == len(base)
             for r1, r2 in zip(base, again):
                 assert np.abs(r1.u - r2.u).max() <= 1e-8
+
+    def test_orders_by_weighted_mean(self):
+        # plain means 1.0 < 1.35, mass-weighted means 1.5 > 1.125
+        m = np.array([1.0, 3.0])
+        recs = [
+            SolutionRecord(u=u, epsilon=1.0, residual_norm=0.0, newton_iters=0,
+                           classification=classify(u, m))
+            for u in (np.array([0.0, 2.0]), np.array([1.8, 0.9]))
+        ]
+        assert all(isinstance(r.classification, Nonconstant) for r in recs)
+        ordered = dedup_records(recs)
+        assert [weighted_mean(r.u, m) for r in ordered] == pytest.approx([1.125, 1.5])
 
 
 class TestMultiStart:
