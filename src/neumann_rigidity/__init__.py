@@ -31,7 +31,6 @@ from .diagnostics import (
     check_representation,
     check_zero_average,
     estimate_green_constants,
-    full_suite_ok,
     run_diagnostics,
 )
 from .linsolve import (

@@ -46,7 +46,7 @@ from .newton import (
     newton_solve,
     sup_fluct_of,
     switch_directions,
-    weighted_mean,
+    weighted_mean_of,
 )
 
 _NUMERICAL_ERRORS = (
@@ -75,7 +75,6 @@ class ExperimentConfig:
     seed: int = 0
     newton_tol: float | None = None  # None: 1e-10*(1 + total mass)
     eig_tol: float = 1e-10
-    diag_tol: float = 1e-6
     bracket_lo: float | None = None
     bracket_hi: float | None = None
     bif_tol: float = 1e-8
@@ -119,6 +118,10 @@ class ExperimentConfig:
             raise ConfigError("n_starts must be at least 1")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        if not self.bif_tol > 0.0:
+            raise ConfigError("bif_tol must be positive")
+        if self.amplitude == 0.0:
+            raise ConfigError("amplitude must be nonzero")
 
     def require_eps(self) -> float:
         if self.eps is None:
@@ -181,14 +184,14 @@ def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
         (out_dir / name).write_text(text + "\n")
 
 
-def _record_payload(rec, op) -> dict:
+def _record_payload(rec) -> dict:
     cls = rec.classification
     payload = {
         "epsilon": rec.epsilon,
         "residual_norm": rec.residual_norm,
         "newton_iters": rec.newton_iters,
         "classification": "constant" if isinstance(cls, Constant) else "nonconstant",
-        "mean": weighted_mean(rec.u, op.lumped_mass),
+        "mean": weighted_mean_of(rec),
         "sup_fluct": sup_fluct_of(rec),
     }
     if rec.diagnostics is not None:
@@ -279,7 +282,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> i
     pair = first_eigenpair(op, tol=cfg.eig_tol)
     u0 = _start_state(start_spec, cfg, op)
     rec = newton_solve(u0, eps, cfg.a, op, _newton_opts(cfg, pair.mu1))
-    payload = _record_payload(rec, op)
+    payload = _record_payload(rec)
     payload["start"] = start_spec
     _emit_json(payload, out_dir, "solution.json")
     if out_dir is not None:
@@ -329,7 +332,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None) -> int:
                     w.writerow([
                         eps,
                         "constant" if isinstance(rec.classification, Constant) else "nonconstant",
-                        weighted_mean(rec.u, op.lumped_mass), sup_fluct_of(rec),
+                        weighted_mean_of(rec), sup_fluct_of(rec),
                         d.zero_avg_residual, d.l1_norm_f, d.l1_bound,
                         abs(d.energy_lhs - d.energy_rhs),
                         d.representation_error, d.exp_integral_q, d.sup_norm,
@@ -368,7 +371,7 @@ def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
                 for bp in points:
                     w.writerow([
                         direction, bp.epsilon,
-                        weighted_mean(bp.solution.u, op.lumped_mass),
+                        weighted_mean_of(bp.solution),
                         sup_fluct_of(bp.solution), bp.stability_indicator,
                         bp.solution.residual_norm,
                     ])
@@ -384,11 +387,13 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None, field_path: str) -> i
         )
     if eps <= 0.0:
         eps = cfg.require_eps()
+    try:
+        params = ModelParams(a=a, epsilon=eps, q=cfg.q)
+    except ValueError as exc:
+        raise MeshFormatError(f"field file {field_path}: {exc}") from exc
     pair = first_eigenpair(op, tol=cfg.eig_tol)
-    params = ModelParams(a=a, epsilon=eps, q=cfg.q)
     tol = cfg.newton_tol if cfg.newton_tol is not None else default_tol(op)
-    report = run_diagnostics(values, eps, params, op, pair.mu1, newton_tol=tol,
-                             diag_tol=cfg.diag_tol)
+    report = run_diagnostics(values, eps, params, op, pair.mu1, newton_tol=tol)
     payload = {"field": str(field_path), "epsilon": eps, "a": a}
     payload.update(report.as_dict())
     _emit_json(payload, out_dir, "check.json")
@@ -448,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(cfg, out_dir, args.field)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

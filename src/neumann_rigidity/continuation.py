@@ -83,7 +83,7 @@ def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperato
     The Jacobian eps*A - diag(m*f'(u)) is never assembled: its bordered
     factor is filled straight into the operator's cached layout.
     """
-    fp, _ = eval_f_prime_clipped(u, a)
+    fp = eval_f_prime_clipped(u, a)
     return restricted_smallest_eigen(bordered(op), -float(fp.max()), scale=eps,
                                      d=op.lumped_mass * fp, tol=tol)
 
@@ -121,8 +121,11 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
     """Bisection on the constant-branch stability indicator.
 
     Requires opposite indicator signs at the bracket ends; returns the
-    midpoint once the bracket width drops below tol.
+    midpoint once the bracket width drops below tol (positive: at zero the
+    bracket stalls between adjacent floats).
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")

@@ -79,14 +79,18 @@ def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * _cross2(p1 - p0, p2 - p0)
 
 
-def _boundary_nodes(triangles: np.ndarray) -> np.ndarray:
-    """Nodes on edges that belong to exactly one triangle."""
+def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct edges (sorted node pairs) and how many triangles share each."""
     edges = np.vstack(
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
     )
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return np.unique(uniq[counts == 1])
+    return np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+
+
+def _boundary_nodes(triangles: np.ndarray) -> np.ndarray:
+    """Nodes on edges that belong to exactly one triangle."""
+    edges, counts = _edge_counts(triangles)
+    return np.unique(edges[counts == 1])
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -96,11 +100,7 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshFormatError("triangulation contains inverted or flat triangles")
     if mesh.triangles.min() < 0 or mesh.triangles.max() >= mesh.n_nodes:
         raise MeshFormatError("triangle indices out of range")
-    edges = np.vstack(
-        [mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]], mesh.triangles[:, [2, 0]]]
-    )
-    edges = np.sort(edges, axis=1)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
+    _, counts = _edge_counts(mesh.triangles)
     if np.any(counts > 2):
         raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
 

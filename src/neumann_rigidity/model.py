@@ -52,23 +52,21 @@ def eval_f_prime(t: float, a: float) -> float:
         return float(np.exp(np.float64(t)) - a)
 
 
-def eval_f_clipped(t: np.ndarray, a: float) -> tuple[np.ndarray, bool]:
+def eval_f_clipped(t: np.ndarray, a: float) -> np.ndarray:
     """Vectorized reaction term with the exponent clipped at +700.
 
-    Returns the values and a saturation flag; callers (the Newton line
-    search) treat a flagged evaluation as a rejected trial state rather
-    than letting infinities contaminate residual norms.
+    A saturated node puts an entry of order m*e^700 into the residual; its
+    square overflows, so the mass-weighted residual norm is +inf and the
+    Newton line search rejects the trial state.
     """
     t = np.asarray(t, dtype=float)
-    saturated = bool(np.any(t > SATURATION_EXPONENT))
-    return np.exp(np.minimum(t, SATURATION_EXPONENT)) - 1.0 - a * t, saturated
+    return np.exp(np.minimum(t, SATURATION_EXPONENT)) - 1.0 - a * t
 
 
-def eval_f_prime_clipped(t: np.ndarray, a: float) -> tuple[np.ndarray, bool]:
+def eval_f_prime_clipped(t: np.ndarray, a: float) -> np.ndarray:
     """Vectorized derivative with the same saturation policy as eval_f_clipped."""
     t = np.asarray(t, dtype=float)
-    saturated = bool(np.any(t > SATURATION_EXPONENT))
-    return np.exp(np.minimum(t, SATURATION_EXPONENT)) - a, saturated
+    return np.exp(np.minimum(t, SATURATION_EXPONENT)) - a
 
 
 def find_xi(a: float, tol: float = 1e-12) -> float:

@@ -87,17 +87,17 @@ def default_tol(op: DiscreteOperator) -> float:
 def residual(u: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> np.ndarray:
     """Steady-state defect eps*A*u - m*f(u) (nodal load form).
 
-    Reaction values saturate at exponent 700 so that huge trial states
-    produce large finite entries; the Newton line search rejects such states
-    instead of propagating infinities.
+    Reaction values saturate at exponent 700, so a huge trial state has
+    finite entries but a residual norm of +inf, which the Newton line
+    search rejects.
     """
-    fu, _ = eval_f_clipped(u, a)
+    fu = eval_f_clipped(u, a)
     return eps * op.stiffness.dot(u) - op.lumped_mass * fu
 
 
 def jacobian(u: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> sp.csr_matrix:
     """Symmetric Jacobian eps*A - diag(m*f'(u)) of the residual."""
-    fp, _ = eval_f_prime_clipped(u, a)
+    fp = eval_f_prime_clipped(u, a)
     return (eps * op.stiffness - sp.diags(op.lumped_mass * fp)).tocsr()
 
 
@@ -114,7 +114,7 @@ def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
                  op: DiscreteOperator) -> np.ndarray:
     """One exact Newton direction via the mean/fluctuation decomposition."""
     m = op.lumped_mass
-    fp, _ = eval_f_prime_clipped(u, a)
+    fp = eval_f_prime_clipped(u, a)
     mfp = m * fp
     try:
         w = solve_projected(bordered(op), np.column_stack([-r, mfp]), eps, mfp)
@@ -122,7 +122,7 @@ def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
         raise SingularJacobianError(f"inner mean-zero solve failed: {exc}") from exc
     w0, w1 = w[:, 0], w[:, 1]
 
-    fu, _ = eval_f_clipped(u, a)
+    fu = eval_f_clipped(u, a)
     mf = float(np.dot(m, fu))
     den = float(mfp.sum() + np.dot(mfp, w1))
     scale = float(np.abs(mfp).sum()) * (1.0 + float(np.abs(w1).max(initial=0.0)))
@@ -168,13 +168,11 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
         alpha = 1.0
         while True:
             trial = u + alpha * delta
-            _, saturated = eval_f_clipped(trial, a)
-            if not saturated:
-                r_trial = residual(trial, eps, a, op)
-                rnorm_trial = dual_norm(r_trial, m)
-                if rnorm_trial < rnorm:
-                    u, r, rnorm = trial, r_trial, rnorm_trial
-                    break
+            r_trial = residual(trial, eps, a, op)
+            rnorm_trial = dual_norm(r_trial, m)
+            if rnorm_trial < rnorm:
+                u, r, rnorm = trial, r_trial, rnorm_trial
+                break
             alpha *= opts.damping
             if alpha < opts.min_alpha:
                 raise NoConvergenceError(
@@ -324,7 +322,7 @@ def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
         runs.append(StartOutcome(
             start_id, label, eps, True, None,
             "constant" if isinstance(cls, Constant) else "nonconstant",
-            weighted_mean(rec.u, op.lumped_mass), sup_fluct_of(rec),
+            weighted_mean_of(rec), sup_fluct_of(rec),
             rec.residual_norm, rec.newton_iters,
         ))
         found.append(rec)

@@ -49,6 +49,7 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"a": 1.0}, {"q": 2.0}, {"nx": 1}, {"eps": -0.5},
         {"eps_grid": []}, {"n_starts": 0}, {"domain": "pentagon"},
+        {"bif_tol": 0.0}, {"amplitude": 0.0},
     ])
     def test_constraints(self, tmp_path, bad):
         path = make_config(tmp_path, **bad)
@@ -206,7 +207,10 @@ class TestCheckCommand:
         assert main(["check", "--config", str(cfg), "--out", str(out),
                      "--field", str(field)]) == 0
         payload = json.loads((out / "check.json").read_text())
-        assert payload["mean_in_bounds"] is True
+        flags = {k: v for k, v in payload.items() if isinstance(v, bool)}
+        assert flags == dict.fromkeys(
+            ["zero_avg_ok", "l1_ok", "mean_in_bounds", "energy_ok", "poincare_ok",
+             "representation_ok"], True)
         assert payload["zero_avg_residual"] <= 1e-12
 
     def test_stored_solution_passes(self, tmp_path):
@@ -219,6 +223,13 @@ class TestCheckCommand:
         payload = json.loads((out / "check.json").read_text())
         assert payload["representation_error"] <= 1e-6
         assert payload["l1_norm_f"] <= payload["l1_bound"]
+
+    def test_field_with_bad_a_exits_4(self, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        field = tmp_path / "u.field"
+        write_field(field, np.zeros(21 * 21), epsilon=1.0, a=1.0)
+        assert main(["check", "--config", str(cfg), "--field", str(field)]) == 4
+        assert "a must exceed 1" in capsys.readouterr().err
 
     def test_truncated_field_exits_4(self, tmp_path):
         cfg = make_config(tmp_path)

@@ -75,6 +75,10 @@ class TestDetectBifurcation:
         eps_star = detect_bifurcation(A, square20, (0.10, 0.20), tol=1e-9)
         assert abs(eps_star * mu1 - FP_XI) <= 1e-6 * FP_XI
 
+    def test_rejects_nonpositive_tol(self, square20):
+        with pytest.raises(ValueError):
+            detect_bifurcation(A, square20, (0.10, 0.20), tol=0.0)
+
     def test_same_sign_bracket_rejected(self, square20):
         with pytest.raises(InvalidBracketError):
             detect_bifurcation(A, square20, (0.5, 1.0))

@@ -17,7 +17,6 @@ from neumann_rigidity import (
     estimate_green_constants,
     find_xi,
     first_eigenpair,
-    full_suite_ok,
     newton_solve,
     project_mean_zero,
     run_diagnostics,
@@ -214,7 +213,7 @@ class TestFullReport:
         report = run_diagnostics(pattern32.u, pattern32.epsilon,
                                  ModelParams(a=A, epsilon=pattern32.epsilon, q=4.0),
                                  square32, pair.mu1, newton_tol=tol)
-        assert full_suite_ok(report, tol)
+        assert report.ok
         assert report.poincare_ratio >= 1.0 - 1e-8
         assert report.sup_norm >= XI
         assert report.exp_integral_q > square32.area
@@ -225,7 +224,7 @@ class TestFullReport:
         report = run_diagnostics(np.full(square20.n, XI), 1.0,
                                  ModelParams(a=A, epsilon=1.0, q=4.0),
                                  square20, pair.mu1, newton_tol=tol)
-        assert full_suite_ok(report, tol)
+        assert report.ok
         assert report.poincare_ratio == 1.0  # vacuous for a constant
         assert report.exp_integral_q == pytest.approx(square20.area, rel=1e-12)
 
@@ -236,7 +235,20 @@ class TestFullReport:
                                  square20, pair.mu1, newton_tol=default_tol(square20))
         d = report.as_dict()
         assert set(d) == {
-            "zero_avg_residual", "l1_norm_f", "l1_bound", "mean_u", "mean_in_bounds",
-            "exp_integral_q", "energy_lhs", "energy_rhs", "poincare_ratio",
-            "representation_error", "sup_norm",
+            "zero_avg_residual", "zero_avg_ok", "l1_norm_f", "l1_bound", "l1_ok",
+            "mean_u", "mean_in_bounds", "exp_integral_q", "energy_lhs", "energy_rhs",
+            "energy_ok", "poincare_ratio", "poincare_ok", "representation_error",
+            "representation_ok", "sup_norm",
         }
+
+    def test_overstated_mu1_fails_poincare(self, square32, pattern32):
+        mu1 = 1.5 * first_eigenpair(square32).mu1
+        report = run_diagnostics(pattern32.u, pattern32.epsilon,
+                                 ModelParams(a=A, epsilon=pattern32.epsilon, q=4.0),
+                                 square32, mu1, newton_tol=default_tol(square32))
+        # only the spectral gap can catch a wrong mu1
+        assert report.zero_avg_ok and report.l1_ok and report.mean_in_bounds
+        assert report.energy_ok and report.representation_ok
+        assert report.poincare_ratio < 1.0
+        assert not report.poincare_ok
+        assert report.ok is False

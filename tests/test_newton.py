@@ -10,6 +10,7 @@ from neumann_rigidity import (
     Nonconstant,
     SolutionRecord,
     classify,
+    dual_norm,
     find_xi,
     first_eigenpair,
     jacobian,
@@ -51,6 +52,14 @@ class TestResidual:
     def test_saturated_state_is_finite(self, square20):
         r = residual(np.full(square20.n, 1e3), 1.0, A, square20)
         assert np.all(np.isfinite(r))
+
+    def test_saturated_node_has_infinite_norm(self, square20):
+        # the Newton line search rejects saturated trials through this norm
+        u = np.zeros(square20.n)
+        u[square20.n // 2] = 701.0
+        r = residual(u, 1.0, A, square20)
+        assert np.all(np.isfinite(r))
+        assert dual_norm(r, square20.lumped_mass) == np.inf
 
 
 class TestJacobian:
