@@ -8,7 +8,6 @@ the primary bifurcation value.
 import numpy as np
 
 from neumann_rigidity import (
-    NewtonOpts,
     assemble,
     bifurcation_epsilon,
     build_rectangle_mesh,
@@ -22,7 +21,6 @@ from neumann_rigidity.newton import Constant, sup_fluct_of
 a = 2.0
 op = assemble(build_rectangle_mesh(32, 32, 1.0, 1.0))
 pair = first_eigenpair(op)
-opts = NewtonOpts(mu1=pair.mu1)
 xi = find_xi(a)
 eps_star = bifurcation_epsilon(a, pair.mu1)
 
@@ -42,19 +40,19 @@ def show(rec, label):
     print(f"  exp integral  {d.exp_integral_q:.6f} (area {op.area:.1f})")
 
 
-rec = newton_solve(np.full(op.n, 0.9 * xi), 1.0, a, op, opts)
+rec = newton_solve(np.full(op.n, 0.9 * xi), 1.0, a, op)
 show(rec, "eps = 1.0, start 0.9*xi")
 
-rec = newton_solve(np.full(op.n, -0.5), 1.0, a, op, opts)
+rec = newton_solve(np.full(op.n, -0.5), 1.0, a, op)
 show(rec, "eps = 1.0, start -0.5")
 
 eps = 0.9 * eps_star
 x = op.mesh.nodes[:, 0]
-rec = newton_solve(xi + 0.5 * np.cos(np.pi * x), eps, a, op, opts)
+rec = newton_solve(xi + 0.5 * np.cos(np.pi * x), eps, a, op)
 show(rec, f"eps = 0.9*eps* = {eps:.4f}, start xi + 0.5 cos(pi x)")
 
 print(f"\nmulti-start census at eps = {eps:.4f} (30 starts):")
-result = multi_start(eps, a, op, 30, seed=0, opts=opts)
+result = multi_start(eps, a, op, 30, seed=0)
 for r in result.distinct:
     print(f"  {('constant %.6f' % r.classification.value) if isinstance(r.classification, Constant) else ('pattern sup %.4f' % sup_fluct_of(r))}")
 n_failed = sum(1 for r in result.runs if not r.converged)

@@ -9,19 +9,16 @@ import csv
 from pathlib import Path
 
 from neumann_rigidity import (
-    NewtonOpts,
     assemble,
     build_bifurcation_report,
     build_rectangle_mesh,
-    first_eigenpair,
 )
 from neumann_rigidity.newton import sup_fluct_of, weighted_mean
 
 a = 2.0
 op = assemble(build_rectangle_mesh(32, 32, 1.0, 1.0))
-opts = NewtonOpts(mu1=first_eigenpair(op).mu1)
 
-report = build_bifurcation_report(a, op, bracket=(0.10, 0.20), tol=1e-8, opts=opts)
+report = build_bifurcation_report(a, op, bracket=(0.10, 0.20), tol=1e-8)
 print(f"eps* detected  = {report.eps_star_detected:.8f}")
 print(f"eps* predicted = {report.eps_star_predicted:.8f}  (f'(xi)/mu1)")
 print(f"relative gap   = {report.relative_gap:.2e}")

@@ -7,7 +7,6 @@ about a minute.
 """
 
 from neumann_rigidity import (
-    NewtonOpts,
     assemble,
     bifurcation_epsilon,
     build_rectangle_mesh,
@@ -19,12 +18,11 @@ from neumann_rigidity import (
 a = 2.0
 op = assemble(build_rectangle_mesh(20, 20, 1.0, 1.0))
 pair = first_eigenpair(op)
-opts = NewtonOpts(mu1=pair.mu1)
 eps_star = bifurcation_epsilon(a, pair.mu1)
 
 grid = [0.05, 0.075, 0.1, 0.125, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0]
 print(f"grid of {len(grid)} diffusion values, 30 starts each, eps* = {eps_star:.4f}\n")
-result = rigidity_sweep(grid, a, op, n_starts=30, seed=0, opts=opts)
+result = rigidity_sweep(grid, a, op, n_starts=30, seed=0)
 
 print(f"{'eps':>7} {'distinct':>9} {'patterned?':>11} {'failed starts':>14}")
 for row in result.rows:

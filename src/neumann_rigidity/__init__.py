@@ -19,7 +19,6 @@ from .continuation import (
     detect_bifurcation,
     rigidity_sweep,
     stability_indicator,
-    trivial_branch_stability,
 )
 from .diagnostics import (
     DiagnosticsReport,

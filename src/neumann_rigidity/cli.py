@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -74,7 +75,6 @@ class ExperimentConfig:
     n_starts: int = 50
     seed: int = 0
     newton_tol: float | None = None  # None: 1e-10*(1 + total mass)
-    eig_tol: float = 1e-10
     bracket_lo: float | None = None
     bracket_hi: float | None = None
     bif_tol: float = 1e-8
@@ -145,9 +145,25 @@ class ExperimentConfig:
         missing = {"a", "q", "domain"} - set(data)
         if missing:
             raise ConfigError(f"missing required config keys: {sorted(missing)}")
+        hints = get_type_hints(ExperimentConfig)
+        wrong = sorted(k for k, v in data.items() if not _fits(v, hints[k]))
+        if wrong:
+            raise ConfigError(f"config values of the wrong type: {wrong}")
         cfg = ExperimentConfig(**data)
         cfg.validate()
         return cfg
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the field type ``hint``; a bool is not a number."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # a union such as float | None
+        return any(_fits(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -173,8 +189,8 @@ def build_operator(cfg: ExperimentConfig) -> DiscreteOperator:
     return assemble(mesh)
 
 
-def _newton_opts(cfg: ExperimentConfig, mu1: float | None = None) -> NewtonOpts:
-    return NewtonOpts(tol=cfg.newton_tol, q=cfg.q, mu1=mu1)
+def _newton_opts(cfg: ExperimentConfig) -> NewtonOpts:
+    return NewtonOpts(tol=cfg.newton_tol, q=cfg.q)
 
 
 def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
@@ -203,7 +219,7 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     op = build_operator(cfg)
     params = ModelParams(a=cfg.a, epsilon=cfg.eps if cfg.eps is not None else 1.0, q=cfg.q)
     chain = constant_chain(params, op.area, op.diameter)
-    pair = first_eigenpair(op, tol=cfg.eig_tol)
+    pair = first_eigenpair(op)
     thresholds = {
         str(m): rigidity_threshold(m, cfg.a, pair.mu1) for m in (cfg.m_values or [])
     }
@@ -229,7 +245,7 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: Path | None) -> int:
 
 def cmd_eigen(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     op = build_operator(cfg)
-    pair = first_eigenpair(op, tol=cfg.eig_tol)
+    pair = first_eigenpair(op)
     payload = {
         "mu1": pair.mu1,
         "mu2_estimate": pair.mu2,
@@ -279,9 +295,8 @@ def _start_state(spec: str, cfg: ExperimentConfig, op: DiscreteOperator) -> np.n
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> int:
     op = build_operator(cfg)
     eps = cfg.require_eps()
-    pair = first_eigenpair(op, tol=cfg.eig_tol)
     u0 = _start_state(start_spec, cfg, op)
-    rec = newton_solve(u0, eps, cfg.a, op, _newton_opts(cfg, pair.mu1))
+    rec = newton_solve(u0, eps, cfg.a, op, _newton_opts(cfg))
     payload = _record_payload(rec)
     payload["start"] = start_spec
     _emit_json(payload, out_dir, "solution.json")
@@ -293,9 +308,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> i
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     op = build_operator(cfg)
     grid = cfg.require_grid()
-    pair = first_eigenpair(op, tol=cfg.eig_tol)
+    pair = first_eigenpair(op)
     result = rigidity_sweep(grid, cfg.a, op, cfg.n_starts, cfg.seed,
-                            opts=_newton_opts(cfg, pair.mu1), threads=cfg.threads)
+                            opts=_newton_opts(cfg), threads=cfg.threads)
     spacing = min(np.diff(sorted(grid))) if len(grid) > 1 else 0.0
     payload = {
         "eps_hat": result.eps_hat,
@@ -346,7 +361,7 @@ def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         raise ConfigError("bifurcate needs bracket_lo and bracket_hi in the config")
     report = build_bifurcation_report(
         cfg.a, op, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.bif_tol,
-        amplitude=cfg.amplitude, opts=_newton_opts(cfg, None),
+        amplitude=cfg.amplitude, opts=_newton_opts(cfg),
     )
     payload = {
         "eps_star_detected": report.eps_star_detected,
@@ -391,7 +406,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None, field_path: str) -> i
         params = ModelParams(a=a, epsilon=eps, q=cfg.q)
     except ValueError as exc:
         raise MeshFormatError(f"field file {field_path}: {exc}") from exc
-    pair = first_eigenpair(op, tol=cfg.eig_tol)
+    pair = first_eigenpair(op)
     tol = cfg.newton_tol if cfg.newton_tol is not None else default_tol(op)
     report = run_diagnostics(values, eps, params, op, pair.mu1, newton_tol=tol)
     payload = {"field": str(field_path), "epsilon": eps, "a": a}

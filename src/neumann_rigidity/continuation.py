@@ -1,4 +1,4 @@
-"""Diffusion-parameter sweeps: linearized stability of the constant branch,
+"""Diffusion-parameter sweeps: the linearized stability indicator,
 bisection for the primary bifurcation point, switching onto the patterned
 branch, natural continuation along it, and the multi-start rigidity sweep.
 
@@ -23,7 +23,7 @@ from .errors import (
     NoConvergenceError,
     SingularJacobianError,
 )
-from .linsolve import bordered, dual_norm, first_eigenpair, restricted_smallest_eigen
+from .linsolve import bordered, first_eigenpair, restricted_smallest_eigen
 from .meshing import DiscreteOperator
 from .model import bifurcation_epsilon, eval_f_prime_clipped, find_xi
 from .newton import (
@@ -31,13 +31,19 @@ from .newton import (
     Nonconstant,
     SolutionRecord,
     StartOutcome,
-    attach_diagnostics,
-    classify,
     multi_start,
     newton_solve,
-    residual,
     switch_directions,
 )
+
+INDICATOR_TOL = 1e-9             # eigensolver tolerance of the stability indicator
+BISECTION_INDICATOR_TOL = 1e-10  # tighter while bisecting for eps*
+SWITCH_DELTA = 0.05              # branch switching runs at (1 - SWITCH_DELTA)*eps*
+MAX_HALVINGS = 6                 # step halvings per scheduled continuation value
+# the bifurcation report traces the patterned branch down to BRANCH_DOWN_TO*eps*
+# in BRANCH_DOWN_POINTS steps and up past eps* to BRANCH_UP_TO*eps*
+BRANCH_DOWN_TO, BRANCH_DOWN_POINTS = 0.5, 6
+BRANCH_UP_TO, BRANCH_UP_POINTS = 1.10, 2
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class BifurcationReport:
 
 
 def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperator,
-                        tol: float = 1e-9) -> tuple[float, np.ndarray]:
+                        tol: float = INDICATOR_TOL) -> tuple[float, np.ndarray]:
     """Smallest mean-zero-subspace eigenvalue of the Jacobian pencil at u,
     with its eigenvector.
 
@@ -88,36 +94,8 @@ def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperato
                                      d=op.lumped_mass * fp, tol=tol)
 
 
-def _constant_record(value: float, eps: float, a: float, op: DiscreteOperator,
-                     opts: NewtonOpts) -> SolutionRecord:
-    u = np.full(op.n, value)
-    rec = SolutionRecord(
-        u=u,
-        epsilon=eps,
-        residual_norm=dual_norm(residual(u, eps, a, op), op.lumped_mass),
-        newton_iters=0,
-        classification=classify(u, op.lumped_mass),
-        diagnostics=None,
-    )
-    return attach_diagnostics(rec, a, op, opts) if opts.attach_diagnostics else rec
-
-
-def trivial_branch_stability(eps_grid: list[float], a: float, op: DiscreteOperator,
-                             opts: NewtonOpts = NewtonOpts(),
-                             indicator_tol: float = 1e-10) -> list[BranchPoint]:
-    """Stability indicator of u = xi_a over a diffusion grid (conventionally
-    decreasing, so instability appears at the end)."""
-    xi = find_xi(a)
-    points = []
-    for eps in eps_grid:
-        rec = _constant_record(xi, eps, a, op, opts)
-        lam, _ = stability_indicator(rec.u, eps, a, op, tol=indicator_tol)
-        points.append(BranchPoint(epsilon=eps, solution=rec, stability_indicator=lam))
-    return points
-
-
 def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, float],
-                       tol: float = 1e-8, indicator_tol: float = 1e-10) -> float:
+                       tol: float = 1e-8) -> float:
     """Bisection on the constant-branch stability indicator.
 
     Requires opposite indicator signs at the bracket ends; returns the
@@ -133,7 +111,7 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
     u = np.full(op.n, xi)
 
     def indicator(eps):
-        return stability_indicator(u, eps, a, op, tol=indicator_tol)[0]
+        return stability_indicator(u, eps, a, op, tol=BISECTION_INDICATOR_TOL)[0]
 
     f_lo, f_hi = indicator(lo), indicator(hi)
     if np.sign(f_lo) == np.sign(f_hi):
@@ -153,23 +131,23 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
 
 
 def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
-                  amplitude: float | None = None, delta: float = 0.05,
+                  amplitude: float | None = None,
                   opts: NewtonOpts = NewtonOpts()) -> tuple[SolutionRecord, str]:
     """Jump onto the patterned branch just below the bifurcation point.
 
-    Runs Newton at eps = (1 - delta)*eps_star from xi_a + amplitude*d over
-    the candidate directions d (sup norm one, both signs); ``amplitude``
+    Runs Newton at eps = (1 - SWITCH_DELTA)*eps_star from xi_a + amplitude*d
+    over the candidate directions d (sup norm one, both signs); ``amplitude``
     defaults to 0.3*xi_a and is the sup of the initial perturbation.
     Returns the first patterned solution and the direction label used.
     Raises FellBackToConstantError when every start lands back on the
-    constant branch (amplitude or delta too small).
+    constant branch (amplitude too small).
     """
     if amplitude is not None and amplitude == 0.0:
         raise ValueError("amplitude must be nonzero")
     xi = find_xi(a)
     if amplitude is None:
         amplitude = 0.3 * xi
-    eps = (1.0 - delta) * eps_star
+    eps = (1.0 - SWITCH_DELTA) * eps_star
     n_constant = 0
     for name, direction in switch_directions(op):
         for sign in (1.0, -1.0):
@@ -183,7 +161,7 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
     if n_constant:
         raise FellBackToConstantError(
             f"switch with amplitude {amplitude:g} converged back to the constant "
-            f"from every direction; increase amplitude or delta"
+            f"from every direction; increase amplitude"
         )
     raise NoConvergenceError(
         f"branch switch at eps={eps:.6g}: every direction start failed to converge"
@@ -191,13 +169,12 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
 
 
 def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
-                    op: DiscreteOperator, opts: NewtonOpts = NewtonOpts(),
-                    indicator_tol: float = 1e-9,
-                    max_halvings: int = 6) -> list[BranchPoint]:
+                    op: DiscreteOperator,
+                    opts: NewtonOpts = NewtonOpts()) -> list[BranchPoint]:
     """Natural continuation: warm-start Newton at each scheduled eps.
 
     A failed step is retried at the midpoint toward the last accepted eps,
-    up to ``max_halvings`` times per scheduled value; accepted intermediate
+    up to MAX_HALVINGS times per scheduled value; accepted intermediate
     points are recorded too.  Raises BranchLostError (carrying the points
     gathered so far) when the step underflows.
     """
@@ -212,14 +189,14 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
                 rec = newton_solve(u_prev, current, a, op, opts)
             except (NoConvergenceError, SingularJacobianError) as exc:
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > MAX_HALVINGS:
                     raise BranchLostError(
                         f"continuation lost the branch near eps={current:.6g}: {exc}",
                         points=points,
                     ) from exc
                 current = 0.5 * (eps_prev + current)
                 continue
-            lam, _ = stability_indicator(rec.u, current, a, op, tol=indicator_tol)
+            lam, _ = stability_indicator(rec.u, current, a, op)
             points.append(BranchPoint(epsilon=current, solution=rec,
                                       stability_indicator=lam))
             u_prev, eps_prev = rec.u, current
@@ -231,13 +208,11 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
 
 def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[float, float],
                              tol: float = 1e-8, amplitude: float | None = None,
-                             opts: NewtonOpts = NewtonOpts(),
-                             down_to: float = 0.5, n_down: int = 6,
-                             up_to: float = 1.10, n_up: int = 2) -> BifurcationReport:
+                             opts: NewtonOpts = NewtonOpts()) -> BifurcationReport:
     """Detect the primary bifurcation, switch, and trace both directions.
 
-    The patterned branch is continued down to ``down_to * eps_star`` and
-    upward past the bifurcation (to ``up_to * eps_star``), where it merges
+    The patterned branch is continued down to BRANCH_DOWN_TO*eps_star and
+    upward past the bifurcation (to BRANCH_UP_TO*eps_star), where it merges
     with the constant branch.
     """
     eps_star = detect_bifurcation(a, op, bracket, tol=tol)
@@ -249,12 +224,14 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
     lam0, _ = stability_indicator(switch.u, switch.epsilon, a, op)
     first_point = BranchPoint(switch.epsilon, switch, lam0)
 
-    down_schedule = list(np.linspace(0.90 * eps_star, down_to * eps_star, n_down))
+    down_schedule = list(np.linspace(0.90 * eps_star, BRANCH_DOWN_TO * eps_star,
+                                     BRANCH_DOWN_POINTS))
     branch = [first_point] + continue_branch(switch, down_schedule, a, op, opts=opts)
 
     # hop well across eps_star in one step: near the crossing the Jacobian
     # of the merged constant state is almost singular and Newton stalls
-    up_schedule = [0.97 * eps_star] + list(np.linspace(1.05 * eps_star, up_to * eps_star, n_up))
+    up_schedule = [0.97 * eps_star] + list(
+        np.linspace(1.05 * eps_star, BRANCH_UP_TO * eps_star, BRANCH_UP_POINTS))
     upward = continue_branch(switch, up_schedule, a, op, opts=opts)
 
     xi = find_xi(a)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ZeroFieldError
 from .linsolve import bordered, mass_norm, project_mean_zero, solve_projected, weighted_mean
 from .meshing import DiscreteOperator, mesh_size
-from .model import ModelParams, eval_f, eval_f_clipped, find_xi
+from .model import ModelParams, eval_f_clipped, find_xi
 
 # The tolerance policy of the suite.  The identities hold to a multiple of
 # the Newton residual target newton_tol; the bounds hold up to a fixed slack.
@@ -72,7 +72,7 @@ def check_energy_identity(u: np.ndarray, eps: float, op: DiscreteOperator, a: fl
     v = u - mean
     lhs = eps * float(v @ op.stiffness.dot(v))
     fu = eval_f_clipped(u, a)
-    rhs = float(np.dot(m, (fu - eval_f(mean, a)) * v))
+    rhs = float(np.dot(m, (fu - eval_f_clipped(mean, a)) * v))
     return lhs, rhs, abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
 
 

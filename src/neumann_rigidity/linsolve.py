@@ -64,8 +64,14 @@ def dual_norm(r: np.ndarray, m: np.ndarray) -> float:
 
 
 def project_mean_zero(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Remove the weighted mean: x - (sum(m*x)/sum(m)) * 1."""
-    return x - np.dot(m, x) / m.sum()
+    """Remove the weighted mean: x - (sum(m*x)/sum(m)) * 1.
+
+    The computed mean is off by a round-off of order ulp(mean), which for a
+    large constant offset dwarfs the fluctuation; a second pass removes the
+    mean of the remainder, whose round-off is on the fluctuation's scale.
+    """
+    v = x - np.dot(m, x) / m.sum()
+    return v - np.dot(m, v) / m.sum()
 
 
 class BorderedFactor:
@@ -245,7 +251,8 @@ def _smallest_restricted(system: BorderedSystem, scale: float, d, shift: float,
                             dtype=float)
     shifted = d if shift == 0.0 else diag + shift * m
     op_inv = LinearOperator((n, n), matvec=system.factor(scale, shifted).solve, dtype=float)
-    v0 = project_mean_zero(np.random.default_rng(_RNG_SEED).standard_normal(n), m)
+    x = np.random.default_rng(_RNG_SEED).standard_normal(n)
+    v0 = x - weighted_mean(x, m)  # any start in the mean-zero subspace will do
     try:
         theta, vecs = eigsh(pencil, k=2, M=sp.diags(m), sigma=shift, OPinv=op_inv,
                             v0=v0, tol=tol)
@@ -285,9 +292,8 @@ def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
     return float(theta[0]), vecs[:, 0].copy()
 
 
-def first_eigenpair(op, tol: float = 1e-10) -> EigenPair:
+def first_eigenpair(op) -> EigenPair:
     """Memoized first nonzero eigenpair of a DiscreteOperator."""
-    key = ("eig", tol)
-    if key not in op._cache:
-        op._cache[key] = smallest_nonzero_eigen(bordered(op), tol=tol)
-    return op._cache[key]
+    if "eig" not in op._cache:
+        op._cache["eig"] = smallest_nonzero_eigen(bordered(op))
+    return op._cache["eig"]

@@ -59,7 +59,7 @@ class DiscreteOperator:
     area: float
     diameter: float
     mesh: Mesh
-    # lazily filled cache: eigenpairs keyed by tolerance (linsolve.first_eigenpair)
+    # lazily filled cache: the first eigenpair (linsolve.first_eigenpair)
     # and the bordered system (linsolve.bordered)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 

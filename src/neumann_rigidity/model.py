@@ -9,7 +9,7 @@ spatial structure.  All functions are pure and stateless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,12 +127,7 @@ def bifurcation_epsilon(a: float, mu_k: float) -> float:
 @dataclass(frozen=True)
 class ConstantChain:
     """Every explicit constant in the chain from the domain data (area,
-    diameter) and model parameters to the rigidity threshold.
-
-    ``k_green`` is optional: it is an empirical bound on the regular part of
-    the Neumann Green kernel, filled in by the diagnostics module; no closed
-    form exists.
-    """
+    diameter) and model parameters to the rigidity threshold."""
 
     a: float
     q: float
@@ -143,13 +138,9 @@ class ConstantChain:
     c1: float
     eps0_of_q: float
     c2_bound: float
-    k_green: float | None = field(default=None)
 
     def lipschitz_k(self, m_sup: float) -> float:
         return lipschitz_bound(m_sup, self.a)
-
-    def threshold_of_m(self, m_sup: float, mu1: float) -> float:
-        return rigidity_threshold(m_sup, self.a, mu1)
 
 
 def constant_chain(params: ModelParams, area: float, diameter: float) -> ConstantChain:

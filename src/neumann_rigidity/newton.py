@@ -32,6 +32,11 @@ __all__ = [
 
 CLASSIFY_REL_TOL = 1e-6  # sup-fluctuation threshold separating round-off from pattern
 DEDUP_REL_TOL = 1e-5
+MAX_ITER = 40
+DAMPING = 0.5        # line-search backtracking factor
+MIN_ALPHA = 1e-8     # line-search step underflow
+STALL_WINDOW = 10    # give up when this many iterations shrink the residual
+STALL_FACTOR = 0.3   # by less than this factor
 
 
 @dataclass(frozen=True)
@@ -65,19 +70,13 @@ class NewtonOpts:
     """Newton solve options.
 
     ``tol`` is the mass-weighted residual norm target; if None it defaults
-    to 1e-10*(1 + total mass), which is mesh-size independent.  ``damping``
-    is the backtracking factor applied until the residual norm decreases.
+    to 1e-10*(1 + total mass), which is mesh-size independent.  ``q`` is
+    the integrability exponent the check report uses.
     """
 
     tol: float | None = None
-    max_iter: int = 40
-    damping: float = 0.5
-    min_alpha: float = 1e-8
-    stall_window: int = 10         # give up when 10 iterations shrink the residual
-    stall_factor: float = 0.3      # by less than this factor (0 disables)
     attach_diagnostics: bool = True
     q: float = 4.0
-    mu1: float | None = None
 
 
 def default_tol(op: DiscreteOperator) -> float:
@@ -154,12 +153,11 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
     history = [rnorm]
     iters = 0
     while rnorm > tol:
-        if iters >= opts.max_iter:
+        if iters >= MAX_ITER:
             raise NoConvergenceError(
-                f"Newton hit max_iter={opts.max_iter} with residual {rnorm:.3e}"
+                f"Newton hit max_iter={MAX_ITER} with residual {rnorm:.3e}"
             )
-        if opts.stall_window and len(history) > opts.stall_window \
-                and rnorm > opts.stall_factor * history[-opts.stall_window - 1]:
+        if len(history) > STALL_WINDOW and rnorm > STALL_FACTOR * history[-STALL_WINDOW - 1]:
             raise NoConvergenceError(
                 f"Newton stalled near residual {rnorm:.3e} after {iters} iterations"
             )
@@ -173,8 +171,8 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
             if rnorm_trial < rnorm:
                 u, r, rnorm = trial, r_trial, rnorm_trial
                 break
-            alpha *= opts.damping
-            if alpha < opts.min_alpha:
+            alpha *= DAMPING
+            if alpha < MIN_ALPHA:
                 raise NoConvergenceError(
                     f"line search underflow at residual {rnorm:.3e}"
                 )
@@ -197,10 +195,10 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
 def attach_diagnostics(record: SolutionRecord, a: float, op: DiscreteOperator,
                        opts: NewtonOpts = NewtonOpts()) -> SolutionRecord:
     """Fill in the check report of a converged record (replaces the field)."""
-    mu1 = opts.mu1 if opts.mu1 is not None else first_eigenpair(op).mu1
     tol = opts.tol if opts.tol is not None else default_tol(op)
     params = ModelParams(a=a, epsilon=record.epsilon, q=opts.q)
-    report = run_diagnostics(record.u, record.epsilon, params, op, mu1, newton_tol=tol)
+    report = run_diagnostics(record.u, record.epsilon, params, op, first_eigenpair(op).mu1,
+                             newton_tol=tol)
     return replace(record, diagnostics=report)
 
 

@@ -20,7 +20,6 @@ import pytest
 
 from neumann_rigidity import (
     Constant,
-    NewtonOpts,
     bifurcation_epsilon,
     build_bifurcation_report,
     check_exp_integrability,
@@ -95,11 +94,10 @@ def test_criterion_2_eigenvalues(square64, rect2x1, disk6):
 
 def test_criterion_3_identity_suite(square20, sweep_result):
     result = sweep_result["result"]
-    pair = first_eigenpair(square20)
     tol = default_tol(square20)
 
     records = [(eps, rec) for eps in result.solutions for rec in result.solutions[eps]]
-    extra = multi_start(2.0, A, square20, 12, seed=1, opts=NewtonOpts(mu1=pair.mu1))
+    extra = multi_start(2.0, A, square20, 12, seed=1)
     records += [(2.0, rec) for rec in extra.distinct]
 
     n_checked = 0
@@ -146,8 +144,7 @@ def test_criterion_5_rigidity(square20, sweep_result):
     ok_rigid = len(above) > 0 and all(not r.any_nonconstant for r in above)
 
     t0 = time.perf_counter()
-    deep = multi_start(10.0, A, square20, 50, seed=7,
-                       opts=NewtonOpts(mu1=pair.mu1))
+    deep = multi_start(10.0, A, square20, 50, seed=7)
     seconds += time.perf_counter() - t0
     values = sorted(rec.classification.value for rec in deep.distinct
                     if isinstance(rec.classification, Constant))
@@ -164,8 +161,7 @@ def test_criterion_5_rigidity(square20, sweep_result):
 
 def test_criterion_6_branch_behavior(square32):
     t0 = time.perf_counter()
-    opts = NewtonOpts(mu1=first_eigenpair(square32).mu1)
-    rep = build_bifurcation_report(A, square32, (0.10, 0.20), tol=1e-8, opts=opts)
+    rep = build_bifurcation_report(A, square32, (0.10, 0.20), tol=1e-8)
     elapsed = time.perf_counter() - t0
 
     switch_point = rep.branch[0]

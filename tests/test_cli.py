@@ -50,6 +50,7 @@ class TestConfig:
         {"a": 1.0}, {"q": 2.0}, {"nx": 1}, {"eps": -0.5},
         {"eps_grid": []}, {"n_starts": 0}, {"domain": "pentagon"},
         {"bif_tol": 0.0}, {"amplitude": 0.0},
+        {"nx": "4"}, {"a": "2"}, {"eps_grid": [0.1, "x"]}, {"n_starts": 2.5},
     ])
     def test_constraints(self, tmp_path, bad):
         path = make_config(tmp_path, **bad)
@@ -94,6 +95,11 @@ class TestEigenCommand:
         payload = json.loads((out / "eigen.json").read_text())
         assert payload["mu1"] == pytest.approx(np.pi**2, rel=0.01)
         assert (out / "eigen_phi1.field").exists()
+
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, nx="4")
+        assert main(["eigen", "--config", str(cfg)]) == 2
+        assert "wrong type" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -223,6 +229,21 @@ class TestCheckCommand:
         payload = json.loads((out / "check.json").read_text())
         assert payload["representation_error"] <= 1e-6
         assert payload["l1_norm_f"] <= payload["l1_bound"]
+
+    @pytest.mark.parametrize("offset", [-1e10, 1e20])
+    def test_huge_constant_offset(self, tmp_path, offset):
+        # the round-off of the mean is of order ulp(offset), far above the
+        # fluctuation; the 1e20 field also saturates the reaction
+        cfg = make_config(tmp_path)
+        field = tmp_path / "u.field"
+        noise = np.random.default_rng(0).standard_normal(21 * 21)
+        write_field(field, offset + noise, epsilon=1.0, a=2.0)
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out),
+                     "--field", str(field)]) == 0
+        payload = json.loads((out / "check.json").read_text())
+        assert payload["poincare_ok"]
+        assert not payload["mean_in_bounds"]
 
     def test_field_with_bad_a_exits_4(self, tmp_path, capsys):
         cfg = make_config(tmp_path)

@@ -1,4 +1,4 @@
-"""Constant-branch stability, bifurcation detection, branch switching and
+"""The stability indicator, bifurcation detection, branch switching and
 natural continuation, and the rigidity sweep."""
 
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 
 from neumann_rigidity import (
     Constant,
-    NewtonOpts,
     Nonconstant,
     bifurcation_epsilon,
     branch_switch,
@@ -17,7 +16,6 @@ from neumann_rigidity import (
     first_eigenpair,
     rigidity_sweep,
     stability_indicator,
-    trivial_branch_stability,
 )
 from neumann_rigidity.errors import FellBackToConstantError, InvalidBracketError
 from neumann_rigidity.model import eval_f_prime
@@ -26,11 +24,6 @@ from neumann_rigidity.newton import sup_fluct_of
 A = 2.0
 XI = find_xi(A)
 FP_XI = eval_f_prime(XI, A)
-
-
-@pytest.fixture(scope="module")
-def opts20(square20):
-    return NewtonOpts(mu1=first_eigenpair(square20).mu1)
 
 
 class TestStabilityIndicator:
@@ -54,19 +47,6 @@ class TestStabilityIndicator:
         eps = FP_XI / mu1
         lam, _ = stability_indicator(np.full(square20.n, XI), eps, A, square20, tol=1e-11)
         assert abs(lam) <= 1e-6 * FP_XI
-
-
-class TestTrivialBranchStability:
-    def test_sign_change_across_grid(self, square20, opts20):
-        mu1 = first_eigenpair(square20).mu1
-        eps_star = FP_XI / mu1
-        grid = [2.0 * eps_star, 1.2 * eps_star, 0.8 * eps_star, 0.5 * eps_star]
-        points = trivial_branch_stability(grid, A, square20, opts=opts20)
-        signs = [np.sign(p.stability_indicator) for p in points]
-        assert signs == [1.0, 1.0, -1.0, -1.0]
-        for p in points:
-            assert isinstance(p.solution.classification, Constant)
-            assert p.solution.diagnostics is not None
 
 
 class TestDetectBifurcation:
@@ -93,32 +73,31 @@ class TestDetectBifurcation:
 
 
 class TestBranchSwitch:
-    def test_switch_finds_pattern(self, square20, opts20):
+    def test_switch_finds_pattern(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
-        rec, direction = branch_switch(eps_star, A, square20, opts=opts20)
+        rec, direction = branch_switch(eps_star, A, square20)
         assert isinstance(rec.classification, Nonconstant)
         assert rec.classification.sup_fluct > 0.01
         assert rec.epsilon == pytest.approx(0.95 * eps_star)
         assert direction  # label of the eigenspace combination used
 
-    def test_tiny_amplitude_falls_back(self, square20, opts20):
+    def test_tiny_amplitude_falls_back(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
         with pytest.raises(FellBackToConstantError):
-            branch_switch(eps_star, A, square20, amplitude=1e-4, opts=opts20)
+            branch_switch(eps_star, A, square20, amplitude=1e-4)
 
-    def test_zero_amplitude_rejected(self, square20, opts20):
+    def test_zero_amplitude_rejected(self, square20):
         with pytest.raises(ValueError):
-            branch_switch(0.15, A, square20, amplitude=0.0, opts=opts20)
+            branch_switch(0.15, A, square20, amplitude=0.0)
 
     def test_sign_symmetry_equivariance(self, square32):
         # the two stripe patterns from +/- starts are related by the
         # half-turn rotation, the symmetry the diagonal split preserves
-        opts = NewtonOpts(mu1=first_eigenpair(square32).mu1)
         from neumann_rigidity import newton_solve
 
         x = square32.mesh.nodes[:, 0]
-        plus = newton_solve(XI + 0.5 * np.cos(np.pi * x), 0.14, A, square32, opts)
-        minus = newton_solve(XI - 0.5 * np.cos(np.pi * x), 0.14, A, square32, opts)
+        plus = newton_solve(XI + 0.5 * np.cos(np.pi * x), 0.14, A, square32)
+        minus = newton_solve(XI - 0.5 * np.cos(np.pi * x), 0.14, A, square32)
         nx = ny = 32
 
         def rotate(u):
@@ -129,38 +108,37 @@ class TestBranchSwitch:
 
 
 class TestContinueBranch:
-    def test_empty_schedule(self, square20, opts20):
+    def test_empty_schedule(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
-        rec, _ = branch_switch(eps_star, A, square20, opts=opts20)
-        assert continue_branch(rec, [], A, square20, opts=opts20) == []
+        rec, _ = branch_switch(eps_star, A, square20)
+        assert continue_branch(rec, [], A, square20) == []
 
-    def test_downward_growth_and_upward_merge(self, square20, opts20):
+    def test_downward_growth_and_upward_merge(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
-        rec, _ = branch_switch(eps_star, A, square20, opts=opts20)
+        rec, _ = branch_switch(eps_star, A, square20)
         down = continue_branch(rec, [0.9 * eps_star, 0.8 * eps_star, 0.7 * eps_star],
-                               A, square20, opts=opts20)
+                               A, square20)
         sups = [sup_fluct_of(p.solution) for p in down]
         assert all(s2 > s1 for s1, s2 in zip(sups, sups[1:]))
 
-        up = continue_branch(rec, [1.1 * eps_star], A, square20, opts=opts20)
+        up = continue_branch(rec, [1.1 * eps_star], A, square20)
         merged = up[-1].solution
         assert isinstance(merged.classification, Constant)
         v = merged.u - np.dot(square20.lumped_mass, merged.u) / square20.lumped_mass.sum()
         assert np.abs(v).max() < 1e-6
 
-    def test_indicator_recomputable(self, square20, opts20):
+    def test_indicator_recomputable(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
-        rec, _ = branch_switch(eps_star, A, square20, opts=opts20)
-        points = continue_branch(rec, [0.9 * eps_star], A, square20, opts=opts20)
+        rec, _ = branch_switch(eps_star, A, square20)
+        points = continue_branch(rec, [0.9 * eps_star], A, square20)
         bp = points[0]
         lam, _ = stability_indicator(bp.solution.u, bp.epsilon, A, square20)
         assert abs(lam - bp.stability_indicator) <= 1e-6 * max(1.0, abs(lam))
 
 
 class TestBifurcationReport:
-    def test_report_structure(self, square20, opts20):
-        report = build_bifurcation_report(A, square20, (0.10, 0.20), tol=1e-8,
-                                          opts=opts20)
+    def test_report_structure(self, square20):
+        report = build_bifurcation_report(A, square20, (0.10, 0.20), tol=1e-8)
         assert report.relative_gap <= 1e-6
         assert report.mu1 == pytest.approx(first_eigenpair(square20).mu1)
         assert len(report.branch) >= 3
@@ -177,8 +155,7 @@ class TestBifurcationReport:
 
 class TestRigiditySweep:
     def test_single_deep_point(self, square16):
-        opts = NewtonOpts(mu1=first_eigenpair(square16).mu1)
-        result = rigidity_sweep([10.0], A, square16, 8, seed=0, opts=opts)
+        result = rigidity_sweep([10.0], A, square16, 8, seed=0)
         assert len(result.rows) == 1
         row = result.rows[0]
         assert row.epsilon == 10.0
@@ -187,9 +164,8 @@ class TestRigiditySweep:
         assert result.eps_hat == 10.0
 
     def test_deterministic(self, square16):
-        opts = NewtonOpts(mu1=first_eigenpair(square16).mu1)
-        r1 = rigidity_sweep([0.5, 1.0], A, square16, 8, seed=3, opts=opts)
-        r2 = rigidity_sweep([0.5, 1.0], A, square16, 8, seed=3, opts=opts)
+        r1 = rigidity_sweep([0.5, 1.0], A, square16, 8, seed=3)
+        r2 = rigidity_sweep([0.5, 1.0], A, square16, 8, seed=3)
         assert [(row.epsilon, row.n_distinct, row.any_nonconstant) for row in r1.rows] \
             == [(row.epsilon, row.n_distinct, row.any_nonconstant) for row in r2.rows]
         for eps in (0.5, 1.0):
@@ -197,6 +173,5 @@ class TestRigiditySweep:
                 assert np.array_equal(rec1.u, rec2.u)
 
     def test_m_emp_positive(self, square16):
-        opts = NewtonOpts(mu1=first_eigenpair(square16).mu1)
-        result = rigidity_sweep([1.0], A, square16, 6, seed=0, opts=opts)
+        result = rigidity_sweep([1.0], A, square16, 6, seed=0)
         assert result.m_emp == pytest.approx(XI, rel=1e-6)

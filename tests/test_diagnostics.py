@@ -6,7 +6,6 @@ import pytest
 from neumann_rigidity import (
     ModelParams,
     bordered,
-    NewtonOpts,
     check_energy_identity,
     check_exp_integrability,
     check_l1_bound,
@@ -36,8 +35,7 @@ def pattern32(square32):
     pair = first_eigenpair(square32)
     eps = 0.9 * (np.exp(XI) - A) / pair.mu1
     x = square32.mesh.nodes[:, 0]
-    return newton_solve(XI + 0.5 * np.cos(np.pi * x), eps, A, square32,
-                        NewtonOpts(mu1=pair.mu1))
+    return newton_solve(XI + 0.5 * np.cos(np.pi * x), eps, A, square32)
 
 
 class TestZeroAverage:

@@ -152,7 +152,6 @@ class TestConstantChain:
         assert chain.eps0_of_q == pytest.approx(4.0 * 2.0 * c0 / np.pi, abs=1e-12)
         assert chain.c2_bound == pytest.approx(4.0 * np.pi, abs=1e-12)
         assert chain.xi_a == pytest.approx(XI_2, abs=1e-10)
-        assert chain.k_green is None
 
     def test_linear_in_area(self):
         p = ModelParams(a=2.0, epsilon=1.0, q=4.0)

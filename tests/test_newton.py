@@ -28,11 +28,6 @@ A = 2.0
 XI = find_xi(A)
 
 
-@pytest.fixture(scope="module")
-def opts20(square20):
-    return NewtonOpts(mu1=first_eigenpair(square20).mu1)
-
-
 class TestResidual:
     def test_zero_state(self, square20):
         r = residual(np.zeros(square20.n), 1.0, A, square20)
@@ -92,63 +87,58 @@ class TestJacobian:
 
 
 class TestNewtonSolve:
-    def test_converges_to_xi(self, square20, opts20):
-        rec = newton_solve(np.full(square20.n, 0.9 * XI), 1.0, A, square20, opts20)
+    def test_converges_to_xi(self, square20):
+        rec = newton_solve(np.full(square20.n, 0.9 * XI), 1.0, A, square20)
         assert isinstance(rec.classification, Constant)
         assert rec.classification.value == pytest.approx(XI, abs=1e-9)
         assert rec.residual_norm <= default_tol(square20)
 
-    def test_converges_to_zero(self, square20, opts20):
-        rec = newton_solve(np.full(square20.n, -0.5), 1.0, A, square20, opts20)
+    def test_converges_to_zero(self, square20):
+        rec = newton_solve(np.full(square20.n, -0.5), 1.0, A, square20)
         assert isinstance(rec.classification, Constant)
         assert abs(rec.classification.value) <= 1e-9
 
-    def test_exact_root_is_fixed_point(self, square20, opts20):
-        rec = newton_solve(np.zeros(square20.n), 0.3, A, square20, opts20)
+    def test_exact_root_is_fixed_point(self, square20):
+        rec = newton_solve(np.zeros(square20.n), 0.3, A, square20)
         assert rec.newton_iters == 0
         assert isinstance(rec.classification, Constant)
 
-    def test_log_a_start_is_singular(self, square20, opts20):
+    def test_log_a_start_is_singular(self, square20):
         # f'(log a) = 0 makes the Jacobian annihilate constants
         with pytest.raises(SingularJacobianError):
-            newton_solve(np.full(square20.n, np.log(A)), 1.0, A, square20, opts20)
+            newton_solve(np.full(square20.n, np.log(A)), 1.0, A, square20)
 
     def test_nonconstant_below_bifurcation(self, square32):
-        pair = first_eigenpair(square32)
         x = square32.mesh.nodes[:, 0]
-        rec = newton_solve(XI + 0.5 * np.cos(np.pi * x), 0.14, A, square32,
-                           NewtonOpts(mu1=pair.mu1))
+        rec = newton_solve(XI + 0.5 * np.cos(np.pi * x), 0.14, A, square32)
         assert isinstance(rec.classification, Nonconstant)
         assert rec.classification.sup_fluct > 0.01
         assert rec.residual_norm <= default_tol(square32)
 
     def test_zero_average_identity_at_solutions(self, square32):
-        pair = first_eigenpair(square32)
         x = square32.mesh.nodes[:, 0]
-        rec = newton_solve(XI + 0.5 * np.cos(np.pi * x), 0.14, A, square32,
-                           NewtonOpts(mu1=pair.mu1))
+        rec = newton_solve(XI + 0.5 * np.cos(np.pi * x), 0.14, A, square32)
         m = square32.lumped_mass
         fu = np.exp(rec.u) - 1.0 - A * rec.u
         assert abs(np.dot(m, fu)) <= 10.0 * default_tol(square32)
 
-    def test_diagnostics_attached(self, square20, opts20):
-        rec = newton_solve(np.full(square20.n, 0.9 * XI), 1.0, A, square20, opts20)
+    def test_diagnostics_attached(self, square20):
+        rec = newton_solve(np.full(square20.n, 0.9 * XI), 1.0, A, square20)
         assert rec.diagnostics is not None
         assert rec.diagnostics.mean_in_bounds
 
-    def test_rejects_bad_eps(self, square20, opts20):
+    def test_rejects_bad_eps(self, square20):
         with pytest.raises(ValueError):
-            newton_solve(np.zeros(square20.n), -1.0, A, square20, opts20)
+            newton_solve(np.zeros(square20.n), -1.0, A, square20)
 
-    def test_rejects_wrong_length(self, square20, opts20):
+    def test_rejects_wrong_length(self, square20):
         with pytest.raises(ValueError):
-            newton_solve(np.zeros(5), 1.0, A, square20, opts20)
+            newton_solve(np.zeros(5), 1.0, A, square20)
 
     def test_huge_start_fails_gracefully(self, square16):
         u0 = np.full(square16.n, 500.0)
         with pytest.raises((NoConvergenceError, SingularJacobianError)):
-            newton_solve(u0, 1.0, A, square16,
-                         NewtonOpts(mu1=first_eigenpair(square16).mu1, max_iter=12))
+            newton_solve(u0, 1.0, A, square16)
 
 
 class TestClassify:
@@ -215,9 +205,7 @@ class TestStartFamily:
 
 class TestDedup:
     def _record(self, u, square16):
-        return newton_solve(u, 1.0, A, square16,
-                            NewtonOpts(mu1=first_eigenpair(square16).mu1,
-                                       attach_diagnostics=False))
+        return newton_solve(u, 1.0, A, square16, NewtonOpts(attach_diagnostics=False))
 
     def test_permutation_invariant(self, square16, rng):
         recs = [
@@ -249,8 +237,7 @@ class TestDedup:
 
 class TestMultiStart:
     def test_rigidity_regime_two_constants(self, square16):
-        pair = first_eigenpair(square16)
-        result = multi_start(1.0, A, square16, 12, seed=0, opts=NewtonOpts(mu1=pair.mu1))
+        result = multi_start(1.0, A, square16, 12, seed=0)
         values = sorted(
             rec.classification.value for rec in result.distinct
             if isinstance(rec.classification, Constant)
@@ -259,29 +246,26 @@ class TestMultiStart:
         assert values[0] == pytest.approx(0.0, abs=1e-8)
         assert values[1] == pytest.approx(XI, abs=1e-8)
 
-    def test_finds_pattern_below_bifurcation(self, square20, opts20):
-        result = multi_start(0.125, A, square20, 50, seed=0, opts=opts20)
+    def test_finds_pattern_below_bifurcation(self, square20):
+        result = multi_start(0.125, A, square20, 50, seed=0)
         assert any(isinstance(r.classification, Nonconstant) for r in result.distinct)
 
     def test_per_start_log(self, square16):
-        pair = first_eigenpair(square16)
-        result = multi_start(1.0, A, square16, 12, seed=0, opts=NewtonOpts(mu1=pair.mu1))
+        result = multi_start(1.0, A, square16, 12, seed=0)
         assert len(result.runs) == 12
         log_a_runs = [r for r in result.runs if r.label == "const:log_a"]
         assert len(log_a_runs) == 1 and not log_a_runs[0].converged
         assert sum(r.converged for r in result.runs) >= 2
 
     def test_deterministic_given_seed(self, square16):
-        pair = first_eigenpair(square16)
-        opts = NewtonOpts(mu1=pair.mu1)
-        r1 = multi_start(0.5, A, square16, 10, seed=42, opts=opts)
-        r2 = multi_start(0.5, A, square16, 10, seed=42, opts=opts)
+        r1 = multi_start(0.5, A, square16, 10, seed=42)
+        r2 = multi_start(0.5, A, square16, 10, seed=42)
         assert len(r1.distinct) == len(r2.distinct)
         for a_rec, b_rec in zip(r1.distinct, r2.distinct):
             assert np.array_equal(a_rec.u, b_rec.u)
 
-    def test_every_record_satisfies_zero_average(self, square20, opts20):
-        result = multi_start(0.5, A, square20, 15, seed=1, opts=opts20)
+    def test_every_record_satisfies_zero_average(self, square20):
+        result = multi_start(0.5, A, square20, 15, seed=1)
         m = square20.lumped_mass
         for rec in result.distinct:
             fu = np.exp(rec.u) - 1.0 - A * rec.u
