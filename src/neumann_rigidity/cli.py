@@ -120,6 +120,9 @@ class ExperimentConfig:
             raise ConfigError("threads must be at least 1")
         if not self.bif_tol > 0.0:
             raise ConfigError("bif_tol must be positive")
+        if None not in (self.bracket_lo, self.bracket_hi) and not (
+                0.0 < self.bracket_lo < self.bracket_hi):
+            raise ConfigError("need 0 < bracket_lo < bracket_hi")
         if self.amplitude == 0.0:
             raise ConfigError("amplitude must be nonzero")
 

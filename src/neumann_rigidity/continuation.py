@@ -1,5 +1,5 @@
 """Diffusion-parameter sweeps: the linearized stability indicator,
-bisection for the primary bifurcation point, switching onto the patterned
+root finding for the primary bifurcation point, switching onto the patterned
 branch, natural continuation along it, and the multi-start rigidity sweep.
 
 The stability indicator of a state is the smallest eigenvalue of the
@@ -36,10 +36,10 @@ from .newton import (
     switch_directions,
 )
 
-INDICATOR_TOL = 1e-9             # eigensolver tolerance of the stability indicator
-BISECTION_INDICATOR_TOL = 1e-10  # tighter while bisecting for eps*
-SWITCH_DELTA = 0.05              # branch switching runs at (1 - SWITCH_DELTA)*eps*
-MAX_HALVINGS = 6                 # step halvings per scheduled continuation value
+INDICATOR_TOL = 1e-9    # eigensolver tolerance of the stability indicator
+SWITCH_DELTA = 0.05     # branch switching runs at (1 - SWITCH_DELTA)*eps*
+SWITCH_AMPLITUDE = 0.3  # default sup of the switch perturbation, relative to xi_a
+MAX_HALVINGS = 6        # step halvings per scheduled continuation value
 # the bifurcation report traces the patterned branch down to BRANCH_DOWN_TO*eps*
 # in BRANCH_DOWN_POINTS steps and up past eps* to BRANCH_UP_TO*eps*
 BRANCH_DOWN_TO, BRANCH_DOWN_POINTS = 0.5, 6
@@ -96,22 +96,26 @@ def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperato
 
 def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, float],
                        tol: float = 1e-8) -> float:
-    """Bisection on the constant-branch stability indicator.
+    """Regula falsi on the constant-branch stability indicator.
 
-    Requires opposite indicator signs at the bracket ends; returns the
-    midpoint once the bracket width drops below tol (positive: at zero the
-    bracket stalls between adjacent floats).
+    Requires opposite indicator signs at the bracket ends.  Each step takes
+    the secant point clamped to [lo + tol/2, hi - tol/2], so the bracket
+    shrinks by at least tol/2 per call; once it is no wider than tol, the
+    end with the smaller |indicator| is returned.
+
+    On the constant branch the indicator is exactly eps*mu1 - f'(xi_a),
+    affine in eps, so the first secant point is the root up to the
+    eigensolver's error, and the clamp closes the bracket in one more call.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    xi = find_xi(a)
-    u = np.full(op.n, xi)
+    u = np.full(op.n, find_xi(a))
 
     def indicator(eps):
-        return stability_indicator(u, eps, a, op, tol=BISECTION_INDICATOR_TOL)[0]
+        return stability_indicator(u, eps, a, op)[0]
 
     f_lo, f_hi = indicator(lo), indicator(hi)
     if np.sign(f_lo) == np.sign(f_hi):
@@ -119,15 +123,16 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
             f"indicator does not change sign on ({lo}, {hi}): {f_lo:.3e}, {f_hi:.3e}"
         )
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = indicator(mid)
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        f_x = indicator(x)
+        if f_x == 0.0:
+            return x
+        if np.sign(f_x) == np.sign(f_lo):
+            lo, f_lo = x, f_x
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            hi, f_hi = x, f_x
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
@@ -137,7 +142,7 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
 
     Runs Newton at eps = (1 - SWITCH_DELTA)*eps_star from xi_a + amplitude*d
     over the candidate directions d (sup norm one, both signs); ``amplitude``
-    defaults to 0.3*xi_a and is the sup of the initial perturbation.
+    defaults to SWITCH_AMPLITUDE*xi_a and is the sup of the initial perturbation.
     Returns the first patterned solution and the direction label used.
     Raises FellBackToConstantError when every start lands back on the
     constant branch (amplitude too small).
@@ -146,7 +151,7 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
         raise ValueError("amplitude must be nonzero")
     xi = find_xi(a)
     if amplitude is None:
-        amplitude = 0.3 * xi
+        amplitude = SWITCH_AMPLITUDE * xi
     eps = (1.0 - SWITCH_DELTA) * eps_star
     n_constant = 0
     for name, direction in switch_directions(op):
@@ -244,7 +249,7 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
         upward_branch=upward,
         mu1=pair.mu1,
         mu1_degenerate=pair.degenerate,
-        switch_amplitude=amplitude if amplitude is not None else 0.3 * xi,
+        switch_amplitude=amplitude if amplitude is not None else SWITCH_AMPLITUDE * xi,
         switch_direction=direction,
         switch_eigenvector=used,
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import ConvexHull
 
 from .errors import MeshFormatError
 
@@ -254,12 +253,11 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
 
 def domain_metrics(mesh: Mesh) -> tuple[float, float]:
     """Polygonal area (sum of triangle areas) and diameter (max pairwise
-    distance over convex-hull vertices)."""
+    distance over boundary nodes: a polygon's diameter joins two of its
+    vertices).  One row of distances at a time keeps memory O(b)."""
     areas = _signed_areas(mesh.nodes, mesh.triangles)
-    hull = ConvexHull(mesh.nodes)
-    pts = mesh.nodes[hull.vertices]
-    diff = pts[:, None, :] - pts[None, :, :]
-    diameter = np.sqrt((diff**2).sum(axis=2)).max()
+    pts = mesh.nodes[mesh.boundary_nodes]
+    diameter = max(np.sqrt(((pts - p)**2).sum(axis=1)).max() for p in pts)
     return float(areas.sum()), float(diameter)
 
 

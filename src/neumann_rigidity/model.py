@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError
-
 # Exponent magnitude beyond which exp() is saturated in field evaluations.
 SATURATION_EXPONENT = 700.0
 
@@ -41,9 +39,13 @@ class ModelParams:
 
 
 def eval_f(t: float, a: float) -> float:
-    """Reaction term e^t - 1 - a*t (saturates to +inf for huge t)."""
+    """Reaction term e^t - 1 - a*t (saturates to +inf for huge t).
+
+    expm1 keeps full relative accuracy near t = 0, where the root sits
+    for a close to 1.
+    """
     with np.errstate(over="ignore"):
-        return float(np.exp(np.float64(t)) - 1.0 - a * t)
+        return float(np.expm1(np.float64(t)) - a * t)
 
 
 def eval_f_prime(t: float, a: float) -> float:
@@ -69,39 +71,26 @@ def eval_f_prime_clipped(t: np.ndarray, a: float) -> np.ndarray:
     return np.exp(np.minimum(t, SATURATION_EXPONENT)) - a
 
 
-def find_xi(a: float, tol: float = 1e-12) -> float:
-    """Unique positive root of e^t - 1 - a*t = 0.
+def find_xi(a: float) -> float:
+    """Unique positive root of e^t - 1 - a*t = 0, to the last bit.
 
-    Bisection on a bracket right of log(a) (where f is negative and then
-    convex increasing), followed by Newton polishing.  Deterministic.
+    Bisects on the sign of f until no float lies strictly between the
+    bracket ends, then returns the end with the smaller |f|.
+    Deterministic and free of tolerances.
     """
     if not a > 1.0:
         raise ValueError("a must exceed 1: no positive root otherwise")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
-    lo = np.log(a)
-    hi = lo + max(2.0, 4.0 * a)
-    # f(lo) = a - 1 - a log a < 0 for a > 1; widen until the sign flips.
-    while eval_f(hi, a) <= 0.0:
-        hi = lo + 2.0 * (hi - lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if eval_f(mid, a) < 0.0:
-            lo = mid
+    lo = float(np.log(a))
+    hi = lo + 2.0 * float(np.log1p(lo)) + 2.0
+    # f(lo) = a - 1 - a*log(a) < 0; e^hi = a*e^2*(1+lo)^2 > 3a*(1+lo) > 1 + a*hi by log1p(lo) <= lo
+    f_lo, f_hi = eval_f(lo, a), eval_f(hi, a)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = eval_f(mid, a)
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
         else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    root = 0.5 * (lo + hi)
-    for _ in range(8):
-        fr = eval_f(root, a)
-        if abs(fr) <= tol:
-            break
-        root -= fr / eval_f_prime(root, a)
-    if abs(eval_f(root, a)) > tol and abs(eval_f(root, a)) > 1e-9 * (1.0 + abs(root)):
-        raise NoConvergenceError(f"root polish stalled for a={a}")
-    return float(root)
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 def lipschitz_bound(m_sup: float, a: float) -> float:

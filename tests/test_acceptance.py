@@ -60,7 +60,7 @@ def bisect_root(a, lo, hi, iters=200):
 def test_criterion_1_scalar_chain():
     t0 = time.perf_counter()
     xi_oracle = bisect_root(A, np.log(A), np.log(A) + 8.0)
-    xi = find_xi(A, tol=1e-12)
+    xi = find_xi(A)
     ok_xi = abs(xi - xi_oracle) <= 1e-10
 
     chain = constant_chain(ModelParams(a=A, epsilon=1.0, q=4.0), area=1.0,

@@ -2,10 +2,15 @@
 output files, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neumann_rigidity
 from neumann_rigidity import build_disk_mesh, find_xi, write_field, write_mesh
 from neumann_rigidity.cli import ExperimentConfig, load_config, main
 from neumann_rigidity.errors import ConfigError
@@ -51,6 +56,7 @@ class TestConfig:
         {"eps_grid": []}, {"n_starts": 0}, {"domain": "pentagon"},
         {"bif_tol": 0.0}, {"amplitude": 0.0},
         {"nx": "4"}, {"a": "2"}, {"eps_grid": [0.1, "x"]}, {"n_starts": 2.5},
+        {"bracket_lo": 0.2, "bracket_hi": 0.1},
     ])
     def test_constraints(self, tmp_path, bad):
         path = make_config(tmp_path, **bad)
@@ -75,6 +81,13 @@ class TestConstantsCommand:
         cfg = make_config(tmp_path, a=1.0)
         assert main(["constants", "--config", str(cfg)]) == 2
         assert "a must exceed 1" in capsys.readouterr().err
+
+    def test_large_a(self, tmp_path):
+        cfg = make_config(tmp_path, a=1e7)
+        out = tmp_path / "out"
+        assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "constants.json").read_text())
+        assert np.isfinite(payload["xi_a"]) and payload["xi_a"] > np.log(1e7)
 
     def test_missing_mesh_file_exits_4(self, tmp_path):
         cfg = make_config(tmp_path, domain="mesh_file", mesh_path=str(tmp_path / "no.mesh"))
@@ -275,3 +288,16 @@ class TestSeedOverride:
         s1 = json.loads((out1 / "sweep_summary.json").read_text())
         s2 = json.loads((out2 / "sweep_summary.json").read_text())
         assert s1["rows"][0]["n_distinct"] == s2["rows"][0]["n_distinct"] == 2
+
+
+class TestImportPath:
+    def test_cli_import_skips_spatial_and_optimize(self):
+        # every command starts a fresh interpreter and pays for what it imports
+        code = ("import sys, neumann_rigidity.cli; "
+                "print([m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules])")
+        src = Path(neumann_rigidity.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from neumann_rigidity import (
     ConstantChain,
@@ -77,19 +78,27 @@ class TestEvalFPrime:
 class TestFindXi:
     def test_a2_matches_oracle(self):
         oracle = bisect_root(2.0, np.log(2.0), np.log(2.0) + 8.0)
-        assert find_xi(2.0, 1e-12) == pytest.approx(oracle, abs=1e-10)
-        assert find_xi(2.0, 1e-12) == pytest.approx(XI_2, abs=1e-10)
+        assert find_xi(2.0) == pytest.approx(oracle, abs=1e-10)
+        assert find_xi(2.0) == pytest.approx(XI_2, abs=1e-10)
 
     def test_a_e_matches_oracle(self):
         oracle = bisect_root(np.e, 1.0, 1.0 + 8.0)
-        assert find_xi(np.e, 1e-12) == pytest.approx(oracle, abs=1e-10)
-        assert find_xi(np.e, 1e-12) == pytest.approx(XI_E, abs=1e-10)
+        assert find_xi(np.e) == pytest.approx(oracle, abs=1e-10)
+        assert find_xi(np.e) == pytest.approx(XI_E, abs=1e-10)
 
     def test_monotone_in_a(self):
         assert find_xi(3.0) > find_xi(2.0)
 
-    def test_tol_invariance(self):
-        assert abs(find_xi(2.0, 1e-10) - find_xi(2.0, 5e-11)) <= 1e-10
+    @pytest.mark.parametrize("a", [1.1, 2.0, np.e, 10.0, 1e4, 1e7, 1e8, 1e10, 1e100])
+    def test_matches_lambert_w(self, a):
+        # e^t = 1 + a*t  <=>  t = -W_{-1}(-e^(-1/a)/a) - 1/a
+        exact = -lambertw(-np.exp(-1.0 / a) / a, -1).real - 1.0 / a
+        assert find_xi(a) == pytest.approx(exact, rel=4e-15)
+
+    def test_a_near_one(self):
+        # xi_a = 2*(a - 1) + O((a - 1)**2) as a -> 1
+        a = 1.0 + 1e-9
+        assert find_xi(a) / (2.0 * (a - 1.0)) == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_small_a(self):
         with pytest.raises(ValueError):
@@ -99,7 +108,7 @@ class TestFindXi:
 
     @pytest.mark.parametrize("a", [1.1, 1.5, 2.0, 3.0, 5.0, 10.0])
     def test_root_property_on_grid(self, a):
-        xi = find_xi(a, 1e-12)
+        xi = find_xi(a)
         assert xi > np.log(a)
         assert abs(eval_f(xi, a)) <= 1e-10
         assert eval_f(0.0, a) == 0.0

@@ -22,7 +22,7 @@ from neumann_rigidity import (
 from neumann_rigidity.errors import NoConvergenceError, SingularJacobianError
 from neumann_rigidity.linsolve import bordered, restricted_smallest_eigen
 from neumann_rigidity.model import eval_f, eval_f_prime
-from neumann_rigidity.newton import dedup_records, default_tol, start_family
+from neumann_rigidity.newton import _newton_step, dedup_records, default_tol, start_family
 
 A = 2.0
 XI = find_xi(A)
@@ -84,6 +84,20 @@ class TestJacobian:
         lam, _ = restricted_smallest_eigen(bordered(square20), -eval_f_prime(XI, A), scale=eps,
                                            d=m * eval_f_prime(XI, A), tol=1e-11)
         assert abs(lam) <= 1e-6 * eval_f_prime(XI, A)
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("eps", [0.08, 0.4, 1.0])
+    def test_direction_cancels_residual_to_first_order(self, square16, rng, eps):
+        # the direction newton_solve takes: bordered fill plus mean closure
+        for _ in range(5):
+            u = rng.uniform(-1.0, 2.0, square16.n)
+            r = residual(u, eps, A, square16)
+            d = _newton_step(u, r, eps, A, square16)
+            h = 1e-6 * max(1.0, np.abs(u).max()) / np.abs(d).max()
+            fd = (residual(u + h * d, eps, A, square16)
+                  - residual(u - h * d, eps, A, square16)) / (2.0 * h)
+            assert np.abs(fd + r).max() <= 1e-6 * np.abs(r).max()
 
 
 class TestNewtonSolve:
