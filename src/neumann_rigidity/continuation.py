@@ -87,7 +87,7 @@ def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperato
     The pointwise reaction slope bounds the spectrum from below by
     -max f'(u), which places the shift of the shift-invert eigensolver.
     The Jacobian eps*A - diag(m*f'(u)) is never assembled: its bordered
-    factor is filled straight into the operator's cached layout.
+    factor is filled straight into the operator's cached band layout.
     """
     fp = eval_f_prime_clipped(u, a)
     return restricted_smallest_eigen(bordered(op), -float(fp.max()), scale=eps,

@@ -3,7 +3,7 @@ no-flux eigenvalue by shift-invert Lanczos.
 
 The stiffness matrix of the natural boundary condition annihilates
 constants, so linear solves live on the weighted-mean-zero subspace.  One
-sparse LU factorization of the bordered matrix
+LU factorization of the bordered matrix
 
     K = [[B, m], [m', 0]],   B = scale*A - diag(d),
 
@@ -15,17 +15,16 @@ constants to zero, which restricts the spectrum to mean-zero fields without
 any projection.
 
 Every matrix the package solves with (Poisson, Newton Jacobians, shifted
-stability pencils) has the form of B above, so all share one sparsity
-pattern.  ``bordered(op)`` splits the work into the symbolic phase, done
-once per operator, and a numeric phase per matrix.  Once: the Poisson
-matrix K(1, 0) is factored with SuperLU's minimum-degree ordering on the
-pattern of K + K' (``MMD_AT_PLUS_A``; the default column ordering fills in
-about a quarter more memory on large meshes, and ordering on K'K turns the
-dense border row into a dense block), that factor is kept for the Poisson
-solves and mu1, and its column order lays out the pattern of K
-symmetrically permuted.  Per matrix: fill the values into that layout and
-factor with the ``NATURAL`` ordering, which gives the same fill without a
-minimum-degree pass.  The SuperLU factors do not pickle; a pickled system
+stability pencils) has the form of B above.  The Poisson matrix K(1, 0) is
+factored once per operator by SuperLU with minimum-degree ordering on the
+pattern of K + K' (``MMD_AT_PLUS_A``); B = A is singular, so only the
+bordered matrix can be factored, and that factor serves the Poisson solves
+and mu1.  Every B with a nonzero diagonal d is factored on its own: reverse
+Cuthill-McKee ordering, computed once per operator, puts the P1 pattern in
+a band of half-width k (21 on the 20x20 square, 65 on 64x64), LAPACK's
+band LU ``dgbtrf`` factors it, and the border is closed by the Schur
+complement s = m'B^{-1}m: x = y - B^{-1}m (m'y)/s with y = B^{-1}b.  K is
+singular exactly when s = 0.  The factors do not pickle; a pickled system
 carries only its matrix and mass and refactors when it is loaded.
 """
 
@@ -35,11 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NoConvergenceError
 
 _RNG_SEED = 20260810  # deterministic Lanczos start vector
+_EPS = np.finfo(float).eps
 
 
 def weighted_mean(u: np.ndarray, m: np.ndarray) -> float:
@@ -75,120 +77,146 @@ def project_mean_zero(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 class BorderedFactor:
-    """SuperLU factors of one bordered matrix K.
+    """SuperLU factors of the Poisson bordered matrix K(1, 0).
 
     ``solve`` returns the field part of K^{-1} [b; 0] for an (n,) or (n, k)
-    right-hand side.  ``rows`` are the positions of the field rows in the
-    matrix that was factored: a slice when K was factored in its own
-    order, the permutation when it was laid out symmetrically permuted.
+    right-hand side, divided by ``scale``: the solution for K(scale, 0).
     """
 
-    def __init__(self, lu, rows):
+    def __init__(self, lu, scale: float = 1.0):
         self.lu = lu
-        self._rows = rows
+        self.scale = scale
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        rhs = np.zeros((self.lu.shape[0],) + b.shape[1:])
-        rhs[self._rows] = b
-        x = self.lu.solve(rhs)[self._rows]
-        if not np.all(np.isfinite(x)):
-            raise NoConvergenceError("bordered solve produced non-finite values")
-        return x
+        n = b.shape[0]
+        x = self.lu.solve(np.concatenate([b, np.zeros((1,) + b.shape[1:])]))[:n] / self.scale
+        return _finite(x)
 
 
-def _factorize(k_mat: sp.csc_matrix, permc_spec: str):
-    try:
-        return splu(k_mat, permc_spec=permc_spec)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NoConvergenceError(f"bordered matrix is singular: {exc}") from exc
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise NoConvergenceError("bordered solve produced non-finite values")
+    return x
 
 
 @dataclass(frozen=True)
-class _Layout:
-    """CSC pattern of K under a symmetric permutation, with the data
-    positions of the diagonal and the border and the values of A."""
+class _Band:
+    """Reverse Cuthill-McKee band layout of A for ``dgbtrf``: ``order[i]``
+    is the old index at band position i, ``k`` the half-bandwidth, and
+    ``a_pos``/``diag_pos`` the flat positions of A's entries and of the
+    diagonal in a Fortran (3k+1, n) band array."""
 
-    indices: np.ndarray
-    indptr: np.ndarray
+    order: np.ndarray
+    k: int
+    a_pos: np.ndarray
     a_data: np.ndarray
     diag_pos: np.ndarray
-    border_pos: np.ndarray
 
 
-def _layout(a_mat: sp.spmatrix, new: np.ndarray) -> _Layout:
-    """Lay out K = [[A - diag(d), m], [m', 0]] with old index i at new[i].
-
-    The pattern holds the entries of A, the whole diagonal and the border
-    column and row; the corner stays structurally zero.
-    """
+def _band(a_mat: sp.spmatrix) -> _Band:
     a_coo = sp.coo_matrix(a_mat)
-    n1 = new.shape[0]
-    n = n1 - 1
-    idx = np.arange(n)
-    rows = np.concatenate([a_coo.row, idx, idx, np.full(n, n)])
-    cols = np.concatenate([a_coo.col, idx, np.full(n, n), idx])
-    keys = new[cols].astype(np.int64) * n1 + new[rows]
-    uniq, slot = np.unique(keys, return_inverse=True)
-    slot = slot.astype(np.int32)
-    return _Layout(
-        indices=(uniq % n1).astype(np.int32),
-        indptr=np.searchsorted(uniq // n1, np.arange(n1 + 1)).astype(np.int32),
-        # bincount sums duplicate entries of a non-canonical A
-        a_data=np.bincount(slot[:a_coo.nnz], weights=a_coo.data, minlength=uniq.shape[0]),
-        diag_pos=slot[a_coo.nnz:a_coo.nnz + n],
-        border_pos=slot[a_coo.nnz + n:],
-    )
+    a_coo.sum_duplicates()
+    order = reverse_cuthill_mckee(sp.csr_matrix(a_coo), symmetric_mode=True)
+    new = np.empty_like(order)
+    new[order] = np.arange(order.shape[0])
+    row, col = new[a_coo.row].astype(np.int64), new[a_coo.col].astype(np.int64)
+    k = int(np.abs(row - col).max(initial=0))
+    width = 3 * k + 1  # k rows of pivoting fill above the 2k+1 diagonals
+    return _Band(order=order, k=k, a_pos=2 * k + row - col + width * col, a_data=a_coo.data,
+                 diag_pos=2 * k + width * new.astype(np.int64))
+
+
+class BandFactor:
+    """Band LU of B = scale*A - diag(d) in the operator's band order, with
+    the border closed by its Schur complement.
+
+    ``solve`` returns x = y - y_m*(m'y)/s with y = B^{-1} b, y_m = B^{-1} m
+    and s = m'y_m: the field part of K^{-1} [b; 0], for an (n,) or (n, k)
+    right-hand side.
+    """
+
+    def __init__(self, lu, piv, band: _Band, m: np.ndarray):
+        self._lu, self._piv, self._band = lu, piv, band
+        self._y_m = self._band_solve(m)
+        s = float(np.dot(m, self._y_m))
+        # K is singular exactly when the Schur complement m'B^{-1}m vanishes
+        if not abs(s) > m.shape[0] * _EPS * float(np.dot(np.abs(m), np.abs(self._y_m))):
+            raise NoConvergenceError("bordered matrix is singular: m'B^-1 m vanishes")
+        self._m, self._s = m, s
+
+    def _band_solve(self, b: np.ndarray) -> np.ndarray:
+        order, k = self._band.order, self._band.k
+        y, _ = dgbtrs(self._lu, k, k, b[order].reshape(b.shape[0], -1), self._piv, overwrite_b=1)
+        y_old = np.empty_like(y)
+        y_old[order] = y
+        return y_old.reshape(b.shape)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        y = self._band_solve(b)
+        lam = np.dot(self._m, y) / self._s
+        return _finite(y - np.multiply.outer(self._y_m, lam))
 
 
 class BorderedSystem:
-    """Symbolic analysis of the bordered matrices
+    """The bordered matrices
 
         K(scale, d) = [[scale*A - diag(d), m], [m', 0]]
 
     of one operator.  Construction factors the Poisson case K(1, 0) with
     SuperLU's minimum-degree ordering on the pattern of K + K'
-    (``MMD_AT_PLUS_A``) and keeps that factor.  Every other K shares the
-    pattern, so ``factor`` lays its values out in the Poisson factor's
-    column order once and factors with the ``NATURAL`` ordering: the same
-    fill, without a minimum-degree pass per matrix.
+    (``MMD_AT_PLUS_A``) and keeps that factor.  Every K with a nonzero
+    diagonal d is factored through B = scale*A - diag(d): its entries fill a
+    band array in the reverse Cuthill-McKee order of A, computed on the
+    first such call, LAPACK's ``dgbtrf`` factors it, and the border is
+    closed by the Schur complement m'B^{-1}m.
     """
 
     def __init__(self, a_mat: sp.spmatrix, m: np.ndarray):
         self.a_mat = a_mat
         self.m = np.asarray(m, dtype=float)
         self.n = self.m.shape[0]
-        self._border = np.concatenate([self.m, self.m])
-        lu = _factorize(self._csc(_layout(a_mat, np.arange(self.n + 1)), 1.0, None),
-                        "MMD_AT_PLUS_A")
-        self._poisson = BorderedFactor(lu, slice(None, self.n))
-        self._perm = lu.perm_c.astype(np.int32)
-        self._permuted: _Layout | None = None  # laid out on the first non-Poisson factor
+        border = sp.csc_matrix(self.m.reshape(-1, 1))
+        try:
+            lu = splu(sp.bmat([[a_mat, border], [border.T, None]], format="csc"),
+                      permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NoConvergenceError(f"bordered matrix is singular: {exc}") from exc
+        self._poisson = BorderedFactor(lu)
+        self._band: _Band | None = None  # laid out on the first band factor
 
     def __reduce__(self):
         # SuperLU factors do not pickle: a copy (an operator sent to a worker
         # process) refactors from the matrix and the mass when it is loaded
         return BorderedSystem, (self.a_mat, self.m)
 
-    def _csc(self, lay: _Layout, scale: float, d) -> sp.csc_matrix:
-        data = scale * lay.a_data
-        if d is not None:
-            data[lay.diag_pos] -= d
-        data[lay.border_pos] = self._border
-        return sp.csc_matrix((data, lay.indices, lay.indptr), shape=(self.n + 1,) * 2)
-
-    def factor(self, scale: float = 1.0, d: np.ndarray | float | None = None) -> BorderedFactor:
+    def factor(self, scale: float = 1.0,
+               d: np.ndarray | float | None = None) -> BorderedFactor | BandFactor:
         """Factors of K(scale, d); the default call returns the Poisson factor.
+        With d omitted or zero, B = scale*A is singular and K(scale, 0) is
+        served by the Poisson factor, its solution divided by scale.
 
         Raises NoConvergenceError when K is singular, i.e. when
-        scale*A - diag(d) is singular on the weighted-mean-zero subspace.
+        scale*A - diag(d) is singular on the weighted-mean-zero subspace,
+        and also when a nonzero d leaves B = scale*A - diag(d) itself
+        singular: a zero pivot, or min|U_ii| <= n*eps*max|U_ii| in its band
+        LU, or a Schur complement |m'B^{-1}m| <= n*eps*|m|'|B^{-1}m|.
         """
-        if scale == 1.0 and d is None:
-            return self._poisson
-        if self._permuted is None:
-            self._permuted = _layout(self.a_mat, self._perm)
-        lu = _factorize(self._csc(self._permuted, scale, d), "NATURAL")
-        return BorderedFactor(lu, self._perm[:self.n])
+        if d is None or not np.any(d):
+            return self._poisson if scale == 1.0 else BorderedFactor(self._poisson.lu, scale)
+        if self._band is None:
+            self._band = _band(self.a_mat)
+        band, n = self._band, self.n
+        flat = np.zeros((3 * band.k + 1) * n)
+        flat[band.a_pos] = scale * band.a_data
+        flat[band.diag_pos] -= d
+        # flat is the column-major (3k+1, n) band array dgbtrf factors in place
+        lu, piv, info = dgbtrf(flat.reshape(n, -1).T, band.k, band.k, overwrite_ab=1)
+        pivots = np.abs(lu[2 * band.k])
+        if info > 0 or not pivots.min() > n * _EPS * pivots.max():
+            raise NoConvergenceError("bordered matrix is singular: zero pivot in band LU")
+        return BandFactor(lu, piv, band, self.m)
 
 
 def bordered(op) -> BorderedSystem:
@@ -208,7 +236,9 @@ def solve_projected(system: BorderedSystem, b: np.ndarray, scale: float = 1.0,
     the factorization.  For a symmetric matrix that annihilates constants
     the multiplier removes exactly the range-incompatible part of b (its
     plain sum, along the mass vector).  Raises NoConvergenceError when the
-    matrix is singular on the subspace.
+    matrix is singular on the subspace and, when d is given, also when
+    scale*A - diag(d) is itself numerically singular (see
+    ``BorderedSystem.factor``).
     """
     return system.factor(scale, d).solve(b)
 

@@ -6,9 +6,9 @@ The Newton linear step splits into mean and fluctuation parts.  The
 fluctuation part is a mean-zero solve with the symmetric Jacobian
 eps*A - diag(m*f'(u)); the mean part comes from the mass-weighted row sum,
 closed exactly through the rank-one coupling between the two.  Both
-right-hand sides (the residual and the coupling) share one bordered LU
-factorization of the Jacobian per iteration, laid out in the operator's
-cached ordering (``linsolve.bordered``).
+right-hand sides (the residual and the coupling) share one band LU
+factorization of the Jacobian per iteration, in the operator's cached band
+order (``linsolve.bordered``).
 """
 
 from __future__ import annotations
