@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 import neumann_rigidity.linsolve as linsolve
@@ -184,6 +185,20 @@ class TestBorderedSystem:
         want = _fresh_bordered_lu(square20, 1.0, np.zeros(n)).solve(np.append(b, 0.0))[:n]
         got = bordered(square20).factor().solve(b)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["newton", "eigen_shift"])
+    def test_fill_equals_fresh_ordering(self, shuffled20, which):
+        # the band factor's fill is its (3k+1, n) band array; k must be the
+        # half-bandwidth of the freshly assembled B in a fresh reverse
+        # Cuthill-McKee order, with order[i] read as the old index at
+        # position i (the inverse direction leaves k in the hundreds here)
+        d = _reaction_diagonals(shuffled20)[which]
+        b_mat = sp.csr_matrix(0.3 * shuffled20.stiffness - sp.diags(d))
+        order = reverse_cuthill_mckee(b_mat, symmetric_mode=True)
+        coo = b_mat[order][:, order].tocoo()
+        k = int(np.abs(coo.row - coo.col).max())
+        lu = bordered(shuffled20).factor(0.3, d)._lu
+        assert lu.shape == (3 * k + 1, shuffled20.n)
 
     def test_band_order_ignores_node_numbering(self, square20, shuffled20):
         # reverse Cuthill-McKee finds the grid's band whatever the numbering;
