@@ -79,11 +79,20 @@ def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct edges (sorted node pairs) and how many triangles share each."""
-    edges = np.vstack(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    return np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+    """Distinct edges (sorted node pairs) and how many triangles share each.
+
+    Each pair (lo, hi) is encoded as the integer key lo*n + hi, with n one
+    more than the largest node index, so a 1-D unique counts the edges.  Keys
+    order as their pairs do, so the rows come out lexicographically sorted,
+    as a row-wise unique would give them.  Indices must be nonnegative.
+    """
+    edges = np.sort(
+        np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]),
+        axis=1,
+    ).astype(np.int64, copy=False)
+    n = int(triangles.max(initial=0)) + 1
+    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+    return np.column_stack([keys // n, keys % n]), counts
 
 
 def _boundary_nodes(triangles: np.ndarray) -> np.ndarray:
@@ -92,16 +101,23 @@ def _boundary_nodes(triangles: np.ndarray) -> np.ndarray:
     return np.unique(edges[counts == 1])
 
 
-def validate_mesh(mesh: Mesh) -> None:
-    """Raise if the triangulation is degenerate or non-conforming."""
-    areas = _signed_areas(mesh.nodes, mesh.triangles)
-    if np.any(areas <= 0.0):
-        raise MeshFormatError("triangulation contains inverted or flat triangles")
-    if mesh.triangles.min() < 0 or mesh.triangles.max() >= mesh.n_nodes:
+def _check_triangulation(nodes: np.ndarray, triangles: np.ndarray) -> None:
+    if triangles.shape[0] == 0:
+        raise MeshFormatError("triangulation has no triangles")
+    if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
         raise MeshFormatError("triangle indices out of range")
-    _, counts = _edge_counts(mesh.triangles)
+    if np.any(_signed_areas(nodes, triangles) <= 0.0):
+        raise MeshFormatError("triangulation contains inverted or flat triangles")
+    _, counts = _edge_counts(triangles)
     if np.any(counts > 2):
         raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
+
+
+def validate_mesh(mesh: Mesh) -> None:
+    """Raise if the triangulation is empty, indexes a missing node, or is
+    degenerate or non-conforming (checked in that order, so each check may
+    rely on the ones before it)."""
+    _check_triangulation(mesh.nodes, mesh.triangles)
 
 
 def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
@@ -127,17 +143,11 @@ def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     xg, yg = np.meshgrid(xs, ys)  # shape (ny+1, nx+1), row-major in y
     nodes = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # lower-left node of each cell, j outer and i inner
+    v00 = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
+    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
     return Mesh(nodes=nodes, triangles=triangles, boundary_nodes=_boundary_nodes(triangles))
 
 
@@ -254,11 +264,18 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
 def domain_metrics(mesh: Mesh) -> tuple[float, float]:
     """Polygonal area (sum of triangle areas) and diameter (max pairwise
     distance over boundary nodes: a polygon's diameter joins two of its
-    vertices).  One row of distances at a time keeps memory O(b)."""
+    vertices).  Squared distances are taken a block of rows at a time
+    against the rows that follow, keeping memory O(block*b); sqrt is applied
+    once, to the largest."""
     areas = _signed_areas(mesh.nodes, mesh.triangles)
-    pts = mesh.nodes[mesh.boundary_nodes]
-    diameter = max(np.sqrt(((pts - p)**2).sum(axis=1)).max() for p in pts)
-    return float(areas.sum()), float(diameter)
+    x, y = mesh.nodes[mesh.boundary_nodes].T
+    block = 64
+    d2 = max(
+        (((x[s:s + block, None] - x[s:])**2 + (y[s:s + block, None] - y[s:])**2).max()
+         for s in range(0, len(x), block)),
+        default=0.0,
+    )
+    return float(areas.sum()), float(np.sqrt(d2))
 
 
 def mesh_size(mesh: Mesh) -> float:
@@ -308,9 +325,9 @@ def read_mesh(path) -> Mesh:
         triangles = np.array(tokens[pos:pos + 3 * t], dtype=np.int64).reshape(t, 3)
     except (ValueError, IndexError) as exc:
         raise MeshFormatError(f"malformed mesh file {path}: {exc}") from exc
-    mesh = Mesh(nodes=nodes, triangles=triangles, boundary_nodes=_boundary_nodes(triangles))
-    validate_mesh(mesh)
-    return mesh
+    # validate before the boundary census, which needs indices in [0, n)
+    _check_triangulation(nodes, triangles)
+    return Mesh(nodes=nodes, triangles=triangles, boundary_nodes=_boundary_nodes(triangles))
 
 
 def write_field(path, values: np.ndarray, epsilon: float, a: float) -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from neumann_rigidity import (
+    Mesh,
     assemble,
     build_disk_mesh,
     build_rectangle_mesh,
@@ -16,6 +17,15 @@ A_DEFAULT = 2.0
 SWEEP_GRID = [round(0.05 + 0.025 * k, 6) for k in range(39)]  # 0.05 .. 1.0
 SWEEP_STARTS = 50
 SWEEP_SEED = 0
+
+
+def renumbered(mesh, seed):
+    """The same mesh with its nodes renumbered at random."""
+    new = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[new] = mesh.nodes
+    return Mesh(nodes=nodes, triangles=new[mesh.triangles],
+                boundary_nodes=np.sort(new[mesh.boundary_nodes]))
 
 
 @pytest.fixture(scope="session")

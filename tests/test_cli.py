@@ -109,6 +109,16 @@ class TestEigenCommand:
         assert payload["mu1"] == pytest.approx(np.pi**2, rel=0.01)
         assert (out / "eigen_phi1.field").exists()
 
+    @pytest.mark.parametrize("triangles", ["triangles 1\n0 1 3\n", "triangles 0\n"],
+                             ids=["index_ge_n", "zero_triangles"])
+    def test_bad_mesh_file_exits_4(self, tmp_path, capsys, triangles):
+        mesh_path = tmp_path / "bad.mesh"
+        mesh_path.write_text("nodes 3\n0 0\n1 0\n0 1\n" + triangles)
+        cfg = make_config(tmp_path, domain="mesh_file", mesh_path=str(mesh_path))
+        assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys):
         cfg = make_config(tmp_path, nx="4")
         assert main(["eigen", "--config", str(cfg)]) == 2

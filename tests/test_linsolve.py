@@ -9,7 +9,6 @@ from scipy.sparse.linalg import splu
 import neumann_rigidity.linsolve as linsolve
 from neumann_rigidity import (
     BorderedSystem,
-    Mesh,
     NewtonOpts,
     assemble,
     bordered,
@@ -26,6 +25,8 @@ from neumann_rigidity import (
 )
 from neumann_rigidity.errors import NoConvergenceError
 from neumann_rigidity.linsolve import restricted_smallest_eigen
+
+from conftest import renumbered
 
 J11_PRIME_SQ = 1.8411837813406593**2  # first nonzero disk eigenvalue (radius 1)
 
@@ -126,18 +127,9 @@ def _reaction_diagonals(op):
     return [m * fp, m * fp + shift * m]
 
 
-def _shuffled(mesh, seed):
-    """The same mesh with its nodes renumbered at random."""
-    new = np.random.default_rng(seed).permutation(mesh.n_nodes)
-    nodes = np.empty_like(mesh.nodes)
-    nodes[new] = mesh.nodes
-    return Mesh(nodes=nodes, triangles=new[mesh.triangles],
-                boundary_nodes=np.sort(new[mesh.boundary_nodes]))
-
-
 @pytest.fixture(scope="module")
 def shuffled20():
-    return assemble(_shuffled(build_rectangle_mesh(20, 20, 1.0, 1.0), 3))
+    return assemble(renumbered(build_rectangle_mesh(20, 20, 1.0, 1.0), 3))
 
 
 @pytest.fixture(scope="module")

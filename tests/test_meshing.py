@@ -15,7 +15,36 @@ from neumann_rigidity import (
     write_mesh,
 )
 from neumann_rigidity.errors import MeshFormatError
-from neumann_rigidity.meshing import mesh_size, validate_mesh
+from neumann_rigidity.meshing import (
+    _boundary_nodes,
+    _edge_counts,
+    _signed_areas,
+    mesh_size,
+    validate_mesh,
+)
+
+from conftest import renumbered
+
+# three counterclockwise triangles on the edge (0, 1)
+OVERSHARED_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+OVERSHARED_TRIANGLES = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+
+
+def _l_shape():
+    """[0, 2]^2 without its open upper-right quadrant, on an 8x8 grid."""
+    square = build_rectangle_mesh(8, 8, 2.0, 2.0)
+    centroids = square.nodes[square.triangles].mean(axis=1)
+    kept = square.triangles[~np.all(centroids > 1.0, axis=1)]
+    used, triangles = np.unique(kept, return_inverse=True)
+    triangles = triangles.reshape(-1, 3)
+    return Mesh(nodes=square.nodes[used], triangles=triangles,
+                boundary_nodes=_boundary_nodes(triangles))
+
+
+def _write_mesh_text(path, nodes, triangles):
+    lines = [f"nodes {len(nodes)}"] + [f"{float(x)!r} {float(y)!r}" for x, y in nodes]
+    lines += [f"triangles {len(triangles)}"] + [" ".join(map(str, t)) for t in triangles]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestRectangleMesh:
@@ -44,6 +73,41 @@ class TestRectangleMesh:
 
     def test_conforming(self):
         validate_mesh(build_rectangle_mesh(5, 3, 2.0, 1.0))
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (5, 3), (3, 7)])
+    def test_triangles_match_cell_loop(self, nx, ny):
+        mesh = build_rectangle_mesh(nx, ny, 1.0, 1.0)
+        reference = []
+        for j in range(ny):
+            for i in range(nx):
+                v00, v10 = j * (nx + 1) + i, j * (nx + 1) + i + 1
+                v01, v11 = v00 + nx + 1, v10 + nx + 1
+                reference += [(v00, v10, v11), (v00, v11, v01)]
+        assert mesh.triangles.dtype == np.int64
+        assert np.array_equal(mesh.triangles, np.array(reference))
+        assert np.all(_signed_areas(mesh.nodes, mesh.triangles) > 0.0)
+
+
+EDGE_COUNT_MESHES = {
+    "rect2x2": lambda: build_rectangle_mesh(2, 2, 1.0, 1.0),
+    "rect5x3": lambda: build_rectangle_mesh(5, 3, 2.0, 1.0),
+    "rect20": lambda: build_rectangle_mesh(20, 20, 1.0, 1.0),
+    "disk1": lambda: build_disk_mesh(1, 1.0),
+    "disk4": lambda: build_disk_mesh(4, 1.0),
+    "disk6": lambda: build_disk_mesh(6, 1.0),
+    "renumbered20": lambda: renumbered(build_rectangle_mesh(20, 20, 1.0, 1.0), 3),
+}
+
+
+class TestEdgeCounts:
+    @pytest.mark.parametrize("name", sorted(EDGE_COUNT_MESHES))
+    def test_matches_row_unique(self, name):
+        t = EDGE_COUNT_MESHES[name]().triangles
+        edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        ref_edges, ref_counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+        got_edges, got_counts = _edge_counts(t)
+        assert np.array_equal(got_edges, ref_edges)
+        assert np.array_equal(got_counts, ref_counts)
 
 
 class TestDiskMesh:
@@ -165,6 +229,19 @@ class TestDomainMetrics:
         assert area == pytest.approx(2.0, abs=1e-13)
         assert diam == pytest.approx(np.sqrt(5.0), abs=1e-13)
 
+    @pytest.mark.parametrize("name", ["rect20", "rect7x3", "disk4", "disk6", "lshape"])
+    def test_diameter_equals_row_by_row_max(self, name):
+        mesh = {
+            "rect20": lambda: build_rectangle_mesh(20, 20, 1.0, 1.0),
+            "rect7x3": lambda: build_rectangle_mesh(7, 3, 1.7, 0.6),
+            "disk4": lambda: build_disk_mesh(4, 1.0),
+            "disk6": lambda: build_disk_mesh(6, 1.0),
+            "lshape": _l_shape,
+        }[name]()
+        pts = mesh.nodes[mesh.boundary_nodes]
+        reference = max(np.sqrt(((pts - p)**2).sum(axis=1)).max() for p in pts)
+        assert domain_metrics(mesh)[1] == float(reference)
+
     def test_mesh_size_square(self):
         h = mesh_size(build_rectangle_mesh(10, 10, 1.0, 1.0))
         assert h == pytest.approx(np.sqrt(2.0) / 10.0, rel=1e-12)
@@ -208,3 +285,28 @@ class TestFileFormats:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(MeshFormatError):
             read_mesh(tmp_path / "nope.mesh")
+
+    @pytest.mark.parametrize("triangles, message", [
+        ([[0, 1, 3]], "out of range"),
+        ([[0, 1, -1]], "out of range"),
+        ([], "no triangles"),
+    ], ids=["index_ge_n", "negative_index", "zero_triangles"])
+    def test_bad_triangles_rejected(self, tmp_path, triangles, message):
+        path = tmp_path / "bad.mesh"
+        _write_mesh_text(path, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], triangles)
+        with pytest.raises(MeshFormatError, match=message):
+            read_mesh(path)
+
+
+class TestConformity:
+    def test_validate_rejects_edge_on_three_triangles(self):
+        mesh = Mesh(nodes=OVERSHARED_NODES, triangles=OVERSHARED_TRIANGLES,
+                    boundary_nodes=np.arange(5))
+        with pytest.raises(MeshFormatError, match="shared by >2 triangles"):
+            validate_mesh(mesh)
+
+    def test_read_rejects_edge_on_three_triangles(self, tmp_path):
+        path = tmp_path / "overshared.mesh"
+        _write_mesh_text(path, OVERSHARED_NODES, OVERSHARED_TRIANGLES)
+        with pytest.raises(MeshFormatError, match="shared by >2 triangles"):
+            read_mesh(path)
