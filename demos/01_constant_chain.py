@@ -8,7 +8,6 @@ discrete eigensolver, and the primary bifurcation value built from it.
 import numpy as np
 
 from neumann_rigidity import (
-    ModelParams,
     assemble,
     bifurcation_epsilon,
     build_rectangle_mesh,
@@ -29,7 +28,7 @@ print(f"f'(0)      = {eval_f_prime(0.0, a):+.6f}   (stable direction)")
 print(f"f'(xi_a)   = {eval_f_prime(xi, a):+.6f}   (unstable without diffusion)")
 
 op = assemble(build_rectangle_mesh(32, 32, 1.0, 1.0))
-chain = constant_chain(ModelParams(a=a, epsilon=1.0, q=4.0), op.area, op.diameter)
+chain = constant_chain(a, 4.0, op.area, op.diameter)
 print(f"\ndomain: unit square, area = {op.area:.6f}, diameter = {op.diameter:.6f}")
 print(f"C0 = a log a - a + 1          = {chain.c0:.10f}")
 print(f"C1 = 2 C0 |O|                 = {chain.c1:.10f}   (L1 bound on f(u))")

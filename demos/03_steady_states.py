@@ -1,5 +1,5 @@
-"""Find steady states with the damped Newton solver and inspect the check
-report attached to each converged solution.
+"""Find steady states with the damped Newton solver and attach the check
+report (integrability exponent q = 4) to each converged solution.
 
 Three runs: two constant basins in the rigid regime, then a pattern below
 the primary bifurcation value.
@@ -9,6 +9,7 @@ import numpy as np
 
 from neumann_rigidity import (
     assemble,
+    attach_diagnostics,
     bifurcation_epsilon,
     build_rectangle_mesh,
     find_xi,
@@ -26,7 +27,7 @@ eps_star = bifurcation_epsilon(a, pair.mu1)
 
 
 def show(rec, label):
-    d = rec.diagnostics
+    d = attach_diagnostics(rec, a, 4.0, op).diagnostics
     kind = ("constant %.6f" % rec.classification.value
             if isinstance(rec.classification, Constant)
             else "pattern, sup fluctuation %.4f" % rec.classification.sup_fluct)

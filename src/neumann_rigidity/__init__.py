@@ -6,7 +6,7 @@ steady states by damped Newton iteration with deterministic multi-start,
 locates the primary bifurcation of the constant branch, and verifies the
 quantitative estimates (zero-average identity, L1 bound, mean bounds,
 exponential integrability, energy identity, spectral gap, Green
-representation) on every computed solution.
+representation) on every reported solution.
 """
 
 from .continuation import (
@@ -58,7 +58,6 @@ from .meshing import (
 )
 from .model import (
     ConstantChain,
-    ModelParams,
     bifurcation_epsilon,
     constant_chain,
     eval_f,
@@ -70,9 +69,9 @@ from .model import (
 from .newton import (
     Constant,
     MultiStartResult,
-    NewtonOpts,
     Nonconstant,
     SolutionRecord,
+    attach_diagnostics,
     classify,
     jacobian,
     multi_start,

@@ -39,10 +39,10 @@ from .meshing import (
     read_mesh,
     write_field,
 )
-from .model import ModelParams, bifurcation_epsilon, constant_chain, find_xi, rigidity_threshold
+from .model import bifurcation_epsilon, constant_chain, find_xi, rigidity_threshold
 from .newton import (
     Constant,
-    NewtonOpts,
+    attach_diagnostics,
     default_tol,
     newton_solve,
     sup_fluct_of,
@@ -192,10 +192,6 @@ def build_operator(cfg: ExperimentConfig) -> DiscreteOperator:
     return assemble(mesh)
 
 
-def _newton_opts(cfg: ExperimentConfig) -> NewtonOpts:
-    return NewtonOpts(tol=cfg.newton_tol, q=cfg.q)
-
-
 def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -203,25 +199,9 @@ def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
         (out_dir / name).write_text(text + "\n")
 
 
-def _record_payload(rec) -> dict:
-    cls = rec.classification
-    payload = {
-        "epsilon": rec.epsilon,
-        "residual_norm": rec.residual_norm,
-        "newton_iters": rec.newton_iters,
-        "classification": "constant" if isinstance(cls, Constant) else "nonconstant",
-        "mean": weighted_mean_of(rec),
-        "sup_fluct": sup_fluct_of(rec),
-    }
-    if rec.diagnostics is not None:
-        payload["diagnostics"] = rec.diagnostics.as_dict()
-    return payload
-
-
 def cmd_constants(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     op = build_operator(cfg)
-    params = ModelParams(a=cfg.a, epsilon=cfg.eps if cfg.eps is not None else 1.0, q=cfg.q)
-    chain = constant_chain(params, op.area, op.diameter)
+    chain = constant_chain(cfg.a, cfg.q, op.area, op.diameter)
     pair = first_eigenpair(op)
     thresholds = {
         str(m): rigidity_threshold(m, cfg.a, pair.mu1) for m in (cfg.m_values or [])
@@ -299,9 +279,19 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> i
     op = build_operator(cfg)
     eps = cfg.require_eps()
     u0 = _start_state(start_spec, cfg, op)
-    rec = newton_solve(u0, eps, cfg.a, op, _newton_opts(cfg))
-    payload = _record_payload(rec)
-    payload["start"] = start_spec
+    rec = newton_solve(u0, eps, cfg.a, op, cfg.newton_tol)
+    rec = attach_diagnostics(rec, cfg.a, cfg.q, op, cfg.newton_tol)
+    payload = {
+        "epsilon": rec.epsilon,
+        "residual_norm": rec.residual_norm,
+        "newton_iters": rec.newton_iters,
+        "classification":
+            "constant" if isinstance(rec.classification, Constant) else "nonconstant",
+        "mean": weighted_mean_of(rec),
+        "sup_fluct": sup_fluct_of(rec),
+        "diagnostics": rec.diagnostics.as_dict(),
+        "start": start_spec,
+    }
     _emit_json(payload, out_dir, "solution.json")
     if out_dir is not None:
         write_field(out_dir / "solution.field", rec.u, epsilon=eps, a=cfg.a)
@@ -312,8 +302,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     op = build_operator(cfg)
     grid = cfg.require_grid()
     pair = first_eigenpair(op)
-    result = rigidity_sweep(grid, cfg.a, op, cfg.n_starts, cfg.seed,
-                            opts=_newton_opts(cfg), threads=cfg.threads)
+    result = rigidity_sweep(grid, cfg.a, op, cfg.n_starts, cfg.seed, q=cfg.q,
+                            tol=cfg.newton_tol, threads=cfg.threads)
     spacing = min(np.diff(sorted(grid))) if len(grid) > 1 else 0.0
     payload = {
         "eps_hat": result.eps_hat,
@@ -364,7 +354,7 @@ def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         raise ConfigError("bifurcate needs bracket_lo and bracket_hi in the config")
     report = build_bifurcation_report(
         cfg.a, op, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.bif_tol,
-        amplitude=cfg.amplitude, opts=_newton_opts(cfg),
+        amplitude=cfg.amplitude, newton_tol=cfg.newton_tol,
     )
     payload = {
         "eps_star_detected": report.eps_star_detected,
@@ -405,13 +395,13 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None, field_path: str) -> i
         )
     if eps <= 0.0:
         eps = cfg.require_eps()
-    try:
-        params = ModelParams(a=a, epsilon=eps, q=cfg.q)
-    except ValueError as exc:
-        raise MeshFormatError(f"field file {field_path}: {exc}") from exc
+    if not a > 1.0:
+        raise MeshFormatError(f"field file {field_path}: a must exceed 1")
+    if not eps > 0.0:
+        raise MeshFormatError(f"field file {field_path}: epsilon must be positive")
     pair = first_eigenpair(op)
     tol = cfg.newton_tol if cfg.newton_tol is not None else default_tol(op)
-    report = run_diagnostics(values, eps, params, op, pair.mu1, newton_tol=tol)
+    report = run_diagnostics(values, eps, a, cfg.q, op, pair.mu1, newton_tol=tol)
     payload = {"field": str(field_path), "epsilon": eps, "a": a}
     payload.update(report.as_dict())
     _emit_json(payload, out_dir, "check.json")

@@ -27,7 +27,6 @@ from .linsolve import bordered, first_eigenpair, restricted_smallest_eigen
 from .meshing import DiscreteOperator
 from .model import bifurcation_epsilon, eval_f_prime_clipped, find_xi
 from .newton import (
-    NewtonOpts,
     Nonconstant,
     SolutionRecord,
     StartOutcome,
@@ -137,12 +136,13 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
 
 def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
                   amplitude: float | None = None,
-                  opts: NewtonOpts = NewtonOpts()) -> tuple[SolutionRecord, str]:
+                  tol: float | None = None) -> tuple[SolutionRecord, str]:
     """Jump onto the patterned branch just below the bifurcation point.
 
     Runs Newton at eps = (1 - SWITCH_DELTA)*eps_star from xi_a + amplitude*d
     over the candidate directions d (sup norm one, both signs); ``amplitude``
-    defaults to SWITCH_AMPLITUDE*xi_a and is the sup of the initial perturbation.
+    defaults to SWITCH_AMPLITUDE*xi_a and is the sup of the initial perturbation,
+    ``tol`` is the Newton residual target (None: ``newton.default_tol``).
     Returns the first patterned solution and the direction label used.
     Raises FellBackToConstantError when every start lands back on the
     constant branch (amplitude too small).
@@ -157,7 +157,7 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
     for name, direction in switch_directions(op):
         for sign in (1.0, -1.0):
             try:
-                rec = newton_solve(xi + sign * amplitude * direction, eps, a, op, opts)
+                rec = newton_solve(xi + sign * amplitude * direction, eps, a, op, tol)
             except (NoConvergenceError, SingularJacobianError):
                 continue
             if isinstance(rec.classification, Nonconstant):
@@ -174,9 +174,9 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
 
 
 def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
-                    op: DiscreteOperator,
-                    opts: NewtonOpts = NewtonOpts()) -> list[BranchPoint]:
-    """Natural continuation: warm-start Newton at each scheduled eps.
+                    op: DiscreteOperator, tol: float | None = None) -> list[BranchPoint]:
+    """Natural continuation: warm-start Newton (residual target ``tol``) at
+    each scheduled eps.
 
     A failed step is retried at the midpoint toward the last accepted eps,
     up to MAX_HALVINGS times per scheduled value; accepted intermediate
@@ -191,7 +191,7 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
         current = target
         while True:
             try:
-                rec = newton_solve(u_prev, current, a, op, opts)
+                rec = newton_solve(u_prev, current, a, op, tol)
             except (NoConvergenceError, SingularJacobianError) as exc:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
@@ -213,8 +213,9 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
 
 def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[float, float],
                              tol: float = 1e-8, amplitude: float | None = None,
-                             opts: NewtonOpts = NewtonOpts()) -> BifurcationReport:
-    """Detect the primary bifurcation, switch, and trace both directions.
+                             newton_tol: float | None = None) -> BifurcationReport:
+    """Detect the primary bifurcation to ``tol``, switch, and trace both
+    directions with Newton solves to ``newton_tol``.
 
     The patterned branch is continued down to BRANCH_DOWN_TO*eps_star and
     upward past the bifurcation (to BRANCH_UP_TO*eps_star), where it merges
@@ -225,19 +226,19 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
     predicted = bifurcation_epsilon(a, pair.mu1)
     gap = abs(eps_star - predicted) / predicted
 
-    switch, direction = branch_switch(eps_star, a, op, amplitude=amplitude, opts=opts)
+    switch, direction = branch_switch(eps_star, a, op, amplitude, newton_tol)
     lam0, _ = stability_indicator(switch.u, switch.epsilon, a, op)
     first_point = BranchPoint(switch.epsilon, switch, lam0)
 
     down_schedule = list(np.linspace(0.90 * eps_star, BRANCH_DOWN_TO * eps_star,
                                      BRANCH_DOWN_POINTS))
-    branch = [first_point] + continue_branch(switch, down_schedule, a, op, opts=opts)
+    branch = [first_point] + continue_branch(switch, down_schedule, a, op, newton_tol)
 
     # hop well across eps_star in one step: near the crossing the Jacobian
     # of the merged constant state is almost singular and Newton stalls
     up_schedule = [0.97 * eps_star] + list(
         np.linspace(1.05 * eps_star, BRANCH_UP_TO * eps_star, BRANCH_UP_POINTS))
-    upward = continue_branch(switch, up_schedule, a, op, opts=opts)
+    upward = continue_branch(switch, up_schedule, a, op, newton_tol)
 
     xi = find_xi(a)
     used = dict(switch_directions(op)).get(direction.lstrip("-"))
@@ -282,22 +283,23 @@ class SweepResult:
 
 
 def _sweep_one(args):
-    eps, a, op, n_starts, seed, opts = args
-    return eps, multi_start(eps, a, op, n_starts, seed, opts)
+    eps, a, op, n_starts, seed, q, tol = args
+    return eps, multi_start(eps, a, op, n_starts, seed, q, tol)
 
 
 def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
-                   n_starts: int, seed: int, opts: NewtonOpts = NewtonOpts(),
+                   n_starts: int, seed: int, q: float = 4.0, tol: float | None = None,
                    threads: int = 1) -> SweepResult:
     """Run the multi-start search at every grid value and tabulate how many
-    distinct states exist and whether any is nonconstant.
+    distinct states exist and whether any is nonconstant.  ``q`` and ``tol``
+    pass through to ``multi_start``.
 
     Deterministic for a fixed seed, grid, and mesh: each grid value gets the
     derived seed ``seed + 7919*index``.  Grid values are independent, so
     they may be distributed over worker processes.
     """
     tasks = [
-        (float(eps), a, op, n_starts, seed + 7919 * i, opts)
+        (float(eps), a, op, n_starts, seed + 7919 * i, q, tol)
         for i, eps in enumerate(eps_grid)
     ]
     if threads > 1:

@@ -1,4 +1,4 @@
-"""Quantitative checks applied to every computed steady state: the discrete
+"""Quantitative checks applied to every reported steady state: the discrete
 zero-average identity, the L1 bound on the reaction term, the mean bounds,
 exponential integrability of the fluctuation, the energy identity, the
 spectral-gap inequality, and the discrete Green representation.
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ZeroFieldError
 from .linsolve import bordered, mass_norm, project_mean_zero, solve_projected, weighted_mean
 from .meshing import DiscreteOperator, mesh_size
-from .model import ModelParams, eval_f_clipped, find_xi
+from .model import eval_f_clipped, find_xi
 
 # The tolerance policy of the suite.  The identities hold to a multiple of
 # the Newton residual target newton_tol; the bounds hold up to a fixed slack.
@@ -183,7 +183,7 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def run_diagnostics(u: np.ndarray, eps: float, params: ModelParams, op: DiscreteOperator,
+def run_diagnostics(u: np.ndarray, eps: float, a: float, q: float, op: DiscreteOperator,
                     mu1: float, newton_tol: float) -> DiagnosticsReport:
     """Evaluate the full check suite on one field.
 
@@ -191,7 +191,6 @@ def run_diagnostics(u: np.ndarray, eps: float, params: ModelParams, op: Discrete
     above).  For a numerically constant field the spectral-gap ratio is
     reported as 1 (both sides vanish).
     """
-    a, q = params.a, params.q
     m = op.lumped_mass
     v = project_mean_zero(u, m)
     if mass_norm(v, m) <= 1e-14 * (1.0 + abs(weighted_mean(u, m))) * np.sqrt(m.sum()):

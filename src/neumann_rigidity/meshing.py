@@ -101,16 +101,19 @@ def _boundary_nodes(triangles: np.ndarray) -> np.ndarray:
     return np.unique(edges[counts == 1])
 
 
-def _check_triangulation(nodes: np.ndarray, triangles: np.ndarray) -> None:
+def _check_triangulation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Run the ``validate_mesh`` checks; returns the (positive) triangle areas."""
     if triangles.shape[0] == 0:
         raise MeshFormatError("triangulation has no triangles")
     if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
         raise MeshFormatError("triangle indices out of range")
-    if np.any(_signed_areas(nodes, triangles) <= 0.0):
+    areas = _signed_areas(nodes, triangles)
+    if np.any(areas <= 0.0):
         raise MeshFormatError("triangulation contains inverted or flat triangles")
     _, counts = _edge_counts(triangles)
     if np.any(counts > 2):
         raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
+    return areas
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -226,12 +229,11 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
     rotated opposite edge divided by twice the area, so the local stiffness
     entry (i, j) is dot(e_i, e_j) / (4*area).  Fails on inverted triangles.
     """
-    validate_mesh(mesh)
     nodes, triangles = mesh.nodes, mesh.triangles
+    areas = _check_triangulation(nodes, triangles)
     p0 = nodes[triangles[:, 0]]
     p1 = nodes[triangles[:, 1]]
     p2 = nodes[triangles[:, 2]]
-    areas = 0.5 * _cross2(p1 - p0, p2 - p0)
 
     edges = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)  # (t, 3, 2): edge opposite vertex k
     rows, cols, vals = [], [], []
@@ -250,24 +252,25 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
         raise MeshFormatError("assembled stiffness is not symmetric")
     a_mat = (a_mat + a_mat.T) * 0.5
 
-    lumped = np.zeros(n)
-    np.add.at(lumped, triangles.ravel(), np.repeat(areas / 3.0, 3))
+    lumped = np.bincount(triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=n)
     if np.any(lumped <= 0.0):
         raise MeshFormatError("lumped mass has nonpositive entries")
 
-    area, diameter = domain_metrics(mesh)
-    return DiscreteOperator(
-        stiffness=a_mat, lumped_mass=lumped, area=area, diameter=diameter, mesh=mesh
-    )
+    return DiscreteOperator(stiffness=a_mat, lumped_mass=lumped, area=float(areas.sum()),
+                            diameter=_diameter(mesh), mesh=mesh)
 
 
 def domain_metrics(mesh: Mesh) -> tuple[float, float]:
     """Polygonal area (sum of triangle areas) and diameter (max pairwise
     distance over boundary nodes: a polygon's diameter joins two of its
-    vertices).  Squared distances are taken a block of rows at a time
-    against the rows that follow, keeping memory O(block*b); sqrt is applied
-    once, to the largest."""
-    areas = _signed_areas(mesh.nodes, mesh.triangles)
+    vertices)."""
+    return float(_signed_areas(mesh.nodes, mesh.triangles).sum()), _diameter(mesh)
+
+
+def _diameter(mesh: Mesh) -> float:
+    """Largest distance between boundary nodes.  Squared distances are taken
+    a block of rows at a time against the rows that follow, keeping memory
+    O(block*b); sqrt is applied once, to the largest."""
     x, y = mesh.nodes[mesh.boundary_nodes].T
     block = 64
     d2 = max(
@@ -275,7 +278,7 @@ def domain_metrics(mesh: Mesh) -> tuple[float, float]:
          for s in range(0, len(x), block)),
         default=0.0,
     )
-    return float(areas.sum()), float(np.sqrt(d2))
+    return float(np.sqrt(d2))
 
 
 def mesh_size(mesh: Mesh) -> float:

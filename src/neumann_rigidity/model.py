@@ -17,27 +17,6 @@ import numpy as np
 SATURATION_EXPONENT = 700.0
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Scalar data of the problem: reaction coefficient, diffusion, exponent.
-
-    ``a`` must exceed 1 (two constant states), ``epsilon`` must be positive,
-    and the integrability exponent ``q`` must exceed 2.
-    """
-
-    a: float
-    epsilon: float
-    q: float = 4.0
-
-    def __post_init__(self):
-        if not self.a > 1.0:
-            raise ValueError("a must exceed 1")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if not self.q > 2.0:
-            raise ValueError("q must exceed 2")
-
-
 def eval_f(t: float, a: float) -> float:
     """Reaction term e^t - 1 - a*t (saturates to +inf for huge t).
 
@@ -132,8 +111,9 @@ class ConstantChain:
         return lipschitz_bound(m_sup, self.a)
 
 
-def constant_chain(params: ModelParams, area: float, diameter: float) -> ConstantChain:
-    """Evaluate the closed-form constant chain for a domain of the given
+def constant_chain(a: float, q: float, area: float, diameter: float) -> ConstantChain:
+    """Evaluate the closed-form constant chain for reaction coefficient
+    ``a`` > 1, integrability exponent ``q`` > 2, and a domain of the given
     area and diameter.
 
     c0 = a*log(a) - a + 1 is minus the global minimum of f, c1 = 2*c0*area
@@ -141,11 +121,12 @@ def constant_chain(params: ModelParams, area: float, diameter: float) -> Constan
     the diffusion level above which e^(q|u - mean|) is uniformly integrable,
     and 2*pi*D**2 bounds the kernel integral sup_y of D/|x-y|.
     """
+    if not q > 2.0:
+        raise ValueError("q must exceed 2")
     if not area > 0.0:
         raise ValueError("area must be positive")
     if not diameter > 0.0:
         raise ValueError("diameter must be positive")
-    a, q = params.a, params.q
     xi_a = find_xi(a)
     c0 = a * np.log(a) - a + 1.0
     c1 = 2.0 * c0 * area

@@ -2,6 +2,10 @@
 eps*A*u = m*f(u), a deterministic multi-start search over its solution set,
 and classification of converged states as constant or patterned.
 
+``newton_solve`` returns a bare record; ``attach_diagnostics`` runs the
+check suite on one, and ``multi_start`` runs it on each distinct state it
+reports.
+
 The Newton linear step splits into mean and fluctuation parts.  The
 fluctuation part is a mean-zero solve with the symmetric Jacobian
 eps*A - diag(m*f'(u)); the mean part comes from the mass-weighted row sum,
@@ -22,11 +26,11 @@ from .diagnostics import DiagnosticsReport, run_diagnostics
 from .errors import NoConvergenceError, SingularJacobianError
 from .linsolve import bordered, dual_norm, first_eigenpair, solve_projected, weighted_mean
 from .meshing import DiscreteOperator
-from .model import ModelParams, eval_f_clipped, eval_f_prime_clipped, find_xi
+from .model import eval_f_clipped, eval_f_prime_clipped, find_xi
 
 __all__ = [
-    "Constant", "Nonconstant", "SolutionRecord", "NewtonOpts", "StartOutcome",
-    "MultiStartResult", "residual", "jacobian", "newton_solve", "classify",
+    "Constant", "Nonconstant", "SolutionRecord", "StartOutcome", "MultiStartResult",
+    "residual", "jacobian", "newton_solve", "attach_diagnostics", "classify",
     "weighted_mean", "multi_start", "dedup_records", "switch_directions",
 ]
 
@@ -55,7 +59,8 @@ Classification = Constant | Nonconstant
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """A converged steady state with its classification and check report."""
+    """A converged steady state with its classification; the check report is
+    None until ``attach_diagnostics`` fills it in."""
 
     u: np.ndarray
     epsilon: float
@@ -65,21 +70,8 @@ class SolutionRecord:
     diagnostics: DiagnosticsReport | None = None
 
 
-@dataclass(frozen=True)
-class NewtonOpts:
-    """Newton solve options.
-
-    ``tol`` is the mass-weighted residual norm target; if None it defaults
-    to 1e-10*(1 + total mass), which is mesh-size independent.  ``q`` is
-    the integrability exponent the check report uses.
-    """
-
-    tol: float | None = None
-    attach_diagnostics: bool = True
-    q: float = 4.0
-
-
 def default_tol(op: DiscreteOperator) -> float:
+    """Residual target 1e-10*(1 + total mass), independent of the mesh size."""
     return 1e-10 * (1.0 + float(op.lumped_mass.sum()))
 
 
@@ -132,8 +124,9 @@ def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
 
 
 def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
-                 opts: NewtonOpts = NewtonOpts()) -> SolutionRecord:
-    """Damped Newton iteration from u0; raises on failure.
+                 tol: float | None = None) -> SolutionRecord:
+    """Damped Newton iteration from u0 to the mass-weighted residual norm
+    ``tol`` (None: ``default_tol(op)``); raises on failure.
 
     Backtracks alpha in {1, 1/2, 1/4, ...} until the mass-weighted residual
     norm strictly decreases; raises NoConvergenceError on the iteration cap
@@ -143,7 +136,8 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     m = op.lumped_mass
-    tol = opts.tol if opts.tol is not None else default_tol(op)
+    if tol is None:
+        tol = default_tol(op)
 
     u = np.asarray(u0, dtype=float).copy()
     if u.shape != m.shape:
@@ -179,26 +173,17 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
         history.append(rnorm)
         iters += 1
 
-    record = SolutionRecord(
-        u=u,
-        epsilon=eps,
-        residual_norm=rnorm,
-        newton_iters=iters,
-        classification=classify(u, m),
-        diagnostics=None,
-    )
-    if opts.attach_diagnostics:
-        record = attach_diagnostics(record, a, op, opts)
-    return record
+    return SolutionRecord(u=u, epsilon=eps, residual_norm=rnorm, newton_iters=iters,
+                          classification=classify(u, m))
 
 
-def attach_diagnostics(record: SolutionRecord, a: float, op: DiscreteOperator,
-                       opts: NewtonOpts = NewtonOpts()) -> SolutionRecord:
-    """Fill in the check report of a converged record (replaces the field)."""
-    tol = opts.tol if opts.tol is not None else default_tol(op)
-    params = ModelParams(a=a, epsilon=record.epsilon, q=opts.q)
-    report = run_diagnostics(record.u, record.epsilon, params, op, first_eigenpair(op).mu1,
-                             newton_tol=tol)
+def attach_diagnostics(record: SolutionRecord, a: float, q: float, op: DiscreteOperator,
+                       tol: float | None = None) -> SolutionRecord:
+    """The record with its check report filled in; ``q`` is the integrability
+    exponent and ``tol`` the Newton residual target the record was solved to
+    (None: ``default_tol(op)``)."""
+    report = run_diagnostics(record.u, record.epsilon, a, q, op, first_eigenpair(op).mu1,
+                             newton_tol=tol if tol is not None else default_tol(op))
     return replace(record, diagnostics=report)
 
 
@@ -247,10 +232,13 @@ def switch_directions(op: DiscreteOperator) -> list[tuple[str, np.ndarray]]:
 
 def start_family(eps: float, a: float, op: DiscreteOperator, n_starts: int,
                  seed: int) -> list[tuple[str, np.ndarray]]:
-    """Deterministic start states: the three distinguished constants,
+    """Deterministic start states: the constant states 0 and xi_a,
     perturbations of xi_a along the ``switch_directions`` (relative sup
     amplitudes 0.15, 0.45 and 1, both signs, smallest first), then seeded
     uniform noise fields.
+
+    The constant log(a) is left out: f'(log a) = 0 makes the mean-mode
+    equation of the first Newton step degenerate.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -259,7 +247,6 @@ def start_family(eps: float, a: float, op: DiscreteOperator, n_starts: int,
     starts: list[tuple[str, np.ndarray]] = [
         ("const:0", np.zeros(n)),
         ("const:xi", np.full(n, xi)),
-        ("const:log_a", np.full(n, np.log(a))),
     ]
     directions = switch_directions(op)
     for amp in (0.15, -0.15, 0.45, -0.45, 1.0, -1.0):
@@ -303,15 +290,15 @@ def sup_fluct_of(record: SolutionRecord) -> float:
 
 
 def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
-                seed: int, opts: NewtonOpts = NewtonOpts()) -> MultiStartResult:
-    """Newton from the deterministic start family; returns deduplicated
-    solutions plus a per-start log (failures are recorded, never fatal)."""
+                seed: int, q: float = 4.0, tol: float | None = None) -> MultiStartResult:
+    """Newton to residual ``tol`` from the deterministic start family; returns
+    the deduplicated solutions, each with its check report at exponent ``q``,
+    plus a per-start log (failures are recorded, never fatal)."""
     runs: list[StartOutcome] = []
     found: list[SolutionRecord] = []
-    bare = replace(opts, attach_diagnostics=False)
     for start_id, (label, u0) in enumerate(start_family(eps, a, op, n_starts, seed)):
         try:
-            rec = newton_solve(u0, eps, a, op, bare)
+            rec = newton_solve(u0, eps, a, op, tol)
         except (NoConvergenceError, SingularJacobianError) as exc:
             runs.append(StartOutcome(start_id, label, eps, False, type(exc).__name__,
                                      None, None, None, None, None))
@@ -324,7 +311,5 @@ def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
             rec.residual_norm, rec.newton_iters,
         ))
         found.append(rec)
-    distinct = dedup_records(found)
-    if opts.attach_diagnostics:
-        distinct = [attach_diagnostics(rec, a, op, opts) for rec in distinct]
+    distinct = [attach_diagnostics(rec, a, q, op, tol) for rec in dedup_records(found)]
     return MultiStartResult(distinct=distinct, runs=runs)

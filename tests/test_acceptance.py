@@ -34,7 +34,7 @@ from neumann_rigidity import (
     residual,
     weighted_mean,
 )
-from neumann_rigidity.model import ModelParams, constant_chain, eval_f_prime
+from neumann_rigidity.model import constant_chain, eval_f_prime
 from neumann_rigidity.newton import default_tol, sup_fluct_of
 
 A = 2.0
@@ -63,8 +63,7 @@ def test_criterion_1_scalar_chain():
     xi = find_xi(A)
     ok_xi = abs(xi - xi_oracle) <= 1e-10
 
-    chain = constant_chain(ModelParams(a=A, epsilon=1.0, q=4.0), area=1.0,
-                           diameter=np.sqrt(2.0))
+    chain = constant_chain(A, 4.0, area=1.0, diameter=np.sqrt(2.0))
     c0_exact = 2.0 * np.log(2.0) - 1.0
     ok_c0 = abs(chain.c0 - c0_exact) <= 1e-12
     ok_eps0 = abs(chain.eps0_of_q - 4.0 * chain.c1 / np.pi) <= 1e-12
@@ -184,8 +183,7 @@ def test_criterion_6_branch_behavior(square32):
 
 def test_criterion_7_jensen_green(square20, square32, disk4, sweep_result):
     result = sweep_result["result"]
-    chain = constant_chain(ModelParams(a=A, epsilon=1.0, q=4.0),
-                           area=square20.area, diameter=square20.diameter)
+    chain = constant_chain(A, 4.0, area=square20.area, diameter=square20.diameter)
     eps0 = chain.eps0_of_q
     m = square20.lumped_mass
 

@@ -275,6 +275,13 @@ class TestCheckCommand:
         assert main(["check", "--config", str(cfg), "--field", str(field)]) == 4
         assert "a must exceed 1" in capsys.readouterr().err
 
+    def test_field_with_nan_epsilon_exits_4(self, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        field = tmp_path / "u.field"
+        write_field(field, np.zeros(21 * 21), epsilon=float("nan"), a=2.0)
+        assert main(["check", "--config", str(cfg), "--field", str(field)]) == 4
+        assert "epsilon must be positive" in capsys.readouterr().err
+
     def test_truncated_field_exits_4(self, tmp_path):
         cfg = make_config(tmp_path)
         field = tmp_path / "bad.field"

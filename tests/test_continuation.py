@@ -136,9 +136,14 @@ class TestContinueBranch:
         assert abs(lam - bp.stability_indicator) <= 1e-6 * max(1.0, abs(lam))
 
 
+@pytest.fixture(scope="class")
+def report20(square20):
+    return build_bifurcation_report(A, square20, (0.10, 0.20), tol=1e-8)
+
+
 class TestBifurcationReport:
-    def test_report_structure(self, square20):
-        report = build_bifurcation_report(A, square20, (0.10, 0.20), tol=1e-8)
+    def test_report_structure(self, square20, report20):
+        report = report20
         assert report.relative_gap <= 1e-6
         assert report.mu1 == pytest.approx(first_eigenpair(square20).mu1)
         assert len(report.branch) >= 3
@@ -151,6 +156,11 @@ class TestBifurcationReport:
         # upward side merges with the constant branch
         last_up = report.upward_branch[-1].solution
         assert isinstance(last_up.classification, Constant)
+
+    def test_branch_points_carry_no_report(self, report20):
+        # the check suite runs only where a result is reported
+        points = report20.branch + report20.upward_branch
+        assert report20.upward_branch and all(p.solution.diagnostics is None for p in points)
 
 
 class TestRigiditySweep:

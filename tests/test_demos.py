@@ -1,7 +1,8 @@
-"""Every demo script runs to completion against the package source.
+"""Every demo script, and the README's library quick start, runs to
+completion against the package source.
 
-Each demo runs in its own interpreter with ``src`` on the path and, like
-the rest of the suite, with ``RuntimeWarning`` turned into an error.
+Each runs in its own interpreter with ``src`` on the path and, like the
+rest of the suite, with ``RuntimeWarning`` turned into an error.
 Demo 04 rewrites ``demos/branch.csv``.
 """
 
@@ -16,9 +17,22 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
+def run_python(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_python(str(script))
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Constant(value=1.2564" in proc.stdout

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from neumann_rigidity import (
-    ModelParams,
     bordered,
     check_energy_identity,
     check_exp_integrability,
@@ -208,8 +207,7 @@ class TestFullReport:
     def test_pattern_report_passes_suite(self, square32, pattern32):
         pair = first_eigenpair(square32)
         tol = default_tol(square32)
-        report = run_diagnostics(pattern32.u, pattern32.epsilon,
-                                 ModelParams(a=A, epsilon=pattern32.epsilon, q=4.0),
+        report = run_diagnostics(pattern32.u, pattern32.epsilon, A, 4.0,
                                  square32, pair.mu1, newton_tol=tol)
         assert report.ok
         assert report.poincare_ratio >= 1.0 - 1e-8
@@ -219,8 +217,7 @@ class TestFullReport:
     def test_constant_report(self, square20):
         pair = first_eigenpair(square20)
         tol = default_tol(square20)
-        report = run_diagnostics(np.full(square20.n, XI), 1.0,
-                                 ModelParams(a=A, epsilon=1.0, q=4.0),
+        report = run_diagnostics(np.full(square20.n, XI), 1.0, A, 4.0,
                                  square20, pair.mu1, newton_tol=tol)
         assert report.ok
         assert report.poincare_ratio == 1.0  # vacuous for a constant
@@ -228,8 +225,7 @@ class TestFullReport:
 
     def test_report_serializable(self, square20):
         pair = first_eigenpair(square20)
-        report = run_diagnostics(np.zeros(square20.n), 1.0,
-                                 ModelParams(a=A, epsilon=1.0, q=4.0),
+        report = run_diagnostics(np.zeros(square20.n), 1.0, A, 4.0,
                                  square20, pair.mu1, newton_tol=default_tol(square20))
         d = report.as_dict()
         assert set(d) == {
@@ -241,8 +237,7 @@ class TestFullReport:
 
     def test_overstated_mu1_fails_poincare(self, square32, pattern32):
         mu1 = 1.5 * first_eigenpair(square32).mu1
-        report = run_diagnostics(pattern32.u, pattern32.epsilon,
-                                 ModelParams(a=A, epsilon=pattern32.epsilon, q=4.0),
+        report = run_diagnostics(pattern32.u, pattern32.epsilon, A, 4.0,
                                  square32, mu1, newton_tol=default_tol(square32))
         # only the spectral gap can catch a wrong mu1
         assert report.zero_avg_ok and report.l1_ok and report.mean_in_bounds

@@ -9,7 +9,6 @@ from scipy.sparse.linalg import splu
 import neumann_rigidity.linsolve as linsolve
 from neumann_rigidity import (
     BorderedSystem,
-    NewtonOpts,
     assemble,
     bordered,
     build_disk_mesh,
@@ -147,7 +146,7 @@ class TestBorderedSystem:
 
         monkeypatch.setattr(linsolve, "splu", counting_splu)
         op = assemble(build_rectangle_mesh(20, 20, 1.0, 1.0))  # nothing cached yet
-        result = multi_start(0.12, 2.0, op, 12, seed=0, opts=NewtonOpts())
+        result = multi_start(0.12, 2.0, op, 12, seed=0)
         assert result.distinct and all(r.diagnostics is not None for r in result.distinct)
         stability_indicator(result.distinct[0].u, 0.12, 2.0, op)
         assert specs == ["MMD_AT_PLUS_A"]

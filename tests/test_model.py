@@ -6,7 +6,6 @@ from scipy.special import lambertw
 
 from neumann_rigidity import (
     ConstantChain,
-    ModelParams,
     bifurcation_epsilon,
     constant_chain,
     eval_f,
@@ -136,25 +135,9 @@ class TestJensenEquality:
         assert eval_f(xi + d, a) > 0.0
 
 
-class TestModelParams:
-    def test_valid(self):
-        p = ModelParams(a=2.0, epsilon=0.5, q=4.0)
-        assert p.q == 4.0
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(a=1.0, epsilon=1.0, q=4.0),
-        dict(a=2.0, epsilon=0.0, q=4.0),
-        dict(a=2.0, epsilon=1.0, q=2.0),
-    ])
-    def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            ModelParams(**kwargs)
-
-
 class TestConstantChain:
     def test_reference_values(self):
-        chain = constant_chain(ModelParams(a=2.0, epsilon=1.0, q=4.0),
-                               area=1.0, diameter=np.sqrt(2.0))
+        chain = constant_chain(2.0, 4.0, area=1.0, diameter=np.sqrt(2.0))
         c0 = 2.0 * np.log(2.0) - 1.0
         assert chain.c0 == pytest.approx(c0, abs=1e-12)
         assert chain.c1 == pytest.approx(2.0 * c0, abs=1e-12)
@@ -163,13 +146,12 @@ class TestConstantChain:
         assert chain.xi_a == pytest.approx(XI_2, abs=1e-10)
 
     def test_linear_in_area(self):
-        p = ModelParams(a=2.0, epsilon=1.0, q=4.0)
-        tiny = constant_chain(p, area=1e-12, diameter=1.0)
+        tiny = constant_chain(2.0, 4.0, area=1e-12, diameter=1.0)
         assert tiny.c1 <= 1e-11
         assert tiny.eps0_of_q <= 1e-11
 
     def test_lipschitz_value(self):
-        chain = constant_chain(ModelParams(a=2.0, epsilon=1.0, q=4.0), 1.0, 1.0)
+        chain = constant_chain(2.0, 4.0, 1.0, 1.0)
         assert chain.lipschitz_k(2.0) == pytest.approx(np.exp(2.0) - 2.0, abs=1e-12)
         assert lipschitz_bound(2.0, 2.0) == pytest.approx(5.389056, abs=1e-6)
         # for small M the e^-M side dominates
@@ -182,14 +164,21 @@ class TestConstantChain:
             rigidity_threshold(2.0, 2.0, 0.0)
 
     def test_rejects_degenerate_domain(self):
-        p = ModelParams(a=2.0, epsilon=1.0, q=4.0)
         with pytest.raises(ValueError):
-            constant_chain(p, area=0.0, diameter=1.0)
+            constant_chain(2.0, 4.0, area=0.0, diameter=1.0)
         with pytest.raises(ValueError):
-            constant_chain(p, area=1.0, diameter=0.0)
+            constant_chain(2.0, 4.0, area=1.0, diameter=0.0)
+
+    @pytest.mark.parametrize("a, q, message", [
+        pytest.param(1.0, 4.0, "a must exceed 1", id="a"),
+        pytest.param(2.0, 2.0, "q must exceed 2", id="q"),
+    ])
+    def test_rejects_model_parameters(self, a, q, message):
+        with pytest.raises(ValueError, match=message):
+            constant_chain(a, q, area=1.0, diameter=1.0)
 
     def test_is_frozen_dataclass(self):
-        chain = constant_chain(ModelParams(a=2.0, epsilon=1.0, q=4.0), 1.0, 1.0)
+        chain = constant_chain(2.0, 4.0, 1.0, 1.0)
         assert isinstance(chain, ConstantChain)
         with pytest.raises(AttributeError):
             chain.c0 = 0.0

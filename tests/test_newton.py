@@ -6,9 +6,10 @@ import pytest
 
 from neumann_rigidity import (
     Constant,
-    NewtonOpts,
     Nonconstant,
     SolutionRecord,
+    attach_diagnostics,
+    check_exp_integrability,
     classify,
     dual_norm,
     find_xi,
@@ -17,6 +18,7 @@ from neumann_rigidity import (
     multi_start,
     newton_solve,
     residual,
+    run_diagnostics,
     weighted_mean,
 )
 from neumann_rigidity.errors import NoConvergenceError, SingularJacobianError
@@ -138,8 +140,13 @@ class TestNewtonSolve:
 
     def test_diagnostics_attached(self, square20):
         rec = newton_solve(np.full(square20.n, 0.9 * XI), 1.0, A, square20)
-        assert rec.diagnostics is not None
-        assert rec.diagnostics.mean_in_bounds
+        assert rec.diagnostics is None
+        checked = attach_diagnostics(rec, A, 4.0, square20)
+        assert checked.diagnostics == run_diagnostics(
+            rec.u, 1.0, A, 4.0, square20, first_eigenpair(square20).mu1,
+            newton_tol=default_tol(square20))
+        assert checked.diagnostics.mean_in_bounds
+        assert checked.u is rec.u and checked.classification == rec.classification
 
     def test_rejects_bad_eps(self, square20):
         with pytest.raises(ValueError):
@@ -219,7 +226,7 @@ class TestStartFamily:
 
 class TestDedup:
     def _record(self, u, square16):
-        return newton_solve(u, 1.0, A, square16, NewtonOpts(attach_diagnostics=False))
+        return newton_solve(u, 1.0, A, square16)
 
     def test_permutation_invariant(self, square16, rng):
         recs = [
@@ -267,9 +274,20 @@ class TestMultiStart:
     def test_per_start_log(self, square16):
         result = multi_start(1.0, A, square16, 12, seed=0)
         assert len(result.runs) == 12
-        log_a_runs = [r for r in result.runs if r.label == "const:log_a"]
-        assert len(log_a_runs) == 1 and not log_a_runs[0].converged
-        assert sum(r.converged for r in result.runs) >= 2
+        assert [r.start_id for r in result.runs] == list(range(12))
+        labels = [r.label for r in result.runs]
+        assert labels[:2] == ["const:0", "const:xi"] and "const:log_a" not in labels
+        # the singular constant log(a) is not tried, so both constants converge
+        assert result.runs[0].converged and result.runs[1].converged
+        for r in result.runs:
+            assert r.converged == (r.failure is None) == (r.iters is not None)
+
+    def test_reports_use_q(self, square20):
+        result = multi_start(0.125, A, square20, 15, seed=0, q=3.0)
+        m = square20.lumped_mass
+        assert any(isinstance(r.classification, Nonconstant) for r in result.distinct)
+        for rec in result.distinct:
+            assert rec.diagnostics.exp_integral_q == check_exp_integrability(rec.u, m, 3.0)[0]
 
     def test_deterministic_given_seed(self, square16):
         r1 = multi_start(0.5, A, square16, 10, seed=42)
