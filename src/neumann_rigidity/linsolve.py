@@ -2,30 +2,35 @@
 no-flux eigenvalue by shift-invert Lanczos.
 
 The stiffness matrix of the natural boundary condition annihilates
-constants, so linear solves live on the weighted-mean-zero subspace.  One
-LU factorization of the bordered matrix
+constants, so linear solves live on the weighted-mean-zero subspace.  Every
+solve returns the field part of the bordered system
 
     K = [[B, m], [m', 0]],   B = scale*A - diag(d),
 
-does the whole job: its solution of  B x + m*lam = b,  m'x = 0  is the
-weighted-mean-zero solution of B x = b with the range-incompatible part of b
-(along the mass vector) absorbed by the multiplier lam.  The same factors of
+whose solution of  B x + m*lam = b,  m'x = 0  is the weighted-mean-zero
+solution of B x = b with the range-incompatible part of b (along the mass
+vector) absorbed by the multiplier lam.  The same solves of
 B - shift*M are the shift-invert operator of the eigensolver; they send
 constants to zero, which restricts the spectrum to mean-zero fields without
 any projection.
 
 Every matrix the package solves with (Poisson, Newton Jacobians, shifted
-stability pencils) has the form of B above.  The Poisson matrix K(1, 0) is
-factored once per operator by SuperLU with minimum-degree ordering on the
-pattern of K + K' (``MMD_AT_PLUS_A``); B = A is singular, so only the
-bordered matrix can be factored, and that factor serves the Poisson solves
-and mu1.  Every B with a nonzero diagonal d is factored on its own: reverse
-Cuthill-McKee ordering, computed once per operator, puts the P1 pattern in
-a band of half-width k (21 on the 20x20 square, 65 on 64x64), LAPACK's
-band LU ``dgbtrf`` factors it, and the border is closed by the Schur
-complement s = m'B^{-1}m: x = y - B^{-1}m (m'y)/s with y = B^{-1}b.  K is
-singular exactly when s = 0.  The factors do not pickle; a pickled system
-carries only its matrix and mass and refactors when it is loaded.
+stability pencils) has the form of B above.  The Poisson matrix B = A is
+singular, with the constants as its kernel on a connected mesh, so it is
+grounded: node 0 is removed and A[1:, 1:], which is then symmetric positive
+definite, is factored once per operator by SuperLU with minimum-degree
+ordering on the pattern of A + A' (``MMD_AT_PLUS_A``).  Since 1'A = 0 the
+multiplier is lam = sum(b)/sum(m) in closed form; A x = b - lam*m is solved
+with x[0] = 0, and removing the weighted mean of x gives the bordered
+solution (Bochev & Lehoucq, SIAM Review 47(1), 2005).  That factor serves
+the Poisson solves and mu1.  Every B with a nonzero diagonal d is factored
+on its own: reverse Cuthill-McKee ordering, computed once per operator,
+puts the P1 pattern in a band of half-width k (21 on the 20x20 square, 65
+on 64x64), LAPACK's band LU ``dgbtrf`` factors it, and the border is closed
+by the Schur complement s = m'B^{-1}m: x = y - B^{-1}m (m'y)/s with
+y = B^{-1}b.  K is singular exactly when s = 0.  The factors do not pickle;
+a pickled system carries only its matrix and mass and refactors when it is
+loaded.
 """
 
 from __future__ import annotations
@@ -76,22 +81,27 @@ def project_mean_zero(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return v - np.dot(m, v) / m.sum()
 
 
-class BorderedFactor:
-    """SuperLU factors of the Poisson bordered matrix K(1, 0).
+class PoissonFactor:
+    """SuperLU factors of the Poisson matrix A grounded at node 0.
 
-    ``solve`` returns the field part of K^{-1} [b; 0] for an (n,) or (n, k)
-    right-hand side, divided by ``scale``: the solution for K(scale, 0).
+    ``solve`` takes an (n,) or (n, k) right-hand side b, sets the multiplier
+    lam = sum(b)/sum(m) (exact, since 1'A = 0), solves A x = b - lam*m with
+    x[0] = 0 from the factors of A[1:, 1:], removes the weighted mean of x
+    and divides by ``scale``: the field part of K^{-1} [b; 0] for K(scale, 0).
     """
 
-    def __init__(self, lu, scale: float = 1.0):
+    def __init__(self, lu, m: np.ndarray, scale: float = 1.0):
         self.lu = lu
+        self.m = m
         self.scale = scale
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        n = b.shape[0]
-        x = self.lu.solve(np.concatenate([b, np.zeros((1,) + b.shape[1:])]))[:n] / self.scale
-        return _finite(x)
+        m = self.m
+        r = b - np.multiply.outer(m, b.sum(axis=0) / m.sum())
+        x = np.zeros_like(r)
+        x[1:] = self.lu.solve(r[1:])
+        return _finite((x - np.dot(m, x) / m.sum()) / self.scale)
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -164,11 +174,13 @@ class BorderedSystem:
 
         K(scale, d) = [[scale*A - diag(d), m], [m', 0]]
 
-    of one operator.  Construction factors the Poisson case K(1, 0) with
-    SuperLU's minimum-degree ordering on the pattern of K + K'
-    (``MMD_AT_PLUS_A``) and keeps that factor.  Every K with a nonzero
-    diagonal d is factored through B = scale*A - diag(d): its entries fill a
-    band array in the reverse Cuthill-McKee order of A, computed on the
+    of one operator.  Construction grounds the Poisson case K(1, 0) at node
+    0: it factors A[1:, 1:], symmetric positive definite on a connected
+    mesh, with SuperLU's minimum-degree ordering on the pattern of A + A'
+    (``MMD_AT_PLUS_A``) and keeps that factor, whose solves recover the
+    multiplier sum(b)/sum(m) in closed form.  Every K with a nonzero
+    diagonal d is factored through B = scale*A - diag(d): its entries fill
+    a band array in the reverse Cuthill-McKee order of A, computed on the
     first such call, LAPACK's ``dgbtrf`` factors it, and the border is
     closed by the Schur complement m'B^{-1}m.
     """
@@ -177,13 +189,11 @@ class BorderedSystem:
         self.a_mat = a_mat
         self.m = np.asarray(m, dtype=float)
         self.n = self.m.shape[0]
-        border = sp.csc_matrix(self.m.reshape(-1, 1))
         try:
-            lu = splu(sp.bmat([[a_mat, border], [border.T, None]], format="csc"),
-                      permc_spec="MMD_AT_PLUS_A")
+            lu = splu(sp.csc_matrix(a_mat)[1:, 1:], permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise NoConvergenceError(f"bordered matrix is singular: {exc}") from exc
-        self._poisson = BorderedFactor(lu)
+            raise NoConvergenceError(f"grounded Poisson matrix is singular: {exc}") from exc
+        self._poisson = PoissonFactor(lu, self.m)
         self._band: _Band | None = None  # laid out on the first band factor
 
     def __reduce__(self):
@@ -192,7 +202,7 @@ class BorderedSystem:
         return BorderedSystem, (self.a_mat, self.m)
 
     def factor(self, scale: float = 1.0,
-               d: np.ndarray | float | None = None) -> BorderedFactor | BandFactor:
+               d: np.ndarray | float | None = None) -> PoissonFactor | BandFactor:
         """Factors of K(scale, d); the default call returns the Poisson factor.
         With d omitted or zero, B = scale*A is singular and K(scale, 0) is
         served by the Poisson factor, its solution divided by scale.
@@ -204,7 +214,7 @@ class BorderedSystem:
         LU, or a Schur complement |m'B^{-1}m| <= n*eps*|m|'|B^{-1}m|.
         """
         if d is None or not np.any(d):
-            return self._poisson if scale == 1.0 else BorderedFactor(self._poisson.lu, scale)
+            return self._poisson if scale == 1.0 else PoissonFactor(self._poisson.lu, self.m, scale)
         if self._band is None:
             self._band = _band(self.a_mat)
         band, n = self._band, self.n

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshFormatError
 
@@ -110,16 +111,24 @@ def _check_triangulation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray
     areas = _signed_areas(nodes, triangles)
     if np.any(areas <= 0.0):
         raise MeshFormatError("triangulation contains inverted or flat triangles")
-    _, counts = _edge_counts(triangles)
+    edges, counts = _edge_counts(triangles)
     if np.any(counts > 2):
         raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
+    n = nodes.shape[0]
+    graph = sp.coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    n_parts = connected_components(graph, directed=False, return_labels=False)
+    if n_parts > 1:
+        raise MeshFormatError(f"triangulation is not connected: {n_parts} components")
     return areas
 
 
 def validate_mesh(mesh: Mesh) -> None:
     """Raise if the triangulation is empty, indexes a missing node, or is
-    degenerate or non-conforming (checked in that order, so each check may
-    rely on the ones before it)."""
+    degenerate, non-conforming or disconnected (checked in that order, so
+    each check may rely on the ones before it).  A node that no triangle
+    uses is a component of its own.  Connectivity makes the constants the
+    whole kernel of the stiffness matrix, so grounding one node leaves it
+    positive definite."""
     _check_triangulation(mesh.nodes, mesh.triangles)
 
 
@@ -337,8 +346,7 @@ def write_field(path, values: np.ndarray, epsilon: float, a: float) -> None:
     values = np.asarray(values, dtype=float)
     with open(path, "w") as fh:
         fh.write(f"field {values.size} epsilon {float(epsilon)!r} a {float(a)!r}\n")
-        for v in values:
-            fh.write(f"{float(v)!r}\n")
+        fh.write("".join(f"{v!r}\n" for v in values.tolist()))
 
 
 def read_field(path) -> tuple[np.ndarray, float, float]:

@@ -294,6 +294,8 @@ def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
     """Newton to residual ``tol`` from the deterministic start family; returns
     the deduplicated solutions, each with its check report at exponent ``q``,
     plus a per-start log (failures are recorded, never fatal)."""
+    if not q > 2.0:  # checked before the census, not by the first report
+        raise ValueError("q must exceed 2")
     runs: list[StartOutcome] = []
     found: list[SolutionRecord] = []
     for start_id, (label, u0) in enumerate(start_family(eps, a, op, n_starts, seed)):

@@ -109,11 +109,14 @@ class TestEigenCommand:
         assert payload["mu1"] == pytest.approx(np.pi**2, rel=0.01)
         assert (out / "eigen_phi1.field").exists()
 
-    @pytest.mark.parametrize("triangles", ["triangles 1\n0 1 3\n", "triangles 0\n"],
-                             ids=["index_ge_n", "zero_triangles"])
-    def test_bad_mesh_file_exits_4(self, tmp_path, capsys, triangles):
+    @pytest.mark.parametrize("text", [
+        "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 3\n",
+        "nodes 3\n0 0\n1 0\n0 1\ntriangles 0\n",
+        "nodes 6\n0 0\n1 0\n0 1\n2 0\n3 0\n2 1\ntriangles 2\n0 1 2\n3 4 5\n",
+    ], ids=["index_ge_n", "zero_triangles", "disconnected"])
+    def test_bad_mesh_file_exits_4(self, tmp_path, capsys, text):
         mesh_path = tmp_path / "bad.mesh"
-        mesh_path.write_text("nodes 3\n0 0\n1 0\n0 1\n" + triangles)
+        mesh_path.write_text(text)
         cfg = make_config(tmp_path, domain="mesh_file", mesh_path=str(mesh_path))
         assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err.splitlines()

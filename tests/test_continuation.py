@@ -4,6 +4,7 @@ natural continuation, and the rigidity sweep."""
 import numpy as np
 import pytest
 
+import neumann_rigidity.newton as newton
 from neumann_rigidity import (
     Constant,
     Nonconstant,
@@ -181,6 +182,13 @@ class TestRigiditySweep:
         for eps in (0.5, 1.0):
             for rec1, rec2 in zip(r1.solutions[eps], r2.solutions[eps]):
                 assert np.array_equal(rec1.u, rec2.u)
+
+    def test_bad_q_rejected_before_any_start(self, square16, monkeypatch):
+        calls = []
+        monkeypatch.setattr(newton, "newton_solve", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="q must exceed 2"):
+            rigidity_sweep([0.12, 1.0], A, square16, 8, seed=0, q=2.0)
+        assert calls == []
 
     def test_m_emp_positive(self, square16):
         result = rigidity_sweep([1.0], A, square16, 6, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -100,6 +101,13 @@ class TestSolveProjected:
         with pytest.raises(NoConvergenceError):
             solve_projected(system, np.array([1.0, -1.0]), d=d)
 
+    def test_disconnected_poisson_matrix_raises(self):
+        # two separate path Laplacians: grounding one node leaves the other
+        # component's constant in the kernel
+        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(NoConvergenceError, match="singular"):
+            BorderedSystem(sp.csr_matrix(sp.block_diag([lap, lap])), np.ones(4))
+
     @pytest.mark.parametrize("d", [None, 0.0], ids=["omitted", "zero"])
     def test_scaled_poisson_solve(self, square20, rng, d):
         # scale*A is singular, but the bordered matrix is not
@@ -138,11 +146,12 @@ def disk5():
 
 class TestBorderedSystem:
     def test_one_superlu_factor_per_operator(self, monkeypatch):
-        specs = []
+        specs, shapes = [], []
 
-        def counting_splu(k_mat, permc_spec):
+        def counting_splu(k_mat, permc_spec, **kwargs):
             specs.append(permc_spec)
-            return splu(k_mat, permc_spec=permc_spec)
+            shapes.append(k_mat.shape)
+            return splu(k_mat, permc_spec=permc_spec, **kwargs)
 
         monkeypatch.setattr(linsolve, "splu", counting_splu)
         op = assemble(build_rectangle_mesh(20, 20, 1.0, 1.0))  # nothing cached yet
@@ -150,6 +159,7 @@ class TestBorderedSystem:
         assert result.distinct and all(r.diagnostics is not None for r in result.distinct)
         stability_indicator(result.distinct[0].u, 0.12, 2.0, op)
         assert specs == ["MMD_AT_PLUS_A"]
+        assert shapes == [(op.n - 1, op.n - 1)]  # the Poisson matrix grounded at one node
 
     @pytest.mark.parametrize("mesh, which", [
         pytest.param("square20", 0, id="newton"),
@@ -170,11 +180,17 @@ class TestBorderedSystem:
             got = cached.solve(b)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    def test_poisson_factor_matches_fresh_assembly(self, square20, rng):
-        n = square20.n
-        b = rng.standard_normal(n)
-        want = _fresh_bordered_lu(square20, 1.0, np.zeros(n)).solve(np.append(b, 0.0))[:n]
-        got = bordered(square20).factor().solve(b)
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("cols", [(), (2,)], ids=["vector", "block"])
+    @pytest.mark.parametrize("mesh", ["square20", "disk5", "shuffled20"])
+    def test_poisson_factor_matches_fresh_assembly(self, request, rng, mesh, cols, scale):
+        # the grounded factor must give the field part of the bordered solve
+        op = request.getfixturevalue(mesh)
+        n = op.n
+        b = rng.standard_normal((n,) + cols)
+        fresh = _fresh_bordered_lu(op, scale, np.zeros(n))
+        want = fresh.solve(np.concatenate([b, np.zeros((1,) + cols)]))[:n]
+        got = bordered(op).factor(scale).solve(b)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("which", [0, 1], ids=["newton", "eigen_shift"])
@@ -274,6 +290,15 @@ class TestSmallestNonzeroEigen:
         again = smallest_nonzero_eigen(bordered(square20))
         assert again.mu1 == pair.mu1
         assert np.array_equal(again.phi1, pair.phi1)
+
+    @pytest.mark.parametrize("mesh", ["square20", "disk5"])
+    def test_matches_dense_generalized_eigh(self, request, mesh):
+        # the smallest eigenvalue of the dense pencil (A, diag(m)) is the
+        # constant mode's zero; the next one is mu1
+        op = request.getfixturevalue(mesh)
+        dense = eigh(op.stiffness.toarray(), np.diag(op.lumped_mass), eigvals_only=True)
+        assert abs(dense[0]) <= 1e-10 * dense[1]
+        assert first_eigenpair(op).mu1 == pytest.approx(dense[1], rel=1e-9)
 
     def test_second_ritz_value_orders(self, rect2x1):
         pair = first_eigenpair(rect2x1)

@@ -29,6 +29,10 @@ from conftest import renumbered
 OVERSHARED_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
 OVERSHARED_TRIANGLES = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
 
+# two triangles that share no node
+DISJOINT_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0], [2.0, 1.0]])
+DISJOINT_TRIANGLES = np.array([[0, 1, 2], [3, 4, 5]])
+
 
 def _l_shape():
     """[0, 2]^2 without its open upper-right quadrant, on an 8x8 grid."""
@@ -286,6 +290,12 @@ class TestFileFormats:
         with pytest.raises(MeshFormatError):
             read_mesh(tmp_path / "nope.mesh")
 
+    def test_field_body_is_one_repr_per_line(self, tmp_path, rng):
+        values = np.concatenate([rng.standard_normal(5), [0.0, -0.0, 1e300, 5e-324]])
+        path = tmp_path / "u.field"
+        write_field(path, values, epsilon=0.5, a=3.0)
+        assert path.read_text().splitlines()[1:] == [repr(float(v)) for v in values]
+
     @pytest.mark.parametrize("triangles, message", [
         ([[0, 1, 3]], "out of range"),
         ([[0, 1, -1]], "out of range"),
@@ -310,3 +320,32 @@ class TestConformity:
         _write_mesh_text(path, OVERSHARED_NODES, OVERSHARED_TRIANGLES)
         with pytest.raises(MeshFormatError, match="shared by >2 triangles"):
             read_mesh(path)
+
+
+class TestConnectivity:
+    def test_validate_rejects_two_components(self):
+        mesh = Mesh(nodes=DISJOINT_NODES, triangles=DISJOINT_TRIANGLES,
+                    boundary_nodes=np.arange(6))
+        with pytest.raises(MeshFormatError, match="not connected: 2 components"):
+            validate_mesh(mesh)
+
+    def test_validate_rejects_unused_node(self):
+        # a node no triangle uses would leave a zero row in the stiffness
+        mesh = Mesh(nodes=DISJOINT_NODES[:4], triangles=DISJOINT_TRIANGLES[:1],
+                    boundary_nodes=np.arange(3))
+        with pytest.raises(MeshFormatError, match="not connected: 2 components"):
+            validate_mesh(mesh)
+
+    def test_read_rejects_two_components(self, tmp_path):
+        path = tmp_path / "disjoint.mesh"
+        _write_mesh_text(path, DISJOINT_NODES, DISJOINT_TRIANGLES)
+        with pytest.raises(MeshFormatError, match="not connected"):
+            read_mesh(path)
+
+    def test_assemble_rejects_two_disjoint_squares(self):
+        square = build_rectangle_mesh(4, 4, 1.0, 1.0)
+        triangles = np.vstack([square.triangles, square.triangles + square.n_nodes])
+        mesh = Mesh(nodes=np.vstack([square.nodes, square.nodes + [2.0, 0.0]]),
+                    triangles=triangles, boundary_nodes=_boundary_nodes(triangles))
+        with pytest.raises(MeshFormatError, match="not connected: 2 components"):
+            assemble(mesh)

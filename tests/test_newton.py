@@ -4,6 +4,7 @@ classification, and the deterministic multi-start search."""
 import numpy as np
 import pytest
 
+import neumann_rigidity.newton as newton
 from neumann_rigidity import (
     Constant,
     Nonconstant,
@@ -288,6 +289,13 @@ class TestMultiStart:
         assert any(isinstance(r.classification, Nonconstant) for r in result.distinct)
         for rec in result.distinct:
             assert rec.diagnostics.exp_integral_q == check_exp_integrability(rec.u, m, 3.0)[0]
+
+    def test_bad_q_rejected_before_any_start(self, square16, monkeypatch):
+        calls = []
+        monkeypatch.setattr(newton, "newton_solve", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="q must exceed 2"):
+            multi_start(0.12, A, square16, 10, seed=0, q=2.0)
+        assert calls == []
 
     def test_deterministic_given_seed(self, square16):
         r1 = multi_start(0.5, A, square16, 10, seed=42)
