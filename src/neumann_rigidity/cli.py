@@ -243,6 +243,16 @@ def cmd_eigen(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return 0
 
 
+def _finite_start_value(spec: str, arg: str, kind: str) -> float:
+    try:
+        value = float(arg)
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} start {spec!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"bad {kind} start {spec!r}: not finite")
+    return value
+
+
 def _start_state(spec: str, cfg: ExperimentConfig, op: DiscreteOperator) -> np.ndarray:
     xi = find_xi(cfg.a)
     kind, _, arg = spec.partition(":")
@@ -251,15 +261,9 @@ def _start_state(spec: str, cfg: ExperimentConfig, op: DiscreteOperator) -> np.n
             return np.full(op.n, xi)
         if arg == "log_a":
             return np.full(op.n, np.log(cfg.a))
-        try:
-            return np.full(op.n, float(arg))
-        except ValueError as exc:
-            raise ConfigError(f"bad constant start {spec!r}") from exc
+        return np.full(op.n, _finite_start_value(spec, arg, "constant"))
     if kind == "eig":
-        try:
-            amp = float(arg)
-        except ValueError as exc:
-            raise ConfigError(f"bad eigen start {spec!r}") from exc
+        amp = _finite_start_value(spec, arg, "eigen")
         # the emerging branch follows a specific combination of a (near-)
         # degenerate pair, the same one branch switching would try next
         dirs = switch_directions(op)

@@ -18,8 +18,8 @@ class NoConvergenceError(NeumannLabError):
 
 
 class SingularJacobianError(NeumannLabError):
-    """The Newton linear step is not solvable (inner solve failed or the
-    mean-mode equation degenerated), typically near a bifurcation point."""
+    """The Newton linear step is not solvable (the Jacobian is numerically
+    singular), typically near a bifurcation point."""
 
 
 class InvalidBracketError(NeumannLabError):

@@ -1,36 +1,36 @@
-"""Direct solves on the weighted-mean-zero subspace and the first nonzero
-no-flux eigenvalue by shift-invert Lanczos.
+"""Direct solves with B = scale*A - diag(d) and the first nonzero no-flux
+eigenvalue by shift-invert Lanczos.
 
-The stiffness matrix of the natural boundary condition annihilates
-constants, so linear solves live on the weighted-mean-zero subspace.  Every
-solve returns the field part of the bordered system
+The stiffness matrix A of the natural boundary condition annihilates
+constants, so the Poisson matrix B = scale*A (d omitted) is singular and
+its solves live on the weighted-mean-zero subspace: they return the field
+part of the bordered system
 
-    K = [[B, m], [m', 0]],   B = scale*A - diag(d),
+    K = [[scale*A, m], [m', 0]],
 
-whose solution of  B x + m*lam = b,  m'x = 0  is the weighted-mean-zero
-solution of B x = b with the range-incompatible part of b (along the mass
-vector) absorbed by the multiplier lam.  The same solves of
-B - shift*M are the shift-invert operator of the eigensolver; they send
-constants to zero, which restricts the spectrum to mean-zero fields without
-any projection.
+whose solution of  scale*A x + m*lam = b,  m'x = 0  is the
+weighted-mean-zero solution of scale*A x = b with the range-incompatible
+part of b (along the mass vector) absorbed by the multiplier lam.  The
+Poisson matrix is grounded: node 0 is removed and A[1:, 1:], which is then
+symmetric positive definite on a connected mesh, is factored once per
+operator by SuperLU with minimum-degree ordering on the pattern of A + A'
+(``MMD_AT_PLUS_A``).  Since 1'A = 0 the multiplier is lam = sum(b)/sum(m)
+in closed form; A x = b - lam*m is solved with x[0] = 0, and removing the
+weighted mean of x gives the bordered solution (Bochev & Lehoucq, SIAM
+Review 47(1), 2005).  That factor serves the Poisson solves and mu1.
 
-Every matrix the package solves with (Poisson, Newton Jacobians, shifted
-stability pencils) has the form of B above.  The Poisson matrix B = A is
-singular, with the constants as its kernel on a connected mesh, so it is
-grounded: node 0 is removed and A[1:, 1:], which is then symmetric positive
-definite, is factored once per operator by SuperLU with minimum-degree
-ordering on the pattern of A + A' (``MMD_AT_PLUS_A``).  Since 1'A = 0 the
-multiplier is lam = sum(b)/sum(m) in closed form; A x = b - lam*m is solved
-with x[0] = 0, and removing the weighted mean of x gives the bordered
-solution (Bochev & Lehoucq, SIAM Review 47(1), 2005).  That factor serves
-the Poisson solves and mu1.  Every B with a nonzero diagonal d is factored
-on its own: reverse Cuthill-McKee ordering, computed once per operator,
-puts the P1 pattern in a band of half-width k (21 on the 20x20 square, 65
-on 64x64), LAPACK's band LU ``dgbtrf`` factors it, and the border is closed
-by the Schur complement s = m'B^{-1}m: x = y - B^{-1}m (m'y)/s with
-y = B^{-1}b.  K is singular exactly when s = 0.  The factors do not pickle;
-a pickled system carries only its matrix and mass and refactors when it is
-loaded.
+Every B with a given diagonal d (Newton Jacobians, shifted stability
+pencils) is factored on its own and solved plainly: reverse Cuthill-McKee
+ordering, computed once per operator, puts the P1 pattern in a band of
+half-width k (21 on the 20x20 square, 65 on 64x64), LAPACK's band LU
+``dgbtrf`` factors it and one ``dgbtrs`` call solves with it.  A Newton
+step is one such solve.  Only the shift-invert operator of the stability
+eigensolver needs the mean border [[B, m], [m', 0]]: it is closed by the
+Schur complement s = m'B^{-1}m, x = y - B^{-1}m (m'y)/s with y = B^{-1}b,
+which sends constants to zero and so restricts the spectrum to mean-zero
+fields without any projection; that K is singular exactly when s = 0.
+The factors do not pickle; a pickled system carries only its matrix and
+mass and refactors when it is loaded.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class PoissonFactor:
 
 def _finite(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
-        raise NoConvergenceError("bordered solve produced non-finite values")
+        raise NoConvergenceError("linear solve produced non-finite values")
     return x
 
 
@@ -138,51 +138,36 @@ def _band(a_mat: sp.spmatrix) -> _Band:
 
 
 class BandFactor:
-    """Band LU of B = scale*A - diag(d) in the operator's band order, with
-    the border closed by its Schur complement.
+    """Band LU of B = scale*A - diag(d) in the operator's band order.
 
-    ``solve`` returns x = y - y_m*(m'y)/s with y = B^{-1} b, y_m = B^{-1} m
-    and s = m'y_m: the field part of K^{-1} [b; 0], for an (n,) or (n, k)
-    right-hand side.
+    ``solve`` returns B^{-1} b for an (n,) or (n, k) right-hand side by one
+    ``dgbtrs`` call.
     """
 
-    def __init__(self, lu, piv, band: _Band, m: np.ndarray):
+    def __init__(self, lu, piv, band: _Band):
         self._lu, self._piv, self._band = lu, piv, band
-        self._y_m = self._band_solve(m)
-        s = float(np.dot(m, self._y_m))
-        # K is singular exactly when the Schur complement m'B^{-1}m vanishes
-        if not abs(s) > m.shape[0] * _EPS * float(np.dot(np.abs(m), np.abs(self._y_m))):
-            raise NoConvergenceError("bordered matrix is singular: m'B^-1 m vanishes")
-        self._m, self._s = m, s
-
-    def _band_solve(self, b: np.ndarray) -> np.ndarray:
-        order, k = self._band.order, self._band.k
-        y, _ = dgbtrs(self._lu, k, k, b[order].reshape(b.shape[0], -1), self._piv, overwrite_b=1)
-        y_old = np.empty_like(y)
-        y_old[order] = y
-        return y_old.reshape(b.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        y = self._band_solve(b)
-        lam = np.dot(self._m, y) / self._s
-        return _finite(y - np.multiply.outer(self._y_m, lam))
+        order, k = self._band.order, self._band.k
+        y, _ = dgbtrs(self._lu, k, k, b[order].reshape(b.shape[0], -1), self._piv, overwrite_b=1)
+        x = np.empty_like(y)
+        x[order] = y
+        return _finite(x.reshape(b.shape))
 
 
 class BorderedSystem:
-    """The bordered matrices
+    """The matrices B = scale*A - diag(d) of one operator, with the mass
+    vector m that borders the singular Poisson case.
 
-        K(scale, d) = [[scale*A - diag(d), m], [m', 0]]
-
-    of one operator.  Construction grounds the Poisson case K(1, 0) at node
-    0: it factors A[1:, 1:], symmetric positive definite on a connected
-    mesh, with SuperLU's minimum-degree ordering on the pattern of A + A'
-    (``MMD_AT_PLUS_A``) and keeps that factor, whose solves recover the
-    multiplier sum(b)/sum(m) in closed form.  Every K with a nonzero
-    diagonal d is factored through B = scale*A - diag(d): its entries fill
-    a band array in the reverse Cuthill-McKee order of A, computed on the
-    first such call, LAPACK's ``dgbtrf`` factors it, and the border is
-    closed by the Schur complement m'B^{-1}m.
+    Construction grounds the Poisson matrix at node 0: it factors A[1:, 1:],
+    symmetric positive definite on a connected mesh, with SuperLU's
+    minimum-degree ordering on the pattern of A + A' (``MMD_AT_PLUS_A``)
+    and keeps that factor, whose solves are those of the bordered
+    [[A, m], [m', 0]] with the multiplier sum(b)/sum(m) in closed form.
+    Every B with a given diagonal d fills a band array in the reverse
+    Cuthill-McKee order of A, computed on the first such call, and LAPACK's
+    ``dgbtrf`` factors it.
     """
 
     def __init__(self, a_mat: sp.spmatrix, m: np.ndarray):
@@ -203,17 +188,15 @@ class BorderedSystem:
 
     def factor(self, scale: float = 1.0,
                d: np.ndarray | float | None = None) -> PoissonFactor | BandFactor:
-        """Factors of K(scale, d); the default call returns the Poisson factor.
-        With d omitted or zero, B = scale*A is singular and K(scale, 0) is
-        served by the Poisson factor, its solution divided by scale.
+        """Factors of B = scale*A - diag(d); the default call returns the
+        Poisson factor.  Only with d omitted is B = scale*A served by the
+        Poisson factor, whose solves are weighted-mean-zero and divided by
+        scale.  A given d, even an all-zero one, gets the band LU of B.
 
-        Raises NoConvergenceError when K is singular, i.e. when
-        scale*A - diag(d) is singular on the weighted-mean-zero subspace,
-        and also when a nonzero d leaves B = scale*A - diag(d) itself
-        singular: a zero pivot, or min|U_ii| <= n*eps*max|U_ii| in its band
-        LU, or a Schur complement |m'B^{-1}m| <= n*eps*|m|'|B^{-1}m|.
+        Raises NoConvergenceError when that band LU finds B numerically
+        singular: a zero pivot, or min|U_ii| <= n*eps*max|U_ii|.
         """
-        if d is None or not np.any(d):
+        if d is None:
             return self._poisson if scale == 1.0 else PoissonFactor(self._poisson.lu, self.m, scale)
         if self._band is None:
             self._band = _band(self.a_mat)
@@ -225,8 +208,8 @@ class BorderedSystem:
         lu, piv, info = dgbtrf(flat.reshape(n, -1).T, band.k, band.k, overwrite_ab=1)
         pivots = np.abs(lu[2 * band.k])
         if info > 0 or not pivots.min() > n * _EPS * pivots.max():
-            raise NoConvergenceError("bordered matrix is singular: zero pivot in band LU")
-        return BandFactor(lu, piv, band, self.m)
+            raise NoConvergenceError("matrix is singular: zero pivot in band LU")
+        return BandFactor(lu, piv, band)
 
 
 def bordered(op) -> BorderedSystem:
@@ -238,17 +221,16 @@ def bordered(op) -> BorderedSystem:
 
 def solve_projected(system: BorderedSystem, b: np.ndarray, scale: float = 1.0,
                     d: np.ndarray | float | None = None) -> np.ndarray:
-    """Solve (scale*A - diag(d)) x = b on the weighted-mean-zero subspace by
-    one bordered LU; the default is the Poisson problem A x = b, whose
-    factor is reused.
+    """Solve (scale*A - diag(d)) x = b by one LU (``BorderedSystem.factor``).
 
-    ``b`` is an (n,) vector or an (n, k) block of right-hand sides sharing
-    the factorization.  For a symmetric matrix that annihilates constants
-    the multiplier removes exactly the range-incompatible part of b (its
-    plain sum, along the mass vector).  Raises NoConvergenceError when the
-    matrix is singular on the subspace and, when d is given, also when
-    scale*A - diag(d) is itself numerically singular (see
-    ``BorderedSystem.factor``).
+    With d omitted this is the Poisson problem scale*A x = b on the
+    weighted-mean-zero subspace, from the factor computed once per
+    operator: the multiplier removes exactly the range-incompatible part
+    of b (its plain sum, along the mass vector).  With d given it is the
+    plain solve x = B^{-1} b of B = scale*A - diag(d), and it raises
+    NoConvergenceError when B is numerically singular.  ``b`` is an (n,)
+    vector or an (n, k) block of right-hand sides sharing the
+    factorization.
     """
     return system.factor(scale, d).solve(b)
 
@@ -273,24 +255,49 @@ class EigenPair:
     phi2: np.ndarray | None = None
 
 
+def _mean_bordered(factor: BandFactor, m: np.ndarray):
+    """Solve of K = [[B, m], [m', 0]] from the band factor of B: the field
+    part x = y - y_m (m'y)/s of K^{-1} [b; 0], with y = B^{-1} b,
+    y_m = B^{-1} m and the Schur complement s = m'y_m.  Its range is the
+    weighted-mean-zero subspace.
+
+    Raises NoConvergenceError when K is singular, i.e. when
+    |s| <= n*eps*|m|'|y_m|.
+    """
+    y_m = factor.solve(m)
+    s = float(np.dot(m, y_m))
+    if not abs(s) > m.shape[0] * _EPS * float(np.dot(np.abs(m), np.abs(y_m))):
+        raise NoConvergenceError("bordered matrix is singular: m'B^-1 m vanishes")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        y = factor.solve(b)
+        return _finite(y - np.multiply.outer(y_m, np.dot(m, y) / s))
+
+    return solve
+
+
 def _smallest_restricted(system: BorderedSystem, scale: float, d, shift: float,
                          tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The two eigenvalues of the pencil (scale*A - diag(d), diag(m)) on the
     mean-zero subspace nearest to ``shift``, ascending, with their
     eigenvectors.
 
-    Shift-invert Lanczos whose inverse is the bordered LU of
-    scale*A - diag(d + shift*m): its range is the mean-zero subspace, and
-    Lanczos in the M inner product returns vectors of weighted norm one.
-    In this mode ARPACK never multiplies by the pencil matrix itself.  The
-    start vector is seeded, so repeated calls give identical results.
+    Shift-invert Lanczos whose inverse is the Poisson factor (d omitted,
+    shift 0) or the mean-bordered band LU of scale*A - diag(d + shift*m):
+    its range is the mean-zero subspace, and Lanczos in the M inner product
+    returns vectors of weighted norm one.  In this mode ARPACK never
+    multiplies by the pencil matrix itself.  The start vector is seeded, so
+    repeated calls give identical results.
     """
     n, m = system.n, system.m
     diag = 0.0 if d is None else d
     pencil = LinearOperator((n, n), matvec=lambda x: scale * system.a_mat.dot(x) - diag * x,
                             dtype=float)
-    shifted = d if shift == 0.0 else diag + shift * m
-    op_inv = LinearOperator((n, n), matvec=system.factor(scale, shifted).solve, dtype=float)
+    if d is None and shift == 0.0:
+        solve = system.factor(scale).solve
+    else:
+        solve = _mean_bordered(system.factor(scale, diag + shift * m), m)
+    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
     x = np.random.default_rng(_RNG_SEED).standard_normal(n)
     v0 = x - weighted_mean(x, m)  # any start in the mean-zero subspace will do
     try:

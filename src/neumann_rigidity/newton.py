@@ -6,13 +6,10 @@ and classification of converged states as constant or patterned.
 check suite on one, and ``multi_start`` runs it on each distinct state it
 reports.
 
-The Newton linear step splits into mean and fluctuation parts.  The
-fluctuation part is a mean-zero solve with the symmetric Jacobian
-eps*A - diag(m*f'(u)); the mean part comes from the mass-weighted row sum,
-closed exactly through the rank-one coupling between the two.  Both
-right-hand sides (the residual and the coupling) share one band LU
-factorization of the Jacobian per iteration, in the operator's cached band
-order (``linsolve.bordered``).
+The Newton direction is -J^{-1} r with the symmetric Jacobian
+J = eps*A - diag(m*f'(u)): one band LU of J per iteration, in the
+operator's cached band order (``linsolve.bordered``), and one solve with
+it.  A numerically singular J raises SingularJacobianError.
 """
 
 from __future__ import annotations
@@ -103,24 +100,12 @@ def classify(u: np.ndarray, m: np.ndarray) -> Classification:
 
 def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
                  op: DiscreteOperator) -> np.ndarray:
-    """One exact Newton direction via the mean/fluctuation decomposition."""
-    m = op.lumped_mass
+    """The exact Newton direction -J^{-1} r, J = eps*A - diag(m*f'(u))."""
     fp = eval_f_prime_clipped(u, a)
-    mfp = m * fp
     try:
-        w = solve_projected(bordered(op), np.column_stack([-r, mfp]), eps, mfp)
+        return solve_projected(bordered(op), -r, eps, op.lumped_mass * fp)
     except NoConvergenceError as exc:
-        raise SingularJacobianError(f"inner mean-zero solve failed: {exc}") from exc
-    w0, w1 = w[:, 0], w[:, 1]
-
-    fu = eval_f_clipped(u, a)
-    mf = float(np.dot(m, fu))
-    den = float(mfp.sum() + np.dot(mfp, w1))
-    scale = float(np.abs(mfp).sum()) * (1.0 + float(np.abs(w1).max(initial=0.0)))
-    if abs(den) <= 1e-12 * scale + 1e-300:
-        raise SingularJacobianError("mean-mode equation degenerated (f' averages to zero)")
-    delta_mean = -(mf + float(np.dot(mfp, w0))) / den
-    return delta_mean + w0 + delta_mean * w1
+        raise SingularJacobianError(f"Newton step: {exc}") from exc
 
 
 def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
@@ -142,6 +127,8 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
     u = np.asarray(u0, dtype=float).copy()
     if u.shape != m.shape:
         raise ValueError("start vector length does not match the operator")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("start vector has non-finite entries")
     r = residual(u, eps, a, op)
     rnorm = dual_norm(r, m)
     history = [rnorm]
@@ -237,8 +224,8 @@ def start_family(eps: float, a: float, op: DiscreteOperator, n_starts: int,
     amplitudes 0.15, 0.45 and 1, both signs, smallest first), then seeded
     uniform noise fields.
 
-    The constant log(a) is left out: f'(log a) = 0 makes the mean-mode
-    equation of the first Newton step degenerate.
+    The constant log(a) is left out: f'(log a) = 0 makes the first Newton
+    Jacobian eps*A, which is singular.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,14 @@ class TestSolveCommand:
     def test_bad_start_spec(self, tmp_path):
         cfg = make_config(tmp_path)
         assert main(["solve", "--config", str(cfg), "--start", "wobble:1"]) == 2
+
+    @pytest.mark.parametrize("spec", ["const:inf", "const:nan", "eig:-inf", "eig:nan"])
+    def test_non_finite_start_exits_2(self, tmp_path, capsys, spec):
+        cfg = make_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg), "--start", spec]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_singular_start_exits_3(self, tmp_path):
         cfg = make_config(tmp_path)

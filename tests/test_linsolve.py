@@ -92,14 +92,13 @@ class TestSolveProjected:
                             np.array([1.0, 0.0, 0.0, -1.0]), d=2.0)
 
     def test_singular_schur_complement_raises(self):
-        # B = A - diag(1, 3) is nonsingular (det -1), but m'B^{-1}m = 0, so
-        # the bordered matrix is singular; the factor itself must say so
+        # B = A - diag(1, 3) is nonsingular (det -1), so it factors, but
+        # m'B^{-1}m = 0: the mean-bordered matrix is singular, and closing
+        # the border must say so
         system = BorderedSystem(sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])), np.ones(2))
-        d = np.array([1.0, 3.0])
-        with pytest.raises(NoConvergenceError):
-            system.factor(1.0, d)
-        with pytest.raises(NoConvergenceError):
-            solve_projected(system, np.array([1.0, -1.0]), d=d)
+        factor = system.factor(1.0, np.array([1.0, 3.0]))
+        with pytest.raises(NoConvergenceError, match="vanishes"):
+            linsolve._mean_bordered(factor, system.m)
 
     def test_disconnected_poisson_matrix_raises(self):
         # two separate path Laplacians: grounding one node leaves the other
@@ -110,9 +109,15 @@ class TestSolveProjected:
 
     @pytest.mark.parametrize("d", [None, 0.0], ids=["omitted", "zero"])
     def test_scaled_poisson_solve(self, square20, rng, d):
-        # scale*A is singular, but the bordered matrix is not
+        # scale*A is singular: with d omitted the mean-zero Poisson factor
+        # solves it, but a given d, even zero, asks for the plain solve of
+        # B, whose band LU must refuse it
         b = square20.lumped_mass * rng.standard_normal(square20.n)
         system = bordered(square20)
+        if d is not None:
+            with pytest.raises(NoConvergenceError, match="singular"):
+                solve_projected(system, b, 0.5, d)
+            return
         half = solve_projected(system, b, 0.5, d)
         assert np.abs(half - 2.0 * solve_projected(system, b)).max() <= 1e-12 * np.abs(half).max()
 
@@ -170,15 +175,22 @@ class TestBorderedSystem:
         pytest.param("shuffled20", 1, id="shuffled20-eigen_shift"),
     ])
     def test_factor_matches_fresh_assembly(self, request, rng, mesh, which):
+        # Newton solves with the plain band factor of B; the eigensolver's
+        # shift-invert operator closes the mean border around it
         op = request.getfixturevalue(mesh)
         n = op.n
         d = _reaction_diagonals(op)[which]
-        fresh = _fresh_bordered_lu(op, 0.3, d)
         cached = bordered(op).factor(0.3, d)
+        if which == 0:
+            fresh = splu(sp.csc_matrix(0.3 * op.stiffness - sp.diags(d))).solve
+            got_of = cached.solve
+        else:
+            lu = _fresh_bordered_lu(op, 0.3, d)
+            fresh = lambda b: lu.solve(np.concatenate([b, np.zeros((1,) + b.shape[1:])]))[:n]
+            got_of = linsolve._mean_bordered(cached, op.lumped_mass)
         for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
-            want = fresh.solve(np.concatenate([b, np.zeros((1,) + b.shape[1:])]))[:n]
-            got = cached.solve(b)
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            want = fresh(b)
+            assert np.abs(got_of(b) - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     @pytest.mark.parametrize("cols", [(), (2,)], ids=["vector", "block"])

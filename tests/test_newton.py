@@ -3,7 +3,9 @@ classification, and the deterministic multi-start search."""
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrs
 
+import neumann_rigidity.linsolve as linsolve
 import neumann_rigidity.newton as newton
 from neumann_rigidity import (
     Constant,
@@ -92,7 +94,7 @@ class TestJacobian:
 class TestNewtonStep:
     @pytest.mark.parametrize("eps", [0.08, 0.4, 1.0])
     def test_direction_cancels_residual_to_first_order(self, square16, rng, eps):
-        # the direction newton_solve takes: bordered fill plus mean closure
+        # the direction newton_solve takes: one band solve with the Jacobian
         for _ in range(5):
             u = rng.uniform(-1.0, 2.0, square16.n)
             r = residual(u, eps, A, square16)
@@ -101,6 +103,29 @@ class TestNewtonStep:
             fd = (residual(u + h * d, eps, A, square16)
                   - residual(u - h * d, eps, A, square16)) / (2.0 * h)
             assert np.abs(fd + r).max() <= 1e-6 * np.abs(r).max()
+
+    @pytest.mark.parametrize("mesh", ["square16", "disk4"])
+    def test_step_is_dense_jacobian_solve(self, request, rng, mesh):
+        op = request.getfixturevalue(mesh)
+        for eps in (0.08, 0.4, 1.0):
+            u = rng.uniform(-1.0, 2.0, op.n)
+            r = residual(u, eps, A, op)
+            want = -np.linalg.solve(jacobian(u, eps, A, op).toarray(), r)
+            got = _newton_step(u, r, eps, A, op)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_one_single_column_band_solve_per_iteration(self, square20, monkeypatch):
+        columns = []
+
+        def counting_dgbtrs(lu, kl, ku, b, piv, **kwargs):
+            columns.append(b.shape[1])
+            return dgbtrs(lu, kl, ku, b, piv, **kwargs)
+
+        monkeypatch.setattr(linsolve, "dgbtrs", counting_dgbtrs)
+        x = square20.mesh.nodes[:, 0]
+        rec = newton_solve(XI + 0.5 * np.cos(np.pi * x), 0.14, A, square20)
+        assert rec.newton_iters > 2
+        assert columns == [1] * rec.newton_iters
 
 
 class TestNewtonSolve:
@@ -156,6 +181,14 @@ class TestNewtonSolve:
     def test_rejects_wrong_length(self, square20):
         with pytest.raises(ValueError):
             newton_solve(np.zeros(5), 1.0, A, square20)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_start(self, square16, bad):
+        # a NaN residual norm would pass the loop test and be "converged"
+        u0 = np.full(square16.n, 0.5)
+        u0[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            newton_solve(u0, 1.0, A, square16)
 
     def test_huge_start_fails_gracefully(self, square16):
         u0 = np.full(square16.n, 500.0)
