@@ -1,7 +1,7 @@
 """Locate the primary bifurcation of the constant branch u = xi_a, switch
 onto the patterned branch, and trace it both ways.
 
-Writes branch.csv next to this script and prints a small text diagram of
+Writes branch.csv into the current directory and prints a small text diagram of
 sup-fluctuation against the diffusion parameter.
 """
 
@@ -33,7 +33,7 @@ for p in points:
     print(f"  {p.epsilon:.5f}  {weighted_mean(p.solution.u, op.lumped_mass):8.5f}"
           f"   {sup:8.5f}   {p.stability_indicator:+9.4f}   {bar}")
 
-out = Path(__file__).with_name("branch.csv")
+out = Path("branch.csv")
 with open(out, "w", newline="") as fh:
     w = csv.writer(fh)
     w.writerow(["epsilon", "mean", "sup_fluct", "stability_indicator", "residual_norm"])

@@ -84,6 +84,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        for name, value in asdict(self).items():
+            if any(isinstance(v, float) and not np.isfinite(v)
+                   for v in (value if isinstance(value, list) else [value])):
+                raise ConfigError(f"{name} must be finite")
         if not self.a > 1.0:
             raise ConfigError("a must exceed 1")
         if not self.q > 2.0:

@@ -83,10 +83,11 @@ def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperato
     """Smallest mean-zero-subspace eigenvalue of the Jacobian pencil at u,
     with its eigenvector.
 
-    The pointwise reaction slope bounds the spectrum from below by
-    -max f'(u), which places the shift of the shift-invert eigensolver.
-    The Jacobian eps*A - diag(m*f'(u)) is never assembled: its bordered
-    factor is filled straight into the operator's cached band layout.
+    The pointwise reaction slope bounds the whole pencil spectrum from
+    below by -max f'(u), which places the shift of the shift-invert
+    eigensolver.  The Jacobian eps*A - diag(m*f'(u)) is never assembled:
+    its shifted pencil, positive definite, is filled straight into the
+    operator's cached band layout and factored by band Cholesky.
     """
     fp = eval_f_prime_clipped(u, a)
     return restricted_smallest_eigen(bordered(op), -float(fp.max()), scale=eps,

@@ -22,13 +22,19 @@ Review 47(1), 2005).  That factor serves the Poisson solves and mu1.
 Every B with a given diagonal d (Newton Jacobians, shifted stability
 pencils) is factored on its own and solved plainly: reverse Cuthill-McKee
 ordering, computed once per operator, puts the P1 pattern in a band of
-half-width k (21 on the 20x20 square, 65 on 64x64), LAPACK's band LU
-``dgbtrf`` factors it and one ``dgbtrs`` call solves with it.  A Newton
-step is one such solve.  Only the shift-invert operator of the stability
-eigensolver needs the mean border [[B, m], [m', 0]]: it is closed by the
-Schur complement s = m'B^{-1}m, x = y - B^{-1}m (m'y)/s with y = B^{-1}b,
-which sends constants to zero and so restricts the spectrum to mean-zero
-fields without any projection; that K is singular exactly when s = 0.
+half-width k (21 on the 20x20 square, 65 on 64x64).  An indefinite B,
+the Newton Jacobian, gets LAPACK's pivoting band LU ``dgbtrf`` in a
+(3k+1, n) array, and a Newton step is one ``dgbtrs`` solve with it.  The
+shifted pencils of the stability eigensolver are symmetric positive
+definite, since the shift lies below the pencil spectrum: they get the
+band Cholesky ``dpbtrf`` of their lower triangle in a (k+1, n) array,
+about a quarter of the LU's flops, solved by ``dpbtrs``, and a failed
+Cholesky says that the shift was not below the spectrum.  Only that
+shift-invert operator needs the mean border [[B, m], [m', 0]]: it is
+closed by the Schur complement s = m'B^{-1}m, x = y - B^{-1}m (m'y)/s with
+y = B^{-1}b, which sends constants to zero and so restricts the spectrum
+to mean-zero fields without any projection; that K is singular exactly
+when s = 0.
 The factors do not pickle; a pickled system carries only its matrix and
 mass and refactors when it is loaded.
 """
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
@@ -111,17 +117,36 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Band:
-    """Reverse Cuthill-McKee band layout of A for ``dgbtrf``: ``order[i]``
-    is the old index at band position i, ``k`` the half-bandwidth, and
-    ``a_pos``/``diag_pos`` the flat positions of A's entries and of the
-    diagonal in a Fortran (3k+1, n) band array."""
+class _Layout:
+    """Flat positions of A's entries (values ``a_data``) and of the
+    diagonal (indexed by old node) in a Fortran (rows, n) band array."""
 
-    order: np.ndarray
-    k: int
+    rows: int
     a_pos: np.ndarray
     a_data: np.ndarray
     diag_pos: np.ndarray
+
+    def fill(self, scale: float, d: np.ndarray | float) -> np.ndarray:
+        """The band array of B = scale*A - diag(d)."""
+        n = self.diag_pos.shape[0]
+        flat = np.zeros(self.rows * n)
+        flat[self.a_pos] = scale * self.a_data
+        flat[self.diag_pos] -= d
+        return flat.reshape(n, -1).T  # column-major (rows, n), factored in place
+
+
+@dataclass(frozen=True)
+class _Band:
+    """Reverse Cuthill-McKee band order of A: ``order[i]`` is the old index
+    at band position i and ``k`` the half-bandwidth.  ``lu`` lays out all
+    2k+1 diagonals for ``dgbtrf`` in (3k+1, n), below k rows of pivoting
+    fill; ``lower`` lays out the diagonal and the k below it for
+    ``dpbtrf`` in (k+1, n)."""
+
+    order: np.ndarray
+    k: int
+    lu: _Layout
+    lower: _Layout
 
 
 def _band(a_mat: sp.spmatrix) -> _Band:
@@ -130,30 +155,58 @@ def _band(a_mat: sp.spmatrix) -> _Band:
     order = reverse_cuthill_mckee(sp.csr_matrix(a_coo), symmetric_mode=True)
     new = np.empty_like(order)
     new[order] = np.arange(order.shape[0])
-    row, col = new[a_coo.row].astype(np.int64), new[a_coo.col].astype(np.int64)
+    new = new.astype(np.int64)
+    row, col = new[a_coo.row], new[a_coo.col]
     k = int(np.abs(row - col).max(initial=0))
-    width = 3 * k + 1  # k rows of pivoting fill above the 2k+1 diagonals
-    return _Band(order=order, k=k, a_pos=2 * k + row - col + width * col, a_data=a_coo.data,
-                 diag_pos=2 * k + width * new.astype(np.int64))
+
+    def layout(rows: int, top: int, keep) -> _Layout:
+        # entry (i, j) sits in column j at band row top + i - j
+        r, c = row[keep], col[keep]
+        return _Layout(rows, top + r - c + rows * c, a_coo.data[keep], top + rows * new)
+
+    return _Band(order=order, k=k, lu=layout(3 * k + 1, 2 * k, slice(None)),
+                 lower=layout(k + 1, 0, row >= col))
 
 
-class BandFactor:
-    """Band LU of B = scale*A - diag(d) in the operator's band order.
+class _BandSolve:
+    """Solves with a factor held in the operator's band order: ``solve``
+    permutes an (n,) or (n, k) right-hand side into that order, makes one
+    LAPACK solve call and permutes back."""
 
-    ``solve`` returns B^{-1} b for an (n,) or (n, k) right-hand side by one
-    ``dgbtrs`` call.
-    """
-
-    def __init__(self, lu, piv, band: _Band):
-        self._lu, self._piv, self._band = lu, piv, band
+    def __init__(self, band: _Band):
+        self._band = band
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        order, k = self._band.order, self._band.k
-        y, _ = dgbtrs(self._lu, k, k, b[order].reshape(b.shape[0], -1), self._piv, overwrite_b=1)
+        order = self._band.order
+        y = self._lapack_solve(b[order].reshape(b.shape[0], -1))
         x = np.empty_like(y)
         x[order] = y
         return _finite(x.reshape(b.shape))
+
+
+class BandFactor(_BandSolve):
+    """Band LU of B = scale*A - diag(d), solved by ``dgbtrs``."""
+
+    def __init__(self, lu, piv, band: _Band):
+        super().__init__(band)
+        self._lu, self._piv = lu, piv
+
+    def _lapack_solve(self, rhs: np.ndarray) -> np.ndarray:
+        k = self._band.k
+        return dgbtrs(self._lu, k, k, rhs, self._piv, overwrite_b=1)[0]
+
+
+class CholeskyFactor(_BandSolve):
+    """Band Cholesky L L' of a positive definite B = scale*A - diag(d),
+    with L in lower band storage, solved by ``dpbtrs``."""
+
+    def __init__(self, chol, band: _Band):
+        super().__init__(band)
+        self._chol = chol
+
+    def _lapack_solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dpbtrs(self._chol, rhs, lower=1, overwrite_b=1)[0]
 
 
 class BorderedSystem:
@@ -166,8 +219,9 @@ class BorderedSystem:
     and keeps that factor, whose solves are those of the bordered
     [[A, m], [m', 0]] with the multiplier sum(b)/sum(m) in closed form.
     Every B with a given diagonal d fills a band array in the reverse
-    Cuthill-McKee order of A, computed on the first such call, and LAPACK's
-    ``dgbtrf`` factors it.
+    Cuthill-McKee order of A, computed on the first such call: LAPACK's
+    ``dgbtrf`` factors an indefinite B (``factor``), ``dpbtrf`` a positive
+    definite one (``cholesky``).
     """
 
     def __init__(self, a_mat: sp.spmatrix, m: np.ndarray):
@@ -198,18 +252,32 @@ class BorderedSystem:
         """
         if d is None:
             return self._poisson if scale == 1.0 else PoissonFactor(self._poisson.lu, self.m, scale)
-        if self._band is None:
-            self._band = _band(self.a_mat)
-        band, n = self._band, self.n
-        flat = np.zeros((3 * band.k + 1) * n)
-        flat[band.a_pos] = scale * band.a_data
-        flat[band.diag_pos] -= d
-        # flat is the column-major (3k+1, n) band array dgbtrf factors in place
-        lu, piv, info = dgbtrf(flat.reshape(n, -1).T, band.k, band.k, overwrite_ab=1)
+        band = self._band_order()
+        lu, piv, info = dgbtrf(band.lu.fill(scale, d), band.k, band.k, overwrite_ab=1)
         pivots = np.abs(lu[2 * band.k])
-        if info > 0 or not pivots.min() > n * _EPS * pivots.max():
+        if info > 0 or not pivots.min() > self.n * _EPS * pivots.max():
             raise NoConvergenceError("matrix is singular: zero pivot in band LU")
         return BandFactor(lu, piv, band)
+
+    def cholesky(self, scale: float, d: np.ndarray | float) -> CholeskyFactor:
+        """Band Cholesky factor of B = scale*A - diag(d), which must be
+        positive definite, as the stability eigensolver's shifted pencils
+        are when their shift lies below the pencil spectrum.
+
+        Raises NoConvergenceError when ``dpbtrf`` finds B not positive
+        definite.
+        """
+        band = self._band_order()
+        chol, info = dpbtrf(band.lower.fill(scale, d), lower=1, overwrite_ab=1)
+        if info > 0:
+            raise NoConvergenceError("shifted pencil is not positive definite: "
+                                     "lower_bound is not below the spectrum")
+        return CholeskyFactor(chol, band)
+
+    def _band_order(self) -> _Band:
+        if self._band is None:
+            self._band = _band(self.a_mat)
+        return self._band
 
 
 def bordered(op) -> BorderedSystem:
@@ -255,8 +323,8 @@ class EigenPair:
     phi2: np.ndarray | None = None
 
 
-def _mean_bordered(factor: BandFactor, m: np.ndarray):
-    """Solve of K = [[B, m], [m', 0]] from the band factor of B: the field
+def _mean_bordered(factor: BandFactor | CholeskyFactor, m: np.ndarray):
+    """Solve of K = [[B, m], [m', 0]] from a band factor of B: the field
     part x = y - y_m (m'y)/s of K^{-1} [b; 0], with y = B^{-1} b,
     y_m = B^{-1} m and the Schur complement s = m'y_m.  Its range is the
     weighted-mean-zero subspace.
@@ -283,10 +351,11 @@ def _smallest_restricted(system: BorderedSystem, scale: float, d, shift: float,
     eigenvectors.
 
     Shift-invert Lanczos whose inverse is the Poisson factor (d omitted,
-    shift 0) or the mean-bordered band LU of scale*A - diag(d + shift*m):
-    its range is the mean-zero subspace, and Lanczos in the M inner product
-    returns vectors of weighted norm one.  In this mode ARPACK never
-    multiplies by the pencil matrix itself.  The start vector is seeded, so
+    shift 0) or the mean-bordered band Cholesky factor of
+    scale*A - diag(d + shift*m), so the shift must lie below the whole
+    pencil spectrum: its range is the mean-zero subspace, and Lanczos in
+    the M inner product returns vectors of weighted norm one.  In this
+    mode ARPACK never multiplies by the pencil matrix itself.  The start vector is seeded, so
     repeated calls give identical results.
     """
     n, m = system.n, system.m
@@ -296,7 +365,7 @@ def _smallest_restricted(system: BorderedSystem, scale: float, d, shift: float,
     if d is None and shift == 0.0:
         solve = system.factor(scale).solve
     else:
-        solve = _mean_bordered(system.factor(scale, diag + shift * m), m)
+        solve = _mean_bordered(system.cholesky(scale, diag + shift * m), m)
     op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
     x = np.random.default_rng(_RNG_SEED).standard_normal(n)
     v0 = x - weighted_mean(x, m)  # any start in the mean-zero subspace will do
@@ -329,10 +398,13 @@ def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
     """Smallest mean-zero-subspace eigenvalue of the symmetric pencil
     (scale*A - diag(d), diag(m)) and its eigenvector.
 
-    ``lower_bound`` must be a guaranteed lower bound on the eigenvalue (for
-    reaction Jacobians, minus the largest pointwise reaction slope); the
-    shift is placed below it with a safety margin, so the eigenvalue nearest
-    the shift is the smallest one.
+    ``lower_bound`` must bound the whole pencil spectrum from below, the
+    constant direction included, not only the mean-zero part (for reaction
+    Jacobians, minus the largest pointwise reaction slope does).  The shift
+    is placed below it with a safety margin, so the shifted pencil is
+    positive definite and the eigenvalue nearest the shift is the smallest
+    one; its band Cholesky factor certifies that, and a ``lower_bound``
+    that is not below the spectrum raises NoConvergenceError.
     """
     shift = lower_bound - max(1.0, 0.1 * abs(lower_bound))
     theta, vecs = _smallest_restricted(system, scale, d, shift, tol)

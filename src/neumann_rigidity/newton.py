@@ -116,10 +116,14 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
     Backtracks alpha in {1, 1/2, 1/4, ...} until the mass-weighted residual
     norm strictly decreases; raises NoConvergenceError on the iteration cap
     or step underflow and SingularJacobianError when the linear step is not
-    solvable (typical right at a bifurcation point).
+    solvable (typical right at a bifurcation point).  A non-finite ``eps``,
+    ``a`` or start raises ValueError, and a NaN residual norm never counts
+    as converged.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
+    if not np.isfinite(a):
+        raise ValueError("a must be finite")
     m = op.lumped_mass
     if tol is None:
         tol = default_tol(op)
@@ -133,7 +137,7 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
     rnorm = dual_norm(r, m)
     history = [rnorm]
     iters = 0
-    while rnorm > tol:
+    while not rnorm <= tol:
         if iters >= MAX_ITER:
             raise NoConvergenceError(
                 f"Newton hit max_iter={MAX_ITER} with residual {rnorm:.3e}"

@@ -58,11 +58,25 @@ class TestConfig:
         {"bif_tol": 0.0}, {"amplitude": 0.0},
         {"nx": "4"}, {"a": "2"}, {"eps_grid": [0.1, "x"]}, {"n_starts": 2.5},
         {"bracket_lo": 0.2, "bracket_hi": 0.1},
+        {"eps": np.inf}, {"eps_grid": [np.nan, 1.0]}, {"a": np.inf}, {"q": np.inf},
     ])
     def test_constraints(self, tmp_path, bad):
         path = make_config(tmp_path, **bad)
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("bad, command", [
+        ({"eps": np.inf}, "solve"), ({"eps_grid": [np.nan, 1.0]}, "sweep"),
+        ({"a": np.inf}, "solve"), ({"q": np.inf}, "solve"),
+    ], ids=["eps", "eps_grid", "a", "q"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, bad, command):
+        # JSON's Infinity and NaN parse as floats that pass every "> 0" test
+        cfg = make_config(tmp_path, **bad)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + (["--start", "const:0.5"] if command == "solve" else [])) == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 class TestConstantsCommand:

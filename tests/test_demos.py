@@ -2,8 +2,9 @@
 completion against the package source.
 
 Each runs in its own interpreter with ``src`` on the path and, like the
-rest of the suite, with ``RuntimeWarning`` turned into an error.
-Demo 04 rewrites ``demos/branch.csv``.
+rest of the suite, with ``RuntimeWarning`` turned into an error, in a
+temporary working directory, so a demo's output files (demo 04 writes
+``branch.csv``) land outside the checkout.
 """
 
 import os
@@ -17,22 +18,22 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
-def run_python(*args):
+def run_python(cwd, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(script):
-    proc = run_python(str(script))
+def test_demo_runs(script, tmp_path):
+    proc = run_python(tmp_path, str(script))
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def test_readme_quick_start_runs():
+def test_readme_quick_start_runs(tmp_path):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    proc = run_python("-c", code)
+    proc = run_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "Constant(value=1.2564" in proc.stdout

@@ -14,9 +14,11 @@ from neumann_rigidity import (
     bordered,
     build_disk_mesh,
     build_rectangle_mesh,
+    find_xi,
     first_eigenpair,
     mass_norm,
     multi_start,
+    newton_solve,
     project_mean_zero,
     smallest_nonzero_eigen,
     solve_projected,
@@ -166,21 +168,27 @@ class TestBorderedSystem:
         assert specs == ["MMD_AT_PLUS_A"]
         assert shapes == [(op.n - 1, op.n - 1)]  # the Poisson matrix grounded at one node
 
-    @pytest.mark.parametrize("mesh, which", [
-        pytest.param("square20", 0, id="newton"),
-        pytest.param("square20", 1, id="eigen_shift"),
-        pytest.param("disk5", 0, id="disk5-newton"),
-        pytest.param("disk5", 1, id="disk5-eigen_shift"),
-        pytest.param("shuffled20", 0, id="shuffled20-newton"),
-        pytest.param("shuffled20", 1, id="shuffled20-eigen_shift"),
+    @pytest.mark.parametrize("mesh, which, kind", [
+        pytest.param("square20", 0, "lu", id="newton"),
+        pytest.param("square20", 1, "lu", id="eigen_shift"),
+        pytest.param("square20", 1, "cholesky", id="cholesky"),
+        pytest.param("disk5", 0, "lu", id="disk5-newton"),
+        pytest.param("disk5", 1, "lu", id="disk5-eigen_shift"),
+        pytest.param("disk5", 1, "cholesky", id="disk5-cholesky"),
+        pytest.param("shuffled20", 0, "lu", id="shuffled20-newton"),
+        pytest.param("shuffled20", 1, "lu", id="shuffled20-eigen_shift"),
+        pytest.param("shuffled20", 1, "cholesky", id="shuffled20-cholesky"),
     ])
-    def test_factor_matches_fresh_assembly(self, request, rng, mesh, which):
-        # Newton solves with the plain band factor of B; the eigensolver's
-        # shift-invert operator closes the mean border around it
+    def test_factor_matches_fresh_assembly(self, request, rng, mesh, which, kind):
+        # Newton solves with the plain band LU of B; the eigensolver's
+        # shift-invert operator closes the mean border around the band
+        # Cholesky factor of its positive definite shifted pencil, and the
+        # border closes around the LU as well
         op = request.getfixturevalue(mesh)
         n = op.n
         d = _reaction_diagonals(op)[which]
-        cached = bordered(op).factor(0.3, d)
+        system = bordered(op)
+        cached = system.cholesky(0.3, d) if kind == "cholesky" else system.factor(0.3, d)
         if which == 0:
             fresh = splu(sp.csc_matrix(0.3 * op.stiffness - sp.diags(d))).solve
             got_of = cached.solve
@@ -218,6 +226,33 @@ class TestBorderedSystem:
         k = int(np.abs(coo.row - coo.col).max())
         lu = bordered(shuffled20).factor(0.3, d)._lu
         assert lu.shape == (3 * k + 1, shuffled20.n)
+        if which == 1:  # the positive definite pencil: k+1 rows, no fill
+            chol = bordered(shuffled20).cholesky(0.3, d)._chol
+            assert chol.shape == (k + 1, shuffled20.n)
+
+    def test_cholesky_refuses_indefinite_matrix(self, square20):
+        d = _reaction_diagonals(square20)[0]  # a Newton Jacobian, indefinite
+        with pytest.raises(NoConvergenceError, match="not positive definite"):
+            bordered(square20).cholesky(0.3, d)
+
+    def test_shifted_pencils_take_cholesky_and_jacobians_lu(self, square20, monkeypatch):
+        calls = {"dpbtrf": 0, "dgbtrf": 0}
+
+        def counting(name):
+            routine = getattr(linsolve, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(linsolve, name, counting(name))
+        xi = find_xi(2.0)
+        stability_indicator(np.full(square20.n, xi), 0.12, 2.0, square20)
+        assert calls == {"dpbtrf": 1, "dgbtrf": 0}
+        record = newton_solve(np.full(square20.n, 0.9 * xi), 0.12, 2.0, square20)
+        assert calls == {"dpbtrf": 1, "dgbtrf": record.newton_iters}
 
     def test_band_order_ignores_node_numbering(self, square20, shuffled20):
         # reverse Cuthill-McKee finds the grid's band whatever the numbering;
@@ -331,6 +366,15 @@ class TestRestrictedSmallestEigen:
         lam, _ = restricted_smallest_eigen(bordered(square20), lower_bound=-c,
                                            d=c * square20.lumped_mass, tol=1e-10)
         assert lam == pytest.approx(first_eigenpair(square20).mu1 - c, rel=1e-8)
+
+    @pytest.mark.parametrize("above", [5.0, 20.0])
+    def test_lower_bound_above_spectrum_raises(self, square20, above):
+        # a shift above mu1 makes Lanczos return the eigenvalues nearest to
+        # it: mu1 by luck at mu1 + 5, the (1,1) mode near 2*pi^2 at mu1 + 20;
+        # the Cholesky factor of the shifted pencil refuses both
+        mu1 = first_eigenpair(square20).mu1
+        with pytest.raises(NoConvergenceError, match="not positive definite"):
+            restricted_smallest_eigen(bordered(square20), lower_bound=mu1 + above)
 
     def test_returns_mean_zero_eigenvector(self, square20):
         m = square20.lumped_mass

@@ -11,7 +11,9 @@ from neumann_rigidity import (
     Constant,
     Nonconstant,
     SolutionRecord,
+    assemble,
     attach_diagnostics,
+    build_rectangle_mesh,
     check_exp_integrability,
     classify,
     dual_norm,
@@ -189,6 +191,19 @@ class TestNewtonSolve:
         u0[7] = bad
         with pytest.raises(ValueError, match="non-finite"):
             newton_solve(u0, 1.0, A, square16)
+
+    @pytest.mark.parametrize("eps, a", [(np.inf, A), (1.0, np.nan)], ids=["eps-inf", "a-nan"])
+    def test_rejects_non_finite_parameters(self, eps, a):
+        # either makes the residual norm NaN, once read as "converged" after
+        # 0 iterations
+        op = assemble(build_rectangle_mesh(8, 8, 1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            newton_solve(np.full(op.n, 0.5), eps, a, op)
+
+    def test_nan_tolerance_is_never_met(self, square16):
+        # the loop stops only when rnorm <= tol holds, which no NaN satisfies
+        with pytest.raises(NoConvergenceError):
+            newton_solve(np.full(square16.n, 0.5), 1.0, A, square16, tol=np.nan)
 
     def test_huge_start_fails_gracefully(self, square16):
         u0 = np.full(square16.n, 500.0)
