@@ -41,8 +41,8 @@ from .meshing import (
 )
 from .model import bifurcation_epsilon, constant_chain, find_xi, rigidity_threshold
 from .newton import (
-    Constant,
     attach_diagnostics,
+    classification_of,
     default_tol,
     newton_solve,
     sup_fluct_of,
@@ -293,8 +293,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> i
         "epsilon": rec.epsilon,
         "residual_norm": rec.residual_norm,
         "newton_iters": rec.newton_iters,
-        "classification":
-            "constant" if isinstance(rec.classification, Constant) else "nonconstant",
+        "classification": classification_of(rec),
         "mean": weighted_mean_of(rec),
         "sup_fluct": sup_fluct_of(rec),
         "diagnostics": rec.diagnostics.as_dict(),
@@ -346,9 +345,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None) -> int:
                 for rec in result.solutions[eps]:
                     d = rec.diagnostics
                     w.writerow([
-                        eps,
-                        "constant" if isinstance(rec.classification, Constant) else "nonconstant",
-                        weighted_mean_of(rec), sup_fluct_of(rec),
+                        eps, classification_of(rec), weighted_mean_of(rec), sup_fluct_of(rec),
                         d.zero_avg_residual, d.l1_norm_f, d.l1_bound,
                         abs(d.energy_lhs - d.energy_rhs),
                         d.representation_error, d.exp_integral_q, d.sup_norm,
@@ -403,10 +400,10 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None, field_path: str) -> i
         )
     if eps <= 0.0:
         eps = cfg.require_eps()
-    if not a > 1.0:
-        raise MeshFormatError(f"field file {field_path}: a must exceed 1")
-    if not eps > 0.0:
-        raise MeshFormatError(f"field file {field_path}: epsilon must be positive")
+    if not 1.0 < a < np.inf:
+        raise MeshFormatError(f"field file {field_path}: a must exceed 1 and be finite")
+    if not 0.0 < eps < np.inf:
+        raise MeshFormatError(f"field file {field_path}: epsilon must be positive and finite")
     pair = first_eigenpair(op)
     tol = cfg.newton_tol if cfg.newton_tol is not None else default_tol(op)
     report = run_diagnostics(values, eps, a, cfg.q, op, pair.mu1, newton_tol=tol)

@@ -1,6 +1,14 @@
 """Direct solves with B = scale*A - diag(d) and the first nonzero no-flux
 eigenvalue by shift-invert Lanczos.
 
+Every matrix is factored in one band layout: reverse Cuthill-McKee
+ordering, computed once per operator, puts the P1 pattern in a band of
+half-width k (21 on the 20x20 square, 65 on 64x64).  A symmetric positive
+definite B gets LAPACK's band Cholesky ``dpbtrf`` of its lower triangle in
+a (k+1, n) array, solved by ``dpbtrs``; an indefinite B, the Newton
+Jacobian, gets the pivoting band LU ``dgbtrf`` in a (3k+1, n) array, about
+four times the Cholesky's flops, and a Newton step is one ``dgbtrs`` solve.
+
 The stiffness matrix A of the natural boundary condition annihilates
 constants, so the Poisson matrix B = scale*A (d omitted) is singular and
 its solves live on the weighted-mean-zero subspace: they return the field
@@ -10,33 +18,24 @@ part of the bordered system
 
 whose solution of  scale*A x + m*lam = b,  m'x = 0  is the
 weighted-mean-zero solution of scale*A x = b with the range-incompatible
-part of b (along the mass vector) absorbed by the multiplier lam.  The
-Poisson matrix is grounded: node 0 is removed and A[1:, 1:], which is then
-symmetric positive definite on a connected mesh, is factored once per
-operator by SuperLU with minimum-degree ordering on the pattern of A + A'
-(``MMD_AT_PLUS_A``).  Since 1'A = 0 the multiplier is lam = sum(b)/sum(m)
-in closed form; A x = b - lam*m is solved with x[0] = 0, and removing the
-weighted mean of x gives the bordered solution (Bochev & Lehoucq, SIAM
-Review 47(1), 2005).  That factor serves the Poisson solves and mu1.
+part of b (along the mass vector) absorbed by the multiplier lam.  Since
+1'A = 0 the multiplier is lam = sum(b)/sum(m) in closed form.  The Poisson
+matrix is grounded at node 0 by a penalty on the diagonal,
+A + c*e0*e0' with c = A[0, 0], which is positive definite on a connected
+mesh and is band-Cholesky factored once per operator.  For the compatible
+r = b - lam*m its solution has x[0] = 0 and A x = r (sum the equations:
+c*x[0] = 1'r = 0), and removing the weighted mean of x gives the bordered
+solution (Bochev & Lehoucq, SIAM Review 47(1), 2005).  That factor serves
+the Poisson solves and mu1.
 
-Every B with a given diagonal d (Newton Jacobians, shifted stability
-pencils) is factored on its own and solved plainly: reverse Cuthill-McKee
-ordering, computed once per operator, puts the P1 pattern in a band of
-half-width k (21 on the 20x20 square, 65 on 64x64).  An indefinite B,
-the Newton Jacobian, gets LAPACK's pivoting band LU ``dgbtrf`` in a
-(3k+1, n) array, and a Newton step is one ``dgbtrs`` solve with it.  The
-shifted pencils of the stability eigensolver are symmetric positive
-definite, since the shift lies below the pencil spectrum: they get the
-band Cholesky ``dpbtrf`` of their lower triangle in a (k+1, n) array,
-about a quarter of the LU's flops, solved by ``dpbtrs``, and a failed
-Cholesky says that the shift was not below the spectrum.  Only that
-shift-invert operator needs the mean border [[B, m], [m', 0]]: it is
-closed by the Schur complement s = m'B^{-1}m, x = y - B^{-1}m (m'y)/s with
-y = B^{-1}b, which sends constants to zero and so restricts the spectrum
-to mean-zero fields without any projection; that K is singular exactly
-when s = 0.
-The factors do not pickle; a pickled system carries only its matrix and
-mass and refactors when it is loaded.
+The shifted pencils of the stability eigensolver are positive definite,
+since the shift lies below the pencil spectrum, so they get the band
+Cholesky, and a failed Cholesky says that the shift was not below the
+spectrum.  Only that shift-invert operator needs the mean border
+[[B, m], [m', 0]]: it is closed by the Schur complement s = m'B^{-1}m,
+x = y - B^{-1}m (m'y)/s with y = B^{-1}b, which sends constants to zero and
+so restricts the spectrum to mean-zero fields without any projection; that
+K is singular exactly when s = 0.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NoConvergenceError
 
@@ -88,25 +87,23 @@ def project_mean_zero(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 class PoissonFactor:
-    """SuperLU factors of the Poisson matrix A grounded at node 0.
+    """Band Cholesky factor of the Poisson matrix A grounded at node 0.
 
     ``solve`` takes an (n,) or (n, k) right-hand side b, sets the multiplier
     lam = sum(b)/sum(m) (exact, since 1'A = 0), solves A x = b - lam*m with
-    x[0] = 0 from the factors of A[1:, 1:], removes the weighted mean of x
-    and divides by ``scale``: the field part of K^{-1} [b; 0] for K(scale, 0).
+    the factor of A + A[0, 0]*e0*e0', removes the weighted mean of x and
+    divides by ``scale``: the field part of K^{-1} [b; 0] for K(scale, 0).
     """
 
-    def __init__(self, lu, m: np.ndarray, scale: float = 1.0):
-        self.lu = lu
+    def __init__(self, chol: CholeskyFactor, m: np.ndarray, scale: float = 1.0):
+        self.chol = chol
         self.m = m
         self.scale = scale
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         m = self.m
-        r = b - np.multiply.outer(m, b.sum(axis=0) / m.sum())
-        x = np.zeros_like(r)
-        x[1:] = self.lu.solve(r[1:])
+        x = self.chol.solve(b - np.multiply.outer(m, b.sum(axis=0) / m.sum()))
         return _finite((x - np.dot(m, x) / m.sum()) / self.scale)
 
 
@@ -213,32 +210,30 @@ class BorderedSystem:
     """The matrices B = scale*A - diag(d) of one operator, with the mass
     vector m that borders the singular Poisson case.
 
-    Construction grounds the Poisson matrix at node 0: it factors A[1:, 1:],
-    symmetric positive definite on a connected mesh, with SuperLU's
-    minimum-degree ordering on the pattern of A + A' (``MMD_AT_PLUS_A``)
-    and keeps that factor, whose solves are those of the bordered
-    [[A, m], [m', 0]] with the multiplier sum(b)/sum(m) in closed form.
-    Every B with a given diagonal d fills a band array in the reverse
-    Cuthill-McKee order of A, computed on the first such call: LAPACK's
-    ``dgbtrf`` factors an indefinite B (``factor``), ``dpbtrf`` a positive
-    definite one (``cholesky``).
+    Construction lays out A's band in reverse Cuthill-McKee order and
+    grounds the Poisson matrix at node 0: it band-Cholesky factors
+    A + A[0, 0]*e0*e0', positive definite on a connected mesh, and keeps
+    that factor, whose solves are those of the bordered [[A, m], [m', 0]]
+    with the multiplier sum(b)/sum(m) in closed form.  Every B with a given
+    diagonal d fills a band array in the same order: LAPACK's ``dgbtrf``
+    factors an indefinite B (``factor``), ``dpbtrf`` a positive definite
+    one (``cholesky``).  The factors are numpy arrays, so a system pickles
+    whole.
     """
 
     def __init__(self, a_mat: sp.spmatrix, m: np.ndarray):
         self.a_mat = a_mat
         self.m = np.asarray(m, dtype=float)
         self.n = self.m.shape[0]
+        self._band = _band(a_mat)
+        ground = np.zeros(self.n)
+        ground[0] = -a_mat.diagonal()[0]  # B = A + A[0, 0]*e0*e0'
         try:
-            lu = splu(sp.csc_matrix(a_mat)[1:, 1:], permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise NoConvergenceError(f"grounded Poisson matrix is singular: {exc}") from exc
-        self._poisson = PoissonFactor(lu, self.m)
-        self._band: _Band | None = None  # laid out on the first band factor
-
-    def __reduce__(self):
-        # SuperLU factors do not pickle: a copy (an operator sent to a worker
-        # process) refactors from the matrix and the mass when it is loaded
-        return BorderedSystem, (self.a_mat, self.m)
+            chol = self.cholesky(1.0, ground)
+        except NoConvergenceError as exc:
+            raise NoConvergenceError("grounded Poisson matrix is singular: "
+                                     "zero pivot in band Cholesky") from exc
+        self._poisson = PoissonFactor(chol, self.m)
 
     def factor(self, scale: float = 1.0,
                d: np.ndarray | float | None = None) -> PoissonFactor | BandFactor:
@@ -251,8 +246,8 @@ class BorderedSystem:
         singular: a zero pivot, or min|U_ii| <= n*eps*max|U_ii|.
         """
         if d is None:
-            return self._poisson if scale == 1.0 else PoissonFactor(self._poisson.lu, self.m, scale)
-        band = self._band_order()
+            return self._poisson if scale == 1.0 else PoissonFactor(self._poisson.chol, self.m, scale)
+        band = self._band
         lu, piv, info = dgbtrf(band.lu.fill(scale, d), band.k, band.k, overwrite_ab=1)
         pivots = np.abs(lu[2 * band.k])
         if info > 0 or not pivots.min() > self.n * _EPS * pivots.max():
@@ -267,17 +262,11 @@ class BorderedSystem:
         Raises NoConvergenceError when ``dpbtrf`` finds B not positive
         definite.
         """
-        band = self._band_order()
-        chol, info = dpbtrf(band.lower.fill(scale, d), lower=1, overwrite_ab=1)
+        chol, info = dpbtrf(self._band.lower.fill(scale, d), lower=1, overwrite_ab=1)
         if info > 0:
             raise NoConvergenceError("shifted pencil is not positive definite: "
                                      "lower_bound is not below the spectrum")
-        return CholeskyFactor(chol, band)
-
-    def _band_order(self) -> _Band:
-        if self._band is None:
-            self._band = _band(self.a_mat)
-        return self._band
+        return CholeskyFactor(chol, self._band)
 
 
 def bordered(op) -> BorderedSystem:

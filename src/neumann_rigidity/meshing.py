@@ -104,6 +104,8 @@ def _boundary_nodes(triangles: np.ndarray) -> np.ndarray:
 
 def _check_triangulation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Run the ``validate_mesh`` checks; returns the (positive) triangle areas."""
+    if not np.isfinite(nodes).all():
+        raise MeshFormatError("node coordinates must be finite")
     if triangles.shape[0] == 0:
         raise MeshFormatError("triangulation has no triangles")
     if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
@@ -123,12 +125,12 @@ def _check_triangulation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray
 
 
 def validate_mesh(mesh: Mesh) -> None:
-    """Raise if the triangulation is empty, indexes a missing node, or is
-    degenerate, non-conforming or disconnected (checked in that order, so
-    each check may rely on the ones before it).  A node that no triangle
-    uses is a component of its own.  Connectivity makes the constants the
-    whole kernel of the stiffness matrix, so grounding one node leaves it
-    positive definite."""
+    """Raise if a node coordinate is not finite, or if the triangulation is
+    empty, indexes a missing node, or is degenerate, non-conforming or
+    disconnected (checked in that order, so each check may rely on the ones
+    before it).  A node that no triangle uses is a component of its own.
+    Connectivity makes the constants the whole kernel of the stiffness
+    matrix, so grounding one node leaves it positive definite."""
     _check_triangulation(mesh.nodes, mesh.triangles)
 
 
@@ -366,6 +368,8 @@ def read_field(path) -> tuple[np.ndarray, float, float]:
         if len(body) != n:
             raise ValueError(f"expected {n} values, found {len(body)}")
         values = np.array(body, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
     except (ValueError, IndexError) as exc:
         raise MeshFormatError(f"malformed field file {path}: {exc}") from exc
     return values, epsilon, a

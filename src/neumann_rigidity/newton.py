@@ -274,6 +274,11 @@ def weighted_mean_of(record: SolutionRecord) -> float:
     return record.classification.mean
 
 
+def classification_of(record: SolutionRecord) -> str:
+    """The label runs and output files give a state: "constant" or "nonconstant"."""
+    return "constant" if isinstance(record.classification, Constant) else "nonconstant"
+
+
 def sup_fluct_of(record: SolutionRecord) -> float:
     if isinstance(record.classification, Nonconstant):
         return record.classification.sup_fluct
@@ -296,10 +301,8 @@ def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
             runs.append(StartOutcome(start_id, label, eps, False, type(exc).__name__,
                                      None, None, None, None, None))
             continue
-        cls = rec.classification
         runs.append(StartOutcome(
-            start_id, label, eps, True, None,
-            "constant" if isinstance(cls, Constant) else "nonconstant",
+            start_id, label, eps, True, None, classification_of(rec),
             weighted_mean_of(rec), sup_fluct_of(rec),
             rec.residual_norm, rec.newton_iters,
         ))

@@ -128,12 +128,16 @@ class TestEigenCommand:
         "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 3\n",
         "nodes 3\n0 0\n1 0\n0 1\ntriangles 0\n",
         "nodes 6\n0 0\n1 0\n0 1\n2 0\n3 0\n2 1\ntriangles 2\n0 1 2\n3 4 5\n",
-    ], ids=["index_ge_n", "zero_triangles", "disconnected"])
+        "nodes 3\n0 0\n1 0\nnan 1\ntriangles 1\n0 1 2\n",
+        "nodes 3\n0 0\n1 0\ninf 1\ntriangles 1\n0 1 2\n",
+    ], ids=["index_ge_n", "zero_triangles", "disconnected", "nan_node", "inf_node"])
     def test_bad_mesh_file_exits_4(self, tmp_path, capsys, text):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)
         cfg = make_config(tmp_path, domain="mesh_file", mesh_path=str(mesh_path))
-        assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("i/o error:")
 
@@ -307,6 +311,24 @@ class TestCheckCommand:
         write_field(field, np.zeros(21 * 21), epsilon=float("nan"), a=2.0)
         assert main(["check", "--config", str(cfg), "--field", str(field)]) == 4
         assert "epsilon must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, body", [
+        ("epsilon 1.0 a 2.0", ["nan"] * 441),
+        ("epsilon 1.0 a 2.0", ["inf"] + ["0.0"] * 440),
+        ("epsilon 1.0 a inf", ["0.0"] * 441),
+        ("epsilon inf a 2.0", ["0.0"] * 441),
+    ], ids=["nan_values", "inf_value", "inf_a", "inf_epsilon"])
+    def test_non_finite_field_exits_4(self, tmp_path, capsys, header, body):
+        cfg = make_config(tmp_path)
+        field = tmp_path / "bad.field"
+        field.write_text(f"field 441 {header}\n" + "\n".join(body) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", str(cfg), "--out", str(out),
+                         "--field", str(field)]) == 4
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "check.json").exists()
 
     def test_truncated_field_exits_4(self, tmp_path):
         cfg = make_config(tmp_path)

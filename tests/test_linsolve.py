@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -152,21 +153,21 @@ def disk5():
 
 
 class TestBorderedSystem:
-    def test_one_superlu_factor_per_operator(self, monkeypatch):
-        specs, shapes = [], []
+    def test_one_poisson_cholesky_per_operator(self, monkeypatch):
+        shapes = []
 
-        def counting_splu(k_mat, permc_spec, **kwargs):
-            specs.append(permc_spec)
-            shapes.append(k_mat.shape)
-            return splu(k_mat, permc_spec=permc_spec, **kwargs)
+        def counting_dpbtrf(ab, *args, **kwargs):
+            shapes.append(ab.shape)
+            return dpbtrf(ab, *args, **kwargs)
 
-        monkeypatch.setattr(linsolve, "splu", counting_splu)
+        monkeypatch.setattr(linsolve, "dpbtrf", counting_dpbtrf)
         op = assemble(build_rectangle_mesh(20, 20, 1.0, 1.0))  # nothing cached yet
         result = multi_start(0.12, 2.0, op, 12, seed=0)
         assert result.distinct and all(r.diagnostics is not None for r in result.distinct)
+        poisson = (linsolve._band(op.stiffness).k + 1, op.n)  # grounded at one node
+        assert shapes == [poisson]
         stability_indicator(result.distinct[0].u, 0.12, 2.0, op)
-        assert specs == ["MMD_AT_PLUS_A"]
-        assert shapes == [(op.n - 1, op.n - 1)]  # the Poisson matrix grounded at one node
+        assert shapes == [poisson, poisson]  # the second is the shifted pencil
 
     @pytest.mark.parametrize("mesh, which, kind", [
         pytest.param("square20", 0, "lu", id="newton"),
@@ -236,6 +237,7 @@ class TestBorderedSystem:
             bordered(square20).cholesky(0.3, d)
 
     def test_shifted_pencils_take_cholesky_and_jacobians_lu(self, square20, monkeypatch):
+        bordered(square20)  # the Poisson factor is a dpbtrf too: made before counting
         calls = {"dpbtrf": 0, "dgbtrf": 0}
 
         def counting(name):

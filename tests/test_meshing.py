@@ -307,6 +307,14 @@ class TestFileFormats:
         with pytest.raises(MeshFormatError, match=message):
             read_mesh(path)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_node_rejected(self, tmp_path, x):
+        # a NaN area is never <= 0, so the coordinates are checked first
+        path = tmp_path / "bad.mesh"
+        _write_mesh_text(path, [(0.0, 0.0), (1.0, 0.0), (x, 1.0)], [[0, 1, 2]])
+        with pytest.raises(MeshFormatError, match="coordinates must be finite"):
+            read_mesh(path)
+
 
 class TestConformity:
     def test_validate_rejects_edge_on_three_triangles(self):
