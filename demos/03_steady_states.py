@@ -17,7 +17,6 @@ from neumann_rigidity import (
     multi_start,
     newton_solve,
 )
-from neumann_rigidity.newton import Constant, sup_fluct_of
 
 a = 2.0
 op = assemble(build_rectangle_mesh(32, 32, 1.0, 1.0))
@@ -28,10 +27,8 @@ eps_star = bifurcation_epsilon(a, pair.mu1)
 
 def show(rec, label):
     d = attach_diagnostics(rec, a, 4.0, op).diagnostics
-    kind = ("constant %.6f" % rec.classification.value
-            if isinstance(rec.classification, Constant)
-            else "pattern, sup fluctuation %.4f" % rec.classification.sup_fluct)
-    print(f"\n{label}: {kind} after {rec.newton_iters} iterations "
+    print(f"\n{label}: {rec.classification}, mean {rec.mean:.6f}, sup fluctuation "
+          f"{rec.sup_fluct:.4f} after {rec.newton_iters} iterations "
           f"(residual {rec.residual_norm:.1e})")
     print(f"  zero average  |sum m f(u)| = {d.zero_avg_residual:.2e}")
     print(f"  L1 mass of f  {d.l1_norm_f:.6f} <= bound {d.l1_bound:.6f}")
@@ -55,7 +52,7 @@ show(rec, f"eps = 0.9*eps* = {eps:.4f}, start xi + 0.5 cos(pi x)")
 print(f"\nmulti-start census at eps = {eps:.4f} (30 starts):")
 result = multi_start(eps, a, op, 30, seed=0)
 for r in result.distinct:
-    print(f"  {('constant %.6f' % r.classification.value) if isinstance(r.classification, Constant) else ('pattern sup %.4f' % sup_fluct_of(r))}")
+    print(f"  {r.classification:<11}  mean {r.mean:.6f}  sup {r.sup_fluct:.4f}")
 n_failed = sum(1 for r in result.runs if not r.converged)
 print(f"  ({n_failed} of {len(result.runs)} starts failed to converge; "
       "rough noise starts often do below the bifurcation)")

@@ -13,7 +13,6 @@ from neumann_rigidity import (
     build_bifurcation_report,
     build_rectangle_mesh,
 )
-from neumann_rigidity.newton import sup_fluct_of, weighted_mean
 
 a = 2.0
 op = assemble(build_rectangle_mesh(32, 32, 1.0, 1.0))
@@ -28,9 +27,9 @@ print(f"switch direction: {report.switch_direction}, amplitude {report.switch_am
 points = sorted(report.branch + report.upward_branch, key=lambda p: p.epsilon)
 print("\n  eps        mean      sup fluct   stability   (bar: sup fluct)")
 for p in points:
-    sup = sup_fluct_of(p.solution)
+    sup = p.solution.sup_fluct
     bar = "#" * int(round(40 * sup / 1.0))
-    print(f"  {p.epsilon:.5f}  {weighted_mean(p.solution.u, op.lumped_mass):8.5f}"
+    print(f"  {p.epsilon:.5f}  {p.solution.mean:8.5f}"
           f"   {sup:8.5f}   {p.stability_indicator:+9.4f}   {bar}")
 
 out = Path("branch.csv")
@@ -38,9 +37,8 @@ with open(out, "w", newline="") as fh:
     w = csv.writer(fh)
     w.writerow(["epsilon", "mean", "sup_fluct", "stability_indicator", "residual_norm"])
     for p in points:
-        w.writerow([p.epsilon, weighted_mean(p.solution.u, op.lumped_mass),
-                    sup_fluct_of(p.solution), p.stability_indicator,
-                    p.solution.residual_norm])
+        w.writerow([p.epsilon, p.solution.mean, p.solution.sup_fluct,
+                    p.stability_indicator, p.solution.residual_norm])
 print(f"\nwrote {out}")
 print("the pattern amplitude falls to zero as eps approaches eps* from below")
 print("and the branch merges with the constant: a supercritical pitchfork.")

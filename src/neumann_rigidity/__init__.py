@@ -67,9 +67,7 @@ from .model import (
     rigidity_threshold,
 )
 from .newton import (
-    Constant,
     MultiStartResult,
-    Nonconstant,
     SolutionRecord,
     attach_diagnostics,
     classify,

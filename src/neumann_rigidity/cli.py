@@ -40,15 +40,7 @@ from .meshing import (
     write_field,
 )
 from .model import bifurcation_epsilon, constant_chain, find_xi, rigidity_threshold
-from .newton import (
-    attach_diagnostics,
-    classification_of,
-    default_tol,
-    newton_solve,
-    sup_fluct_of,
-    switch_directions,
-    weighted_mean_of,
-)
+from .newton import attach_diagnostics, default_tol, newton_solve, switch_directions
 
 _NUMERICAL_ERRORS = (
     NoConvergenceError, SingularJacobianError, InvalidBracketError,
@@ -118,8 +110,14 @@ class ExperimentConfig:
                 raise ConfigError("eps_grid must not be empty")
             if any(e <= 0.0 for e in self.eps_grid):
                 raise ConfigError("eps_grid values must be positive")
+            if len(set(self.eps_grid)) < len(self.eps_grid):
+                raise ConfigError("eps_grid values must be distinct")
         if self.n_starts < 1:
             raise ConfigError("n_starts must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.newton_tol is not None and not self.newton_tol > 0.0:
+            raise ConfigError("newton_tol must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         if not self.bif_tol > 0.0:
@@ -194,6 +192,13 @@ def build_operator(cfg: ExperimentConfig) -> DiscreteOperator:
     else:
         mesh = read_mesh(cfg.mesh_path)
     return assemble(mesh)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
@@ -278,6 +283,8 @@ def _start_state(spec: str, cfg: ExperimentConfig, op: DiscreteOperator) -> np.n
             noise_seed = int(arg) if arg else cfg.seed
         except ValueError as exc:
             raise ConfigError(f"bad noise start {spec!r}") from exc
+        if noise_seed < 0:
+            raise ConfigError(f"bad noise start {spec!r}: seed must be non-negative")
         rng = np.random.default_rng(noise_seed)
         return rng.uniform(-2.0, xi + 2.0, size=op.n)
     raise ConfigError(f"unknown start spec {spec!r} (use const:/eig:/noise:)")
@@ -293,9 +300,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> i
         "epsilon": rec.epsilon,
         "residual_norm": rec.residual_norm,
         "newton_iters": rec.newton_iters,
-        "classification": classification_of(rec),
-        "mean": weighted_mean_of(rec),
-        "sup_fluct": sup_fluct_of(rec),
+        "classification": rec.classification,
+        "mean": rec.mean,
+        "sup_fluct": rec.sup_fluct,
         "diagnostics": rec.diagnostics.as_dict(),
         "start": start_spec,
     }
@@ -323,33 +330,28 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     }
     _emit_json(payload, out_dir, "sweep_summary.json")
     if out_dir is not None:
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epsilon", "n_distinct", "any_nonconstant", "n_failed"])
-            for r in result.rows:
-                w.writerow([r.epsilon, r.n_distinct, int(r.any_nonconstant), r.n_failed])
-        with open(out_dir / "runs.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epsilon", "start_id", "converged", "classification",
-                        "mean", "sup_fluct", "residual_norm", "iters"])
-            for r in result.runs:
-                w.writerow([r.epsilon, r.start_id, int(r.converged),
-                            r.classification or r.failure or "",
-                            r.mean, r.sup_fluct, r.residual_norm, r.iters])
-        with open(out_dir / "diagnostics_summary.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epsilon", "classification", "mean", "sup_fluct",
-                        "zero_avg_residual", "l1_norm_f", "l1_bound",
-                        "energy_gap", "representation_error", "exp_integral_q", "sup_norm"])
-            for eps in sorted(result.solutions):
-                for rec in result.solutions[eps]:
-                    d = rec.diagnostics
-                    w.writerow([
-                        eps, classification_of(rec), weighted_mean_of(rec), sup_fluct_of(rec),
-                        d.zero_avg_residual, d.l1_norm_f, d.l1_bound,
-                        abs(d.energy_lhs - d.energy_rhs),
-                        d.representation_error, d.exp_integral_q, d.sup_norm,
-                    ])
+        _write_csv(out_dir / "sweep.csv",
+                   ["epsilon", "n_distinct", "any_nonconstant", "n_failed"],
+                   ([r.epsilon, r.n_distinct, int(r.any_nonconstant), r.n_failed]
+                    for r in result.rows))
+        _write_csv(out_dir / "runs.csv",
+                   ["epsilon", "start_id", "converged", "classification",
+                    "mean", "sup_fluct", "residual_norm", "iters"],
+                   ([r.epsilon, r.start_id, int(r.converged),
+                     r.classification or r.failure or "",
+                     r.mean, r.sup_fluct, r.residual_norm, r.iters]
+                    for r in result.runs))
+        _write_csv(out_dir / "diagnostics_summary.csv",
+                   ["epsilon", "classification", "mean", "sup_fluct",
+                    "zero_avg_residual", "l1_norm_f", "l1_bound",
+                    "energy_gap", "representation_error", "exp_integral_q", "sup_norm"],
+                   ([eps, rec.classification, rec.mean, rec.sup_fluct,
+                     d.zero_avg_residual, d.l1_norm_f, d.l1_bound,
+                     abs(d.energy_lhs - d.energy_rhs),
+                     d.representation_error, d.exp_integral_q, d.sup_norm]
+                    for eps in sorted(result.solutions)
+                    for rec in result.solutions[eps]
+                    for d in [rec.diagnostics]))
     return 0
 
 
@@ -376,18 +378,14 @@ def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     if out_dir is not None:
         write_field(out_dir / "switch_eigenvector.field", report.switch_eigenvector,
                     epsilon=report.eps_star_detected, a=cfg.a)
-        with open(out_dir / "branch.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["direction", "epsilon", "mean", "sup_fluct",
-                        "stability_indicator", "residual_norm"])
-            for direction, points in (("down", report.branch), ("up", report.upward_branch)):
-                for bp in points:
-                    w.writerow([
-                        direction, bp.epsilon,
-                        weighted_mean_of(bp.solution),
-                        sup_fluct_of(bp.solution), bp.stability_indicator,
-                        bp.solution.residual_norm,
-                    ])
+        _write_csv(out_dir / "branch.csv",
+                   ["direction", "epsilon", "mean", "sup_fluct",
+                    "stability_indicator", "residual_norm"],
+                   ([direction, bp.epsilon, bp.solution.mean, bp.solution.sup_fluct,
+                     bp.stability_indicator, bp.solution.residual_norm]
+                    for direction, points in (("down", report.branch),
+                                              ("up", report.upward_branch))
+                    for bp in points))
     return 0
 
 

@@ -11,7 +11,7 @@ predicts, which closes the loop between the two routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -26,14 +26,7 @@ from .errors import (
 from .linsolve import bordered, first_eigenpair, restricted_smallest_eigen
 from .meshing import DiscreteOperator
 from .model import bifurcation_epsilon, eval_f_prime_clipped, find_xi
-from .newton import (
-    Nonconstant,
-    SolutionRecord,
-    StartOutcome,
-    multi_start,
-    newton_solve,
-    switch_directions,
-)
+from .newton import SolutionRecord, StartOutcome, multi_start, newton_solve, switch_directions
 
 INDICATOR_TOL = 1e-9    # eigensolver tolerance of the stability indicator
 SWITCH_DELTA = 0.05     # branch switching runs at (1 - SWITCH_DELTA)*eps*
@@ -70,12 +63,12 @@ class BifurcationReport:
     eps_star_predicted: float
     relative_gap: float
     branch: list[BranchPoint]
-    upward_branch: list[BranchPoint] = field(default_factory=list)
-    mu1: float | None = None
-    mu1_degenerate: bool = False
-    switch_amplitude: float | None = None
-    switch_direction: str | None = None
-    switch_eigenvector: np.ndarray | None = None
+    upward_branch: list[BranchPoint]
+    mu1: float
+    mu1_degenerate: bool
+    switch_amplitude: float
+    switch_direction: str
+    switch_eigenvector: np.ndarray
 
 
 def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperator,
@@ -161,7 +154,7 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
                 rec = newton_solve(xi + sign * amplitude * direction, eps, a, op, tol)
             except (NoConvergenceError, SingularJacobianError):
                 continue
-            if isinstance(rec.classification, Nonconstant):
+            if rec.sup_fluct > 0.0:
                 return rec, (name if sign > 0 else f"-{name}")
             n_constant += 1
     if n_constant:
@@ -242,7 +235,7 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
     upward = continue_branch(switch, up_schedule, a, op, newton_tol)
 
     xi = find_xi(a)
-    used = dict(switch_directions(op)).get(direction.lstrip("-"))
+    used = dict(switch_directions(op))[direction.lstrip("-")]
     return BifurcationReport(
         eps_star_detected=eps_star,
         eps_star_predicted=predicted,
@@ -314,7 +307,7 @@ def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
     runs: list[StartOutcome] = []
     m_emp = 0.0
     for eps, result in outcomes:
-        any_nc = any(isinstance(r.classification, Nonconstant) for r in result.distinct)
+        any_nc = any(r.sup_fluct > 0.0 for r in result.distinct)
         rows.append(SweepRow(
             epsilon=eps,
             n_distinct=len(result.distinct),

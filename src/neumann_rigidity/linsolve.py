@@ -307,9 +307,9 @@ class EigenPair:
 
     mu1: float
     phi1: np.ndarray
-    degenerate: bool = False
-    mu2: float | None = None
-    phi2: np.ndarray | None = None
+    degenerate: bool
+    mu2: float
+    phi2: np.ndarray
 
 
 def _mean_bordered(factor: BandFactor | CholeskyFactor, m: np.ndarray):

@@ -2,6 +2,11 @@
 eps*A*u = m*f(u), a deterministic multi-start search over its solution set,
 and classification of converged states as constant or patterned.
 
+Every converged state is a flat ``SolutionRecord`` carrying its
+mass-weighted mean and sup fluctuation; ``classify`` sets the fluctuation
+to exactly 0.0 for a constant state, and the record's ``classification``
+label is read from that.
+
 ``newton_solve`` returns a bare record; ``attach_diagnostics`` runs the
 check suite on one, and ``multi_start`` runs it on each distinct state it
 reports.
@@ -14,7 +19,7 @@ it.  A numerically singular J raises SingularJacobianError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +31,7 @@ from .meshing import DiscreteOperator
 from .model import eval_f_clipped, eval_f_prime_clipped, find_xi
 
 __all__ = [
-    "Constant", "Nonconstant", "SolutionRecord", "StartOutcome", "MultiStartResult",
+    "SolutionRecord", "StartOutcome", "MultiStartResult",
     "residual", "jacobian", "newton_solve", "attach_diagnostics", "classify",
     "weighted_mean", "multi_start", "dedup_records", "switch_directions",
 ]
@@ -41,30 +46,24 @@ STALL_FACTOR = 0.3   # by less than this factor
 
 
 @dataclass(frozen=True)
-class Constant:
-    value: float
-
-
-@dataclass(frozen=True)
-class Nonconstant:
-    sup_fluct: float
-    mean: float  # mass-weighted
-
-
-Classification = Constant | Nonconstant
-
-
-@dataclass(frozen=True)
 class SolutionRecord:
-    """A converged steady state with its classification; the check report is
-    None until ``attach_diagnostics`` fills it in."""
+    """A converged steady state with its mass-weighted ``mean`` and its sup
+    fluctuation ``max|u - mean|``, which ``classify`` sets to 0.0 for a
+    constant state; the check report is None until ``attach_diagnostics``
+    fills it in."""
 
     u: np.ndarray
     epsilon: float
     residual_norm: float
     newton_iters: int
-    classification: Classification
+    mean: float
+    sup_fluct: float
     diagnostics: DiagnosticsReport | None = None
+
+    @property
+    def classification(self) -> str:
+        """The label runs and output files give a state: "constant" or "nonconstant"."""
+        return "nonconstant" if self.sup_fluct > 0.0 else "constant"
 
 
 def default_tol(op: DiscreteOperator) -> float:
@@ -89,13 +88,15 @@ def jacobian(u: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> sp.cs
     return (eps * op.stiffness - sp.diags(op.lumped_mass * fp)).tocsr()
 
 
-def classify(u: np.ndarray, m: np.ndarray) -> Classification:
-    """Constant iff the sup fluctuation is below 1e-6*max(1, |mean|)."""
+def classify(u: np.ndarray, m: np.ndarray) -> tuple[float, float]:
+    """(mass-weighted mean, sup fluctuation) of u.  The state is constant iff
+    its sup fluctuation is below 1e-6*max(1, |mean|), and the fluctuation of
+    a constant state is returned as exactly 0.0."""
     mean = weighted_mean(u, m)
     sup_fluct = float(np.abs(u - mean).max())
     if sup_fluct <= CLASSIFY_REL_TOL * max(1.0, abs(mean)):
-        return Constant(value=mean)
-    return Nonconstant(sup_fluct=sup_fluct, mean=mean)
+        sup_fluct = 0.0
+    return mean, sup_fluct
 
 
 def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
@@ -164,8 +165,9 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
         history.append(rnorm)
         iters += 1
 
+    mean, sup_fluct = classify(u, m)
     return SolutionRecord(u=u, epsilon=eps, residual_norm=rnorm, newton_iters=iters,
-                          classification=classify(u, m))
+                          mean=mean, sup_fluct=sup_fluct)
 
 
 def attach_diagnostics(record: SolutionRecord, a: float, q: float, op: DiscreteOperator,
@@ -197,7 +199,7 @@ class StartOutcome:
 @dataclass(frozen=True)
 class MultiStartResult:
     distinct: list[SolutionRecord]
-    runs: list[StartOutcome] = field(default_factory=list)
+    runs: list[StartOutcome]
 
 
 def switch_directions(op: DiscreteOperator) -> list[tuple[str, np.ndarray]]:
@@ -211,8 +213,7 @@ def switch_directions(op: DiscreteOperator) -> list[tuple[str, np.ndarray]]:
     """
     pair = first_eigenpair(op)
     dirs = [("phi1", pair.phi1)]
-    if pair.phi2 is not None and pair.mu2 is not None and pair.mu1 > 0.0 \
-            and (pair.mu2 - pair.mu1) <= 0.05 * pair.mu1:
+    if pair.mu2 - pair.mu1 <= 0.05 * pair.mu1:
         dirs += [
             ("phi1+phi2", pair.phi1 + pair.phi2),
             ("phi1-phi2", pair.phi1 - pair.phi2),
@@ -264,25 +265,8 @@ def dedup_records(records: list[SolutionRecord]) -> list[SolutionRecord]:
         )
         if not is_dup:
             distinct.append(rec)
-    distinct.sort(key=lambda r: (weighted_mean_of(r), sup_fluct_of(r)))
+    distinct.sort(key=lambda r: (r.mean, r.sup_fluct))
     return distinct
-
-
-def weighted_mean_of(record: SolutionRecord) -> float:
-    if isinstance(record.classification, Constant):
-        return record.classification.value
-    return record.classification.mean
-
-
-def classification_of(record: SolutionRecord) -> str:
-    """The label runs and output files give a state: "constant" or "nonconstant"."""
-    return "constant" if isinstance(record.classification, Constant) else "nonconstant"
-
-
-def sup_fluct_of(record: SolutionRecord) -> float:
-    if isinstance(record.classification, Nonconstant):
-        return record.classification.sup_fluct
-    return 0.0
 
 
 def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
@@ -302,8 +286,7 @@ def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
                                      None, None, None, None, None))
             continue
         runs.append(StartOutcome(
-            start_id, label, eps, True, None, classification_of(rec),
-            weighted_mean_of(rec), sup_fluct_of(rec),
+            start_id, label, eps, True, None, rec.classification, rec.mean, rec.sup_fluct,
             rec.residual_norm, rec.newton_iters,
         ))
         found.append(rec)

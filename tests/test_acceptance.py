@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from neumann_rigidity import (
-    Constant,
     bifurcation_epsilon,
     build_bifurcation_report,
     check_exp_integrability,
@@ -35,7 +34,7 @@ from neumann_rigidity import (
     weighted_mean,
 )
 from neumann_rigidity.model import constant_chain, eval_f_prime
-from neumann_rigidity.newton import default_tol, sup_fluct_of
+from neumann_rigidity.newton import default_tol
 
 A = 2.0
 J11_PRIME_SQ = 1.8411837813406593**2
@@ -145,8 +144,7 @@ def test_criterion_5_rigidity(square20, sweep_result):
     t0 = time.perf_counter()
     deep = multi_start(10.0, A, square20, 50, seed=7)
     seconds += time.perf_counter() - t0
-    values = sorted(rec.classification.value for rec in deep.distinct
-                    if isinstance(rec.classification, Constant))
+    values = sorted(rec.mean for rec in deep.distinct if rec.classification == "constant")
     ok_deep = (len(deep.distinct) == 2 and len(values) == 2
                and abs(values[0]) <= 1e-8 and abs(values[1] - xi) <= 1e-8)
 
@@ -166,17 +164,17 @@ def test_criterion_6_branch_behavior(square32):
     switch_point = rep.branch[0]
     ok_switch = (
         switch_point.epsilon == pytest.approx(0.95 * rep.eps_star_detected, rel=1e-12)
-        and sup_fluct_of(switch_point.solution) > 0.01
+        and switch_point.solution.sup_fluct > 0.01
     )
     merged = rep.upward_branch[-1]
     m = square32.lumped_mass
     v = merged.solution.u - weighted_mean(merged.solution.u, m)
     ok_merge = (merged.epsilon > rep.eps_star_detected
-                and isinstance(merged.solution.classification, Constant)
+                and merged.solution.classification == "constant"
                 and np.abs(v).max() < 1e-6)
     ok = ok_switch and ok_merge and elapsed < 120.0
     report("6 branch behavior", ok,
-           f"switch sup={sup_fluct_of(switch_point.solution):.4f} at "
+           f"switch sup={switch_point.solution.sup_fluct:.4f} at "
            f"eps={switch_point.epsilon:.5f}, merged sup={np.abs(v).max():.1e} at "
            f"eps={merged.epsilon:.5f} (dir {rep.switch_direction}), {elapsed:.0f}s")
 

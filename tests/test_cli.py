@@ -1,6 +1,7 @@
 """Command-line harness: config validation, the six verbs, exit codes,
 output files, and determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -59,6 +60,7 @@ class TestConfig:
         {"nx": "4"}, {"a": "2"}, {"eps_grid": [0.1, "x"]}, {"n_starts": 2.5},
         {"bracket_lo": 0.2, "bracket_hi": 0.1},
         {"eps": np.inf}, {"eps_grid": [np.nan, 1.0]}, {"a": np.inf}, {"q": np.inf},
+        {"seed": -1}, {"eps_grid": [0.3, 0.3]}, {"newton_tol": 0.0}, {"newton_tol": -1.0},
     ])
     def test_constraints(self, tmp_path, bad):
         path = make_config(tmp_path, **bad)
@@ -179,6 +181,11 @@ class TestSolveCommand:
         cfg = make_config(tmp_path)
         assert main(["solve", "--config", str(cfg), "--start", "wobble:1"]) == 2
 
+    def test_negative_noise_seed_exits_2(self, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        assert main(["solve", "--config", str(cfg), "--start", "noise:-3"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["const:inf", "const:nan", "eig:-inf", "eig:nan"])
     def test_non_finite_start_exits_2(self, tmp_path, capsys, spec):
         cfg = make_config(tmp_path)
@@ -223,6 +230,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
         for name in ("runs.csv", "sweep_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # the grid yields both kinds of state; a constant one has sup_fluct 0.0 exactly
+        for name in ("runs.csv", "diagnostics_summary.csv"):
+            rows = list(csv.DictReader((out1 / name).read_text().splitlines()))
+            kinds = [r["classification"] for r in rows]
+            assert "constant" in kinds and "nonconstant" in kinds
+            for r in rows:
+                if r["classification"] == "constant":
+                    assert float(r["sup_fluct"]) == 0.0
+                elif r["classification"] == "nonconstant":
+                    assert float(r["sup_fluct"]) > 0.0
 
     def test_needs_grid(self, tmp_path):
         cfg = make_config(tmp_path, eps_grid=None)

@@ -36,4 +36,4 @@ def test_readme_quick_start_runs(tmp_path):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     proc = run_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "Constant(value=1.2564" in proc.stdout
+    assert "constant 1.2564" in proc.stdout
