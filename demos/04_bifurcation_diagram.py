@@ -24,12 +24,12 @@ print(f"relative gap   = {report.relative_gap:.2e}")
 print(f"mu1 = {report.mu1:.6f}, degenerate pair: {report.mu1_degenerate}")
 print(f"switch direction: {report.switch_direction}, amplitude {report.switch_amplitude:.4f}")
 
-points = sorted(report.branch + report.upward_branch, key=lambda p: p.epsilon)
+points = sorted(report.branch + report.upward_branch, key=lambda p: p.solution.epsilon)
 print("\n  eps        mean      sup fluct   stability   (bar: sup fluct)")
 for p in points:
     sup = p.solution.sup_fluct
     bar = "#" * int(round(40 * sup / 1.0))
-    print(f"  {p.epsilon:.5f}  {p.solution.mean:8.5f}"
+    print(f"  {p.solution.epsilon:.5f}  {p.solution.mean:8.5f}"
           f"   {sup:8.5f}   {p.stability_indicator:+9.4f}   {bar}")
 
 out = Path("branch.csv")
@@ -37,7 +37,7 @@ with open(out, "w", newline="") as fh:
     w = csv.writer(fh)
     w.writerow(["epsilon", "mean", "sup_fluct", "stability_indicator", "residual_norm"])
     for p in points:
-        w.writerow([p.epsilon, p.solution.mean, p.solution.sup_fluct,
+        w.writerow([p.solution.epsilon, p.solution.mean, p.solution.sup_fluct,
                     p.stability_indicator, p.solution.residual_norm])
 print(f"\nwrote {out}")
 print("the pattern amplitude falls to zero as eps approaches eps* from below")

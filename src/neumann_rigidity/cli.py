@@ -17,7 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .continuation import build_bifurcation_report, rigidity_sweep
+from .continuation import BIF_TOL, build_bifurcation_report, rigidity_sweep
 from .diagnostics import run_diagnostics
 from .errors import (
     BranchLostError,
@@ -39,7 +39,8 @@ from .meshing import (
     read_mesh,
     write_field,
 )
-from .model import bifurcation_epsilon, constant_chain, find_xi, rigidity_threshold
+from .model import (SATURATION_EXPONENT, bifurcation_epsilon, constant_chain, find_xi,
+                    rigidity_threshold)
 from .newton import attach_diagnostics, default_tol, newton_solve, switch_directions
 
 _NUMERICAL_ERRORS = (
@@ -69,8 +70,7 @@ class ExperimentConfig:
     newton_tol: float | None = None  # None: 1e-10*(1 + total mass)
     bracket_lo: float | None = None
     bracket_hi: float | None = None
-    bif_tol: float = 1e-8
-    amplitude: float | None = None
+    bif_tol: float = BIF_TOL
     m_values: list[float] | None = None
     out_dir: str | None = None
     threads: int = 1
@@ -125,8 +125,9 @@ class ExperimentConfig:
         if None not in (self.bracket_lo, self.bracket_hi) and not (
                 0.0 < self.bracket_lo < self.bracket_hi):
             raise ConfigError("need 0 < bracket_lo < bracket_hi")
-        if self.amplitude == 0.0:
-            raise ConfigError("amplitude must be nonzero")
+        if self.m_values is not None and not all(
+                0.0 <= m <= SATURATION_EXPONENT for m in self.m_values):
+            raise ConfigError(f"m_values must lie in [0, {SATURATION_EXPONENT:g}]")
 
     def require_eps(self) -> float:
         if self.eps is None:
@@ -202,7 +203,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Print the payload as strict JSON and write it to ``out_dir/name``
+    when an output directory is given.  Strict JSON has no Infinity or NaN,
+    so a round trip through the parser turns each non-finite float into null."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if out_dir is not None:
         (out_dir / name).write_text(text + "\n")
@@ -361,7 +366,7 @@ def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         raise ConfigError("bifurcate needs bracket_lo and bracket_hi in the config")
     report = build_bifurcation_report(
         cfg.a, op, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.bif_tol,
-        amplitude=cfg.amplitude, newton_tol=cfg.newton_tol,
+        newton_tol=cfg.newton_tol,
     )
     payload = {
         "eps_star_detected": report.eps_star_detected,
@@ -381,8 +386,8 @@ def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         _write_csv(out_dir / "branch.csv",
                    ["direction", "epsilon", "mean", "sup_fluct",
                     "stability_indicator", "residual_norm"],
-                   ([direction, bp.epsilon, bp.solution.mean, bp.solution.sup_fluct,
-                     bp.stability_indicator, bp.solution.residual_norm]
+                   ([direction, bp.solution.epsilon, bp.solution.mean,
+                     bp.solution.sup_fluct, bp.stability_indicator, bp.solution.residual_norm]
                     for direction, points in (("down", report.branch),
                                               ("up", report.upward_branch))
                     for bp in points))

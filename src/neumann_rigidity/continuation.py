@@ -28,9 +28,9 @@ from .meshing import DiscreteOperator
 from .model import bifurcation_epsilon, eval_f_prime_clipped, find_xi
 from .newton import SolutionRecord, StartOutcome, multi_start, newton_solve, switch_directions
 
-INDICATOR_TOL = 1e-9    # eigensolver tolerance of the stability indicator
+BIF_TOL = 1e-8          # default bracket width of the eps* root finder
 SWITCH_DELTA = 0.05     # branch switching runs at (1 - SWITCH_DELTA)*eps*
-SWITCH_AMPLITUDE = 0.3  # default sup of the switch perturbation, relative to xi_a
+SWITCH_AMPLITUDE = 0.3  # sup of the switch perturbation, relative to xi_a
 MAX_HALVINGS = 6        # step halvings per scheduled continuation value
 # the bifurcation report traces the patterned branch down to BRANCH_DOWN_TO*eps*
 # in BRANCH_DOWN_POINTS steps and up past eps* to BRANCH_UP_TO*eps*
@@ -40,9 +40,9 @@ BRANCH_UP_TO, BRANCH_UP_POINTS = 1.10, 2
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One accepted point along a branch: (eps, solution, linearized stability)."""
+    """One accepted point along a branch: the solution (its ``epsilon`` is
+    the point's eps) and its linearized stability."""
 
-    epsilon: float
     solution: SolutionRecord
     stability_indicator: float
 
@@ -56,7 +56,8 @@ class BifurcationReport:
     pattern collapses back onto the constant state.  ``mu1_degenerate``
     flags a multiplicity-two first mode (disks; structured square meshes
     split the pair by O(h**2)); the direction actually used for switching
-    is recorded by label and vector.
+    is recorded by label and vector, with the perturbation's sup
+    SWITCH_AMPLITUDE*xi_a.
     """
 
     eps_star_detected: float
@@ -71,10 +72,9 @@ class BifurcationReport:
     switch_eigenvector: np.ndarray
 
 
-def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperator,
-                        tol: float = INDICATOR_TOL) -> tuple[float, np.ndarray]:
+def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> float:
     """Smallest mean-zero-subspace eigenvalue of the Jacobian pencil at u,
-    with its eigenvector.
+    to the eigensolver tolerance ``linsolve.INDICATOR_TOL``.
 
     The pointwise reaction slope bounds the whole pencil spectrum from
     below by -max f'(u), which places the shift of the shift-invert
@@ -84,11 +84,11 @@ def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperato
     """
     fp = eval_f_prime_clipped(u, a)
     return restricted_smallest_eigen(bordered(op), -float(fp.max()), scale=eps,
-                                     d=op.lumped_mass * fp, tol=tol)
+                                     d=op.lumped_mass * fp)[0]
 
 
 def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, float],
-                       tol: float = 1e-8) -> float:
+                       tol: float = BIF_TOL) -> float:
     """Regula falsi on the constant-branch stability indicator.
 
     Requires opposite indicator signs at the bracket ends.  Each step takes
@@ -106,11 +106,7 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
     if not (0.0 < lo < hi):
         raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")
     u = np.full(op.n, find_xi(a))
-
-    def indicator(eps):
-        return stability_indicator(u, eps, a, op)[0]
-
-    f_lo, f_hi = indicator(lo), indicator(hi)
+    f_lo, f_hi = stability_indicator(u, lo, a, op), stability_indicator(u, hi, a, op)
     if np.sign(f_lo) == np.sign(f_hi):
         raise InvalidBracketError(
             f"indicator does not change sign on ({lo}, {hi}): {f_lo:.3e}, {f_hi:.3e}"
@@ -118,7 +114,7 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
     while hi - lo > tol:
         x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        f_x = indicator(x)
+        f_x = stability_indicator(u, x, a, op)
         if f_x == 0.0:
             return x
         if np.sign(f_x) == np.sign(f_lo):
@@ -129,23 +125,19 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
 
 
 def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
-                  amplitude: float | None = None,
-                  tol: float | None = None) -> tuple[SolutionRecord, str]:
+                  tol: float | None = None) -> tuple[SolutionRecord, str, np.ndarray]:
     """Jump onto the patterned branch just below the bifurcation point.
 
     Runs Newton at eps = (1 - SWITCH_DELTA)*eps_star from xi_a + amplitude*d
-    over the candidate directions d (sup norm one, both signs); ``amplitude``
-    defaults to SWITCH_AMPLITUDE*xi_a and is the sup of the initial perturbation,
-    ``tol`` is the Newton residual target (None: ``newton.default_tol``).
-    Returns the first patterned solution and the direction label used.
-    Raises FellBackToConstantError when every start lands back on the
-    constant branch (amplitude too small).
+    over the candidate directions d (sup norm one, both signs), where the
+    perturbation's sup is amplitude = SWITCH_AMPLITUDE*xi_a; ``tol`` is the
+    Newton residual target (None: ``newton.default_tol``).  Returns the
+    first patterned solution, the signed label of its start and the
+    unsigned direction d.  Raises FellBackToConstantError when every start
+    lands back on the constant branch.
     """
-    if amplitude is not None and amplitude == 0.0:
-        raise ValueError("amplitude must be nonzero")
     xi = find_xi(a)
-    if amplitude is None:
-        amplitude = SWITCH_AMPLITUDE * xi
+    amplitude = SWITCH_AMPLITUDE * xi
     eps = (1.0 - SWITCH_DELTA) * eps_star
     n_constant = 0
     for name, direction in switch_directions(op):
@@ -155,12 +147,12 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
             except (NoConvergenceError, SingularJacobianError):
                 continue
             if rec.sup_fluct > 0.0:
-                return rec, (name if sign > 0 else f"-{name}")
+                return rec, (name if sign > 0 else f"-{name}"), direction
             n_constant += 1
     if n_constant:
         raise FellBackToConstantError(
             f"switch with amplitude {amplitude:g} converged back to the constant "
-            f"from every direction; increase amplitude"
+            f"from every direction"
         )
     raise NoConvergenceError(
         f"branch switch at eps={eps:.6g}: every direction start failed to converge"
@@ -195,9 +187,7 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
                     ) from exc
                 current = 0.5 * (eps_prev + current)
                 continue
-            lam, _ = stability_indicator(rec.u, current, a, op)
-            points.append(BranchPoint(epsilon=current, solution=rec,
-                                      stability_indicator=lam))
+            points.append(BranchPoint(rec, stability_indicator(rec.u, current, a, op)))
             u_prev, eps_prev = rec.u, current
             if current == target:
                 break
@@ -206,7 +196,7 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
 
 
 def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[float, float],
-                             tol: float = 1e-8, amplitude: float | None = None,
+                             tol: float = BIF_TOL,
                              newton_tol: float | None = None) -> BifurcationReport:
     """Detect the primary bifurcation to ``tol``, switch, and trace both
     directions with Newton solves to ``newton_tol``.
@@ -220,9 +210,8 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
     predicted = bifurcation_epsilon(a, pair.mu1)
     gap = abs(eps_star - predicted) / predicted
 
-    switch, direction = branch_switch(eps_star, a, op, amplitude, newton_tol)
-    lam0, _ = stability_indicator(switch.u, switch.epsilon, a, op)
-    first_point = BranchPoint(switch.epsilon, switch, lam0)
+    switch, label, direction = branch_switch(eps_star, a, op, newton_tol)
+    first_point = BranchPoint(switch, stability_indicator(switch.u, switch.epsilon, a, op))
 
     down_schedule = list(np.linspace(0.90 * eps_star, BRANCH_DOWN_TO * eps_star,
                                      BRANCH_DOWN_POINTS))
@@ -234,8 +223,6 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
         np.linspace(1.05 * eps_star, BRANCH_UP_TO * eps_star, BRANCH_UP_POINTS))
     upward = continue_branch(switch, up_schedule, a, op, newton_tol)
 
-    xi = find_xi(a)
-    used = dict(switch_directions(op))[direction.lstrip("-")]
     return BifurcationReport(
         eps_star_detected=eps_star,
         eps_star_predicted=predicted,
@@ -244,9 +231,9 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
         upward_branch=upward,
         mu1=pair.mu1,
         mu1_degenerate=pair.degenerate,
-        switch_amplitude=amplitude if amplitude is not None else SWITCH_AMPLITUDE * xi,
-        switch_direction=direction,
-        switch_eigenvector=used,
+        switch_amplitude=SWITCH_AMPLITUDE * find_xi(a),
+        switch_direction=label,
+        switch_eigenvector=direction,
     )
 
 
@@ -290,14 +277,16 @@ def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
 
     Deterministic for a fixed seed, grid, and mesh: each grid value gets the
     derived seed ``seed + 7919*index``.  Grid values are independent, so
-    they may be distributed over worker processes.
+    they may be distributed over min(threads, len(eps_grid)) worker
+    processes; with one, the sweep runs in this process.
     """
     tasks = [
         (float(eps), a, op, n_starts, seed + 7919 * i, q, tol)
         for i, eps in enumerate(eps_grid)
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, tasks))
     else:
         outcomes = [_sweep_one(t) for t in tasks]

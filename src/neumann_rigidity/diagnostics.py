@@ -46,11 +46,10 @@ def check_l1_bound(u: np.ndarray, m: np.ndarray, a: float) -> tuple[float, float
     return l1, bound, l1 <= bound * (1.0 + L1_REL_SLACK)
 
 
-def check_mean_bounds(u: np.ndarray, m: np.ndarray, a: float,
-                      tol: float = MEAN_SLACK) -> tuple[float, bool]:
-    """Solution mean must land in [0, xi_a] up to tol."""
+def check_mean_bounds(u: np.ndarray, m: np.ndarray, a: float) -> tuple[float, bool]:
+    """Solution mean must land in [0, xi_a] up to MEAN_SLACK."""
     mean = weighted_mean(u, m)
-    return mean, (-tol <= mean <= find_xi(a) + tol)
+    return mean, (-MEAN_SLACK <= mean <= find_xi(a) + MEAN_SLACK)
 
 
 def check_exp_integrability(u: np.ndarray, m: np.ndarray, q: float) -> tuple[float, float]:

@@ -51,6 +51,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .errors import NoConvergenceError
 
 _RNG_SEED = 20260810  # deterministic Lanczos start vector
+MU1_TOL = 1e-10       # Lanczos tolerance of mu1, and of its degeneracy test
+INDICATOR_TOL = 1e-9  # Lanczos tolerance of the restricted smallest eigenvalue
 _EPS = np.finfo(float).eps
 
 
@@ -297,7 +299,7 @@ class EigenPair:
     """First nonzero eigenvalue of the no-flux operator with its mode.
 
     ``phi1`` has weighted mean zero and weighted norm one.  ``degenerate``
-    flags a second eigenvalue within 10*tol of mu1 (disks carry an exactly
+    flags a second eigenvalue within 10*MU1_TOL of mu1 (disks carry an exactly
     degenerate first pair; on structured square meshes the diagonal split
     direction separates the pair by O(h**2), so the flag stays off there);
     ``mu2``/``phi2`` are the second eigenpair, kept because branch switching
@@ -367,25 +369,25 @@ def _smallest_restricted(system: BorderedSystem, scale: float, d, shift: float,
     return theta[order], vecs[:, order]
 
 
-def smallest_nonzero_eigen(system: BorderedSystem, tol: float = 1e-10) -> EigenPair:
+def smallest_nonzero_eigen(system: BorderedSystem) -> EigenPair:
     """First nonzero eigenvalue mu1 of A x = mu * m x with A psd, A 1 = 0.
 
-    Shift-invert Lanczos at shift 0 on the mean-zero subspace, inverting
-    with the Poisson factor; the second eigenvalue detects a
+    Shift-invert Lanczos at shift 0 on the mean-zero subspace, to MU1_TOL,
+    inverting with the Poisson factor; the second eigenvalue detects a
     (near-)degenerate first eigenvalue.
     """
-    theta, vecs = _smallest_restricted(system, 1.0, None, 0.0, tol)
+    theta, vecs = _smallest_restricted(system, 1.0, None, 0.0, MU1_TOL)
     mu1, mu2 = float(theta[0]), float(theta[1])
-    degenerate = abs(mu2 - mu1) <= 10.0 * tol * max(1.0, abs(mu1))
+    degenerate = abs(mu2 - mu1) <= 10.0 * MU1_TOL * max(1.0, abs(mu1))
     return EigenPair(mu1=mu1, phi1=vecs[:, 0].copy(), degenerate=degenerate,
                      mu2=mu2, phi2=vecs[:, 1].copy())
 
 
 def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
-                              scale: float = 1.0, d: np.ndarray | float | None = None,
-                              tol: float = 1e-9) -> tuple[float, np.ndarray]:
+                              scale: float = 1.0,
+                              d: np.ndarray | float | None = None) -> tuple[float, np.ndarray]:
     """Smallest mean-zero-subspace eigenvalue of the symmetric pencil
-    (scale*A - diag(d), diag(m)) and its eigenvector.
+    (scale*A - diag(d), diag(m)) and its eigenvector, to INDICATOR_TOL.
 
     ``lower_bound`` must bound the whole pencil spectrum from below, the
     constant direction included, not only the mean-zero part (for reaction
@@ -396,7 +398,7 @@ def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
     that is not below the spectrum raises NoConvergenceError.
     """
     shift = lower_bound - max(1.0, 0.1 * abs(lower_bound))
-    theta, vecs = _smallest_restricted(system, scale, d, shift, tol)
+    theta, vecs = _smallest_restricted(system, scale, d, shift, INDICATOR_TOL)
     return float(theta[0]), vecs[:, 0].copy()
 
 

@@ -163,20 +163,20 @@ def test_criterion_6_branch_behavior(square32):
 
     switch_point = rep.branch[0]
     ok_switch = (
-        switch_point.epsilon == pytest.approx(0.95 * rep.eps_star_detected, rel=1e-12)
+        switch_point.solution.epsilon == pytest.approx(0.95 * rep.eps_star_detected, rel=1e-12)
         and switch_point.solution.sup_fluct > 0.01
     )
     merged = rep.upward_branch[-1]
     m = square32.lumped_mass
     v = merged.solution.u - weighted_mean(merged.solution.u, m)
-    ok_merge = (merged.epsilon > rep.eps_star_detected
+    ok_merge = (merged.solution.epsilon > rep.eps_star_detected
                 and merged.solution.classification == "constant"
                 and np.abs(v).max() < 1e-6)
     ok = ok_switch and ok_merge and elapsed < 120.0
     report("6 branch behavior", ok,
            f"switch sup={switch_point.solution.sup_fluct:.4f} at "
-           f"eps={switch_point.epsilon:.5f}, merged sup={np.abs(v).max():.1e} at "
-           f"eps={merged.epsilon:.5f} (dir {rep.switch_direction}), {elapsed:.0f}s")
+           f"eps={switch_point.solution.epsilon:.5f}, merged sup={np.abs(v).max():.1e} at "
+           f"eps={merged.solution.epsilon:.5f} (dir {rep.switch_direction}), {elapsed:.0f}s")
 
 
 def test_criterion_7_jensen_green(square20, square32, disk4, sweep_result):

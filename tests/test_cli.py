@@ -20,6 +20,10 @@ from neumann_rigidity.errors import ConfigError
 XI = find_xi(2.0)
 
 
+def _reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 def make_config(tmp_path, **overrides):
     data = {
         "a": 2.0, "q": 4.0,
@@ -61,6 +65,7 @@ class TestConfig:
         {"bracket_lo": 0.2, "bracket_hi": 0.1},
         {"eps": np.inf}, {"eps_grid": [np.nan, 1.0]}, {"a": np.inf}, {"q": np.inf},
         {"seed": -1}, {"eps_grid": [0.3, 0.3]}, {"newton_tol": 0.0}, {"newton_tol": -1.0},
+        {"m_values": [-1.0]}, {"m_values": [1e308]}, {"m_values": [2.0, 700.5]},
     ])
     def test_constraints(self, tmp_path, bad):
         path = make_config(tmp_path, **bad)
@@ -93,6 +98,16 @@ class TestConstantsCommand:
         assert payload["eps_star_linear"] == pytest.approx(0.153285, rel=0.01)
         assert payload["threshold_of_m"]["2.0"] == pytest.approx(
             (np.exp(2) - 2) / payload["mu1"], rel=1e-10)
+
+    def test_m_values_range_ends(self, tmp_path):
+        cfg = make_config(tmp_path, nx=4, ny=4, m_values=[0.0, 700.0])
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "constants.json").read_text(), parse_constant=_reject)
+        assert payload["lipschitz_k_of_m"]["0.0"] == pytest.approx(1.0)  # a - 1
+        assert 0.0 < payload["threshold_of_m"]["0.0"] < payload["threshold_of_m"]["700.0"]
 
     def test_bad_a_exits_2(self, tmp_path, capsys):
         cfg = make_config(tmp_path, a=1.0)
@@ -314,6 +329,23 @@ class TestCheckCommand:
         payload = json.loads((out / "check.json").read_text())
         assert payload["poincare_ok"]
         assert not payload["mean_in_bounds"]
+
+    def test_infinite_value_written_as_null(self, tmp_path, capsys):
+        # e^(q|u - mean|) overflows at one node of 200; strict JSON has no Infinity
+        cfg = make_config(tmp_path, nx=4, ny=4)
+        field = tmp_path / "u.field"
+        values = np.zeros(25)
+        values[12] = 200.0
+        write_field(field, values, epsilon=1.0, a=2.0)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", str(cfg), "--out", str(out),
+                         "--field", str(field)]) == 0
+        payload = json.loads((out / "check.json").read_text(), parse_constant=_reject)
+        assert payload["exp_integral_q"] is None
+        assert payload["sup_norm"] == 200.0
+        assert json.loads(capsys.readouterr().out, parse_constant=_reject) == payload
 
     def test_field_with_bad_a_exits_4(self, tmp_path, capsys):
         cfg = make_config(tmp_path)

@@ -4,6 +4,7 @@ natural continuation, and the rigidity sweep."""
 import numpy as np
 import pytest
 
+import neumann_rigidity.continuation as continuation
 import neumann_rigidity.newton as newton
 from neumann_rigidity import (
     bifurcation_epsilon,
@@ -18,6 +19,7 @@ from neumann_rigidity import (
 )
 from neumann_rigidity.errors import FellBackToConstantError, InvalidBracketError
 from neumann_rigidity.model import eval_f_prime
+from neumann_rigidity.newton import switch_directions
 
 A = 2.0
 XI = find_xi(A)
@@ -30,20 +32,20 @@ class TestStabilityIndicator:
         mu1 = first_eigenpair(square20).mu1
         u = np.full(square20.n, XI)
         for eps in rng.uniform(0.05, 2.0, size=10):
-            lam, _ = stability_indicator(u, float(eps), A, square20, tol=1e-10)
+            lam = stability_indicator(u, float(eps), A, square20)
             predicted = eps * mu1 - FP_XI
             assert abs(lam - predicted) <= 1e-6 * max(abs(predicted), FP_XI)
 
     def test_positive_above_threshold(self, square20):
         mu1 = first_eigenpair(square20).mu1
         eps = 2.0 * FP_XI / mu1
-        lam, _ = stability_indicator(np.full(square20.n, XI), eps, A, square20)
+        lam = stability_indicator(np.full(square20.n, XI), eps, A, square20)
         assert lam > 0.0
 
     def test_near_zero_at_threshold(self, square20):
         mu1 = first_eigenpair(square20).mu1
         eps = FP_XI / mu1
-        lam, _ = stability_indicator(np.full(square20.n, XI), eps, A, square20, tol=1e-11)
+        lam = stability_indicator(np.full(square20.n, XI), eps, A, square20)
         assert abs(lam) <= 1e-6 * FP_XI
 
 
@@ -73,20 +75,18 @@ class TestDetectBifurcation:
 class TestBranchSwitch:
     def test_switch_finds_pattern(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
-        rec, direction = branch_switch(eps_star, A, square20)
+        rec, label, direction = branch_switch(eps_star, A, square20)
         assert rec.classification == "nonconstant"
         assert rec.sup_fluct > 0.01
         assert rec.epsilon == pytest.approx(0.95 * eps_star)
-        assert direction  # label of the eigenspace combination used
+        # the signed label of the eigenspace combination used, and its direction
+        assert np.array_equal(direction, dict(switch_directions(square20))[label.lstrip("-")])
 
-    def test_tiny_amplitude_falls_back(self, square20):
+    def test_tiny_amplitude_falls_back(self, square20, monkeypatch):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
+        monkeypatch.setattr(continuation, "SWITCH_AMPLITUDE", 1e-4 / XI)
         with pytest.raises(FellBackToConstantError):
-            branch_switch(eps_star, A, square20, amplitude=1e-4)
-
-    def test_zero_amplitude_rejected(self, square20):
-        with pytest.raises(ValueError):
-            branch_switch(0.15, A, square20, amplitude=0.0)
+            branch_switch(eps_star, A, square20)
 
     def test_sign_symmetry_equivariance(self, square32):
         # the two stripe patterns from +/- starts are related by the
@@ -108,12 +108,12 @@ class TestBranchSwitch:
 class TestContinueBranch:
     def test_empty_schedule(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
-        rec, _ = branch_switch(eps_star, A, square20)
+        rec, _, _ = branch_switch(eps_star, A, square20)
         assert continue_branch(rec, [], A, square20) == []
 
     def test_downward_growth_and_upward_merge(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
-        rec, _ = branch_switch(eps_star, A, square20)
+        rec, _, _ = branch_switch(eps_star, A, square20)
         down = continue_branch(rec, [0.9 * eps_star, 0.8 * eps_star, 0.7 * eps_star],
                                A, square20)
         sups = [p.solution.sup_fluct for p in down]
@@ -127,10 +127,10 @@ class TestContinueBranch:
 
     def test_indicator_recomputable(self, square20):
         eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
-        rec, _ = branch_switch(eps_star, A, square20)
+        rec, _, _ = branch_switch(eps_star, A, square20)
         points = continue_branch(rec, [0.9 * eps_star], A, square20)
         bp = points[0]
-        lam, _ = stability_indicator(bp.solution.u, bp.epsilon, A, square20)
+        lam = stability_indicator(bp.solution.u, bp.solution.epsilon, A, square20)
         assert abs(lam - bp.stability_indicator) <= 1e-6 * max(1.0, abs(lam))
 
 
@@ -186,6 +186,30 @@ class TestRigiditySweep:
         with pytest.raises(ValueError, match="q must exceed 2"):
             rigidity_sweep([0.12, 1.0], A, square16, 8, seed=0, q=2.0)
         assert calls == []
+
+    def test_workers_capped_at_grid_size(self, square16, monkeypatch):
+        # a process pool starts all max_workers at its first task, so the
+        # worker count must not exceed the number of grid values
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(continuation, "ProcessPoolExecutor", SerialPool)
+        two = rigidity_sweep([0.5, 1.0], A, square16, 4, seed=0, threads=64)
+        assert pools == [2] and [row.epsilon for row in two.rows] == [0.5, 1.0]
+        one = rigidity_sweep([1.0], A, square16, 4, seed=0, threads=64)
+        assert pools == [2] and one.rows[0].n_distinct == 2
 
     def test_m_emp_positive(self, square16):
         result = rigidity_sweep([1.0], A, square16, 6, seed=0)

@@ -87,7 +87,7 @@ class TestJacobian:
         eps = eval_f_prime(XI, A) / pair.mu1
         m = square20.lumped_mass
         lam, _ = restricted_smallest_eigen(bordered(square20), -eval_f_prime(XI, A), scale=eps,
-                                           d=m * eval_f_prime(XI, A), tol=1e-11)
+                                           d=m * eval_f_prime(XI, A))
         assert abs(lam) <= 1e-6 * eval_f_prime(XI, A)
 
 
