@@ -31,6 +31,7 @@ from .errors import (
 )
 from .linsolve import first_eigenpair
 from .meshing import (
+    MAX_DISK_REFINEMENT,
     DiscreteOperator,
     assemble,
     build_disk_mesh,
@@ -41,7 +42,7 @@ from .meshing import (
 )
 from .model import (SATURATION_EXPONENT, bifurcation_epsilon, constant_chain, find_xi,
                     rigidity_threshold)
-from .newton import attach_diagnostics, default_tol, newton_solve, switch_directions
+from .newton import attach_diagnostics, newton_solve, switch_directions
 
 _NUMERICAL_ERRORS = (
     NoConvergenceError, SingularJacobianError, InvalidBracketError,
@@ -67,7 +68,6 @@ class ExperimentConfig:
     eps_grid: list[float] | None = None
     n_starts: int = 50
     seed: int = 0
-    newton_tol: float | None = None  # None: 1e-10*(1 + total mass)
     bracket_lo: float | None = None
     bracket_hi: float | None = None
     bif_tol: float = BIF_TOL
@@ -94,8 +94,8 @@ class ExperimentConfig:
         elif self.domain == "disk":
             if None in (self.radius, self.refinement):
                 raise ConfigError("disk domain needs radius and refinement")
-            if self.refinement < 1:
-                raise ConfigError("refinement must be at least 1")
+            if not 1 <= self.refinement <= MAX_DISK_REFINEMENT:
+                raise ConfigError(f"refinement must lie in [1, {MAX_DISK_REFINEMENT}]")
             if self.radius <= 0:
                 raise ConfigError("radius must be positive")
         elif self.domain == "mesh_file":
@@ -116,8 +116,6 @@ class ExperimentConfig:
             raise ConfigError("n_starts must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.newton_tol is not None and not self.newton_tol > 0.0:
-            raise ConfigError("newton_tol must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         if not self.bif_tol > 0.0:
@@ -299,8 +297,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> i
     op = build_operator(cfg)
     eps = cfg.require_eps()
     u0 = _start_state(start_spec, cfg, op)
-    rec = newton_solve(u0, eps, cfg.a, op, cfg.newton_tol)
-    rec = attach_diagnostics(rec, cfg.a, cfg.q, op, cfg.newton_tol)
+    rec = newton_solve(u0, eps, cfg.a, op)
+    rec = attach_diagnostics(rec, cfg.a, cfg.q, op)
     payload = {
         "epsilon": rec.epsilon,
         "residual_norm": rec.residual_norm,
@@ -322,7 +320,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     grid = cfg.require_grid()
     pair = first_eigenpair(op)
     result = rigidity_sweep(grid, cfg.a, op, cfg.n_starts, cfg.seed, q=cfg.q,
-                            tol=cfg.newton_tol, threads=cfg.threads)
+                            threads=cfg.threads)
     spacing = min(np.diff(sorted(grid))) if len(grid) > 1 else 0.0
     payload = {
         "eps_hat": result.eps_hat,
@@ -365,9 +363,7 @@ def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     if cfg.bracket_lo is None or cfg.bracket_hi is None:
         raise ConfigError("bifurcate needs bracket_lo and bracket_hi in the config")
     report = build_bifurcation_report(
-        cfg.a, op, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.bif_tol,
-        newton_tol=cfg.newton_tol,
-    )
+        cfg.a, op, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.bif_tol)
     payload = {
         "eps_star_detected": report.eps_star_detected,
         "eps_star_predicted": report.eps_star_predicted,
@@ -407,9 +403,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None, field_path: str) -> i
         raise MeshFormatError(f"field file {field_path}: a must exceed 1 and be finite")
     if not 0.0 < eps < np.inf:
         raise MeshFormatError(f"field file {field_path}: epsilon must be positive and finite")
-    pair = first_eigenpair(op)
-    tol = cfg.newton_tol if cfg.newton_tol is not None else default_tol(op)
-    report = run_diagnostics(values, eps, a, cfg.q, op, pair.mu1, newton_tol=tol)
+    report = run_diagnostics(values, eps, a, cfg.q, op, first_eigenpair(op).mu1)
     payload = {"field": str(field_path), "epsilon": eps, "a": a}
     payload.update(report.as_dict())
     _emit_json(payload, out_dir, "check.json")

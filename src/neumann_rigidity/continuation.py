@@ -124,14 +124,13 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
-def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
-                  tol: float | None = None) -> tuple[SolutionRecord, str, np.ndarray]:
+def branch_switch(eps_star: float, a: float,
+                  op: DiscreteOperator) -> tuple[SolutionRecord, str, np.ndarray]:
     """Jump onto the patterned branch just below the bifurcation point.
 
     Runs Newton at eps = (1 - SWITCH_DELTA)*eps_star from xi_a + amplitude*d
     over the candidate directions d (sup norm one, both signs), where the
-    perturbation's sup is amplitude = SWITCH_AMPLITUDE*xi_a; ``tol`` is the
-    Newton residual target (None: ``newton.default_tol``).  Returns the
+    perturbation's sup is amplitude = SWITCH_AMPLITUDE*xi_a.  Returns the
     first patterned solution, the signed label of its start and the
     unsigned direction d.  Raises FellBackToConstantError when every start
     lands back on the constant branch.
@@ -143,7 +142,7 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
     for name, direction in switch_directions(op):
         for sign in (1.0, -1.0):
             try:
-                rec = newton_solve(xi + sign * amplitude * direction, eps, a, op, tol)
+                rec = newton_solve(xi + sign * amplitude * direction, eps, a, op)
             except (NoConvergenceError, SingularJacobianError):
                 continue
             if rec.sup_fluct > 0.0:
@@ -160,9 +159,8 @@ def branch_switch(eps_star: float, a: float, op: DiscreteOperator,
 
 
 def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
-                    op: DiscreteOperator, tol: float | None = None) -> list[BranchPoint]:
-    """Natural continuation: warm-start Newton (residual target ``tol``) at
-    each scheduled eps.
+                    op: DiscreteOperator) -> list[BranchPoint]:
+    """Natural continuation: warm-start Newton at each scheduled eps.
 
     A failed step is retried at the midpoint toward the last accepted eps,
     up to MAX_HALVINGS times per scheduled value; accepted intermediate
@@ -177,7 +175,7 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
         current = target
         while True:
             try:
-                rec = newton_solve(u_prev, current, a, op, tol)
+                rec = newton_solve(u_prev, current, a, op)
             except (NoConvergenceError, SingularJacobianError) as exc:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
@@ -196,10 +194,9 @@ def continue_branch(start: SolutionRecord, eps_schedule: list[float], a: float,
 
 
 def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[float, float],
-                             tol: float = BIF_TOL,
-                             newton_tol: float | None = None) -> BifurcationReport:
+                             tol: float = BIF_TOL) -> BifurcationReport:
     """Detect the primary bifurcation to ``tol``, switch, and trace both
-    directions with Newton solves to ``newton_tol``.
+    directions with Newton solves.
 
     The patterned branch is continued down to BRANCH_DOWN_TO*eps_star and
     upward past the bifurcation (to BRANCH_UP_TO*eps_star), where it merges
@@ -210,18 +207,18 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
     predicted = bifurcation_epsilon(a, pair.mu1)
     gap = abs(eps_star - predicted) / predicted
 
-    switch, label, direction = branch_switch(eps_star, a, op, newton_tol)
+    switch, label, direction = branch_switch(eps_star, a, op)
     first_point = BranchPoint(switch, stability_indicator(switch.u, switch.epsilon, a, op))
 
     down_schedule = list(np.linspace(0.90 * eps_star, BRANCH_DOWN_TO * eps_star,
                                      BRANCH_DOWN_POINTS))
-    branch = [first_point] + continue_branch(switch, down_schedule, a, op, newton_tol)
+    branch = [first_point] + continue_branch(switch, down_schedule, a, op)
 
     # hop well across eps_star in one step: near the crossing the Jacobian
     # of the merged constant state is almost singular and Newton stalls
     up_schedule = [0.97 * eps_star] + list(
         np.linspace(1.05 * eps_star, BRANCH_UP_TO * eps_star, BRANCH_UP_POINTS))
-    upward = continue_branch(switch, up_schedule, a, op, newton_tol)
+    upward = continue_branch(switch, up_schedule, a, op)
 
     return BifurcationReport(
         eps_star_detected=eps_star,
@@ -264,16 +261,16 @@ class SweepResult:
 
 
 def _sweep_one(args):
-    eps, a, op, n_starts, seed, q, tol = args
-    return eps, multi_start(eps, a, op, n_starts, seed, q, tol)
+    eps, a, op, n_starts, seed, q = args
+    return eps, multi_start(eps, a, op, n_starts, seed, q)
 
 
 def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
-                   n_starts: int, seed: int, q: float = 4.0, tol: float | None = None,
+                   n_starts: int, seed: int, q: float = 4.0,
                    threads: int = 1) -> SweepResult:
     """Run the multi-start search at every grid value and tabulate how many
-    distinct states exist and whether any is nonconstant.  ``q`` and ``tol``
-    pass through to ``multi_start``.
+    distinct states exist and whether any is nonconstant.  ``q`` passes
+    through to ``multi_start``.
 
     Deterministic for a fixed seed, grid, and mesh: each grid value gets the
     derived seed ``seed + 7919*index``.  Grid values are independent, so
@@ -281,7 +278,7 @@ def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
     processes; with one, the sweep runs in this process.
     """
     tasks = [
-        (float(eps), a, op, n_starts, seed + 7919 * i, q, tol)
+        (float(eps), a, op, n_starts, seed + 7919 * i, q)
         for i, eps in enumerate(eps_grid)
     ]
     workers = min(threads, len(tasks))

@@ -20,12 +20,18 @@ from .meshing import DiscreteOperator, mesh_size
 from .model import eval_f_clipped, find_xi
 
 # The tolerance policy of the suite.  The identities hold to a multiple of
-# the Newton residual target newton_tol; the bounds hold up to a fixed slack.
+# the Newton residual target default_tol(op); the bounds hold up to a fixed slack.
 IDENTITY_TOL_FACTOR = 10.0          # zero average and energy identity
 REPRESENTATION_TOL_FACTOR = 100.0   # Green-representation round trip
 MEAN_SLACK = 1e-6                   # absolute, on both ends of [0, xi_a]
 L1_REL_SLACK = 1e-8
 POINCARE_FLOOR = 1.0 - 1e-8
+
+
+def default_tol(op: DiscreteOperator) -> float:
+    """The Newton residual target 1e-10*(1 + total mass), independent of the
+    mesh size; every solve runs to it and the identity checks scale by it."""
+    return 1e-10 * (1.0 + float(op.lumped_mass.sum()))
 
 
 def check_zero_average(u: np.ndarray, m: np.ndarray, a: float,
@@ -65,25 +71,30 @@ def check_exp_integrability(u: np.ndarray, m: np.ndarray, q: float) -> tuple[flo
 
 def check_energy_identity(u: np.ndarray, eps: float, op: DiscreteOperator, a: float,
                           tol: float) -> tuple[float, float, bool]:
-    """eps * (Dirichlet energy of the fluctuation) against sum(m*(f(u)-f(mean))*v)."""
+    """eps * (Dirichlet energy of the fluctuation) against sum(m*(f(u)-f(mean))*v);
+    either side may overflow to inf, which fails the flag."""
     m = op.lumped_mass
     mean = weighted_mean(u, m)
     v = u - mean
-    lhs = eps * float(v @ op.stiffness.dot(v))
     fu = eval_f_clipped(u, a)
-    rhs = float(np.dot(m, (fu - eval_f_clipped(mean, a)) * v))
+    with np.errstate(over="ignore"):
+        lhs = eps * float(v @ op.stiffness.dot(v))
+        rhs = float(np.dot(m, (fu - eval_f_clipped(mean, a)) * v))
     return lhs, rhs, abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
 
 
 def check_poincare(v: np.ndarray, m: np.ndarray, op: DiscreteOperator,
                    mu1: float) -> tuple[float, bool]:
-    """Spectral-gap ratio (v'Av)/(mu1*sum(m*v**2)) for a mean-zero field."""
-    vv = float(np.dot(m, v * v))
+    """Spectral-gap ratio (v'Av)/(mu1*sum(m*v**2)) for a mean-zero field; an
+    overflowing field gives a NaN ratio, which fails the flag."""
+    with np.errstate(over="ignore"):
+        vv = float(np.dot(m, v * v))
+        v_a_v = float(v @ op.stiffness.dot(v))
     if vv <= 1e-300 * m.sum():
         raise ZeroFieldError("Poincare check needs a nonzero fluctuation")
     if abs(weighted_mean(v, m)) > 1e-8 * (1.0 + float(np.abs(v).max())):
         raise ValueError("Poincare check expects a weighted-mean-zero field")
-    ratio = float(v @ op.stiffness.dot(v)) / (mu1 * vv)
+    ratio = v_a_v / (mu1 * vv)
     return ratio, ratio >= POINCARE_FLOOR
 
 
@@ -183,26 +194,27 @@ class DiagnosticsReport:
 
 
 def run_diagnostics(u: np.ndarray, eps: float, a: float, q: float, op: DiscreteOperator,
-                    mu1: float, newton_tol: float) -> DiagnosticsReport:
+                    mu1: float) -> DiagnosticsReport:
     """Evaluate the full check suite on one field.
 
-    ``newton_tol`` scales the identity tolerances (see the policy constants
-    above).  For a numerically constant field the spectral-gap ratio is
-    reported as 1 (both sides vanish).
+    The identity tolerances are multiples of ``default_tol(op)`` (see the
+    policy constants above).  For a numerically constant field the
+    spectral-gap ratio is reported as 1 (both sides vanish).
     """
     m = op.lumped_mass
+    tol = default_tol(op)
     v = project_mean_zero(u, m)
     if mass_norm(v, m) <= 1e-14 * (1.0 + abs(weighted_mean(u, m))) * np.sqrt(m.sum()):
         poincare = (1.0, True)
     else:
         poincare = check_poincare(v, m, op, mu1)
     return DiagnosticsReport(
-        *check_zero_average(u, m, a, tol=IDENTITY_TOL_FACTOR * newton_tol),
+        *check_zero_average(u, m, a, tol=IDENTITY_TOL_FACTOR * tol),
         *check_l1_bound(u, m, a),
         *check_mean_bounds(u, m, a),
         check_exp_integrability(u, m, q)[0],
-        *check_energy_identity(u, eps, op, a, tol=IDENTITY_TOL_FACTOR * newton_tol),
+        *check_energy_identity(u, eps, op, a, tol=IDENTITY_TOL_FACTOR * tol),
         *poincare,
-        *check_representation(u, eps, a, op, tol=REPRESENTATION_TOL_FACTOR * newton_tol),
+        *check_representation(u, eps, a, op, tol=REPRESENTATION_TOL_FACTOR * tol),
         float(np.abs(u).max()),
     )

@@ -62,8 +62,9 @@ def weighted_mean(u: np.ndarray, m: np.ndarray) -> float:
 
 
 def mass_norm(v: np.ndarray, m: np.ndarray) -> float:
-    """Quadrature-weighted L2 norm sqrt(sum(m*v**2))."""
-    return float(np.sqrt(np.dot(m, v * v)))
+    """Quadrature-weighted L2 norm sqrt(sum(m*v**2)); overflows to +inf."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.dot(m, v * v)))
 
 
 def dual_norm(r: np.ndarray, m: np.ndarray) -> float:

@@ -17,6 +17,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshFormatError
 
+MAX_DISK_REFINEMENT = 10  # 2**9 rings, 787,969 nodes
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -66,6 +68,11 @@ class DiscreteOperator:
     @property
     def n(self) -> int:
         return self.lumped_mass.shape[0]
+
+    def __getstate__(self) -> dict:
+        # the cache is derived data, many times the operator's size; a loaded
+        # copy rebuilds it on first use, deterministically
+        return {**self.__dict__, "_cache": {}}
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -197,12 +204,12 @@ def build_disk_mesh(refinement: int, radius: float = 1.0) -> Mesh:
     Parameters
     ----------
     refinement : int
-        At least 1; refinement 1 is the hexagon fan.
+        From 1 to MAX_DISK_REFINEMENT; refinement 1 is the hexagon fan.
     radius : float
         Disk radius, positive.
     """
-    if refinement < 1:
-        raise ValueError("refinement must be at least 1")
+    if not 1 <= refinement <= MAX_DISK_REFINEMENT:
+        raise ValueError(f"refinement must lie in [1, {MAX_DISK_REFINEMENT}]")
     if not radius > 0.0:
         raise ValueError("radius must be positive")
 
@@ -262,6 +269,7 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
     if asym.nnz and asym.max() > 1e-14 * scale:
         raise MeshFormatError("assembled stiffness is not symmetric")
     a_mat = (a_mat + a_mat.T) * 0.5
+    a_mat.sum_duplicates()  # a no-op that sets scipy's lazy format flags, so pickles keep a size
 
     lumped = np.bincount(triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=n)
     if np.any(lumped <= 0.0):

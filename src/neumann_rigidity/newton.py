@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .diagnostics import DiagnosticsReport, run_diagnostics
+from .diagnostics import DiagnosticsReport, default_tol, run_diagnostics
 from .errors import NoConvergenceError, SingularJacobianError
 from .linsolve import bordered, dual_norm, first_eigenpair, solve_projected, weighted_mean
 from .meshing import DiscreteOperator
@@ -66,11 +66,6 @@ class SolutionRecord:
         return "nonconstant" if self.sup_fluct > 0.0 else "constant"
 
 
-def default_tol(op: DiscreteOperator) -> float:
-    """Residual target 1e-10*(1 + total mass), independent of the mesh size."""
-    return 1e-10 * (1.0 + float(op.lumped_mass.sum()))
-
-
 def residual(u: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> np.ndarray:
     """Steady-state defect eps*A*u - m*f(u) (nodal load form).
 
@@ -109,10 +104,9 @@ def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,
         raise SingularJacobianError(f"Newton step: {exc}") from exc
 
 
-def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
-                 tol: float | None = None) -> SolutionRecord:
+def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> SolutionRecord:
     """Damped Newton iteration from u0 to the mass-weighted residual norm
-    ``tol`` (None: ``default_tol(op)``); raises on failure.
+    ``diagnostics.default_tol(op)``; raises on failure.
 
     Backtracks alpha in {1, 1/2, 1/4, ...} until the mass-weighted residual
     norm strictly decreases; raises NoConvergenceError on the iteration cap
@@ -126,8 +120,7 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
     if not np.isfinite(a):
         raise ValueError("a must be finite")
     m = op.lumped_mass
-    if tol is None:
-        tol = default_tol(op)
+    tol = default_tol(op)
 
     u = np.asarray(u0, dtype=float).copy()
     if u.shape != m.shape:
@@ -170,13 +163,11 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator,
                           mean=mean, sup_fluct=sup_fluct)
 
 
-def attach_diagnostics(record: SolutionRecord, a: float, q: float, op: DiscreteOperator,
-                       tol: float | None = None) -> SolutionRecord:
+def attach_diagnostics(record: SolutionRecord, a: float, q: float,
+                       op: DiscreteOperator) -> SolutionRecord:
     """The record with its check report filled in; ``q`` is the integrability
-    exponent and ``tol`` the Newton residual target the record was solved to
-    (None: ``default_tol(op)``)."""
-    report = run_diagnostics(record.u, record.epsilon, a, q, op, first_eigenpair(op).mu1,
-                             newton_tol=tol if tol is not None else default_tol(op))
+    exponent."""
+    report = run_diagnostics(record.u, record.epsilon, a, q, op, first_eigenpair(op).mu1)
     return replace(record, diagnostics=report)
 
 
@@ -270,8 +261,8 @@ def dedup_records(records: list[SolutionRecord]) -> list[SolutionRecord]:
 
 
 def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
-                seed: int, q: float = 4.0, tol: float | None = None) -> MultiStartResult:
-    """Newton to residual ``tol`` from the deterministic start family; returns
+                seed: int, q: float = 4.0) -> MultiStartResult:
+    """Newton from each start of the deterministic start family; returns
     the deduplicated solutions, each with its check report at exponent ``q``,
     plus a per-start log (failures are recorded, never fatal)."""
     if not q > 2.0:  # checked before the census, not by the first report
@@ -280,7 +271,7 @@ def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
     found: list[SolutionRecord] = []
     for start_id, (label, u0) in enumerate(start_family(eps, a, op, n_starts, seed)):
         try:
-            rec = newton_solve(u0, eps, a, op, tol)
+            rec = newton_solve(u0, eps, a, op)
         except (NoConvergenceError, SingularJacobianError) as exc:
             runs.append(StartOutcome(start_id, label, eps, False, type(exc).__name__,
                                      None, None, None, None, None))
@@ -290,5 +281,5 @@ def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
             rec.residual_norm, rec.newton_iters,
         ))
         found.append(rec)
-    distinct = [attach_diagnostics(rec, a, q, op, tol) for rec in dedup_records(found)]
+    distinct = [attach_diagnostics(rec, a, q, op) for rec in dedup_records(found)]
     return MultiStartResult(distinct=distinct, runs=runs)

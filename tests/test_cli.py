@@ -66,6 +66,7 @@ class TestConfig:
         {"eps": np.inf}, {"eps_grid": [np.nan, 1.0]}, {"a": np.inf}, {"q": np.inf},
         {"seed": -1}, {"eps_grid": [0.3, 0.3]}, {"newton_tol": 0.0}, {"newton_tol": -1.0},
         {"m_values": [-1.0]}, {"m_values": [1e308]}, {"m_values": [2.0, 700.5]},
+        {"domain": "disk", "radius": 1.0, "refinement": 11},
     ])
     def test_constraints(self, tmp_path, bad):
         path = make_config(tmp_path, **bad)
@@ -214,12 +215,13 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--start", "const:log_a"]) == 3
 
     def test_no_convergence_reports_one_line(self, tmp_path, capsys):
-        # a residual target below round-off cannot be met
-        cfg = make_config(tmp_path, newton_tol=1e-300)
-        assert main(["solve", "--config", str(cfg), "--start", "const:0.5"]) == 3
+        # a start of 1e300 has an infinite residual norm that no damped
+        # step reduces, so the line search underflows
+        cfg = make_config(tmp_path)
+        assert main(["solve", "--config", str(cfg), "--start", "const:1e300"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("numerical failure: ")
+        assert err.startswith("numerical failure: line search underflow")
 
 
 class TestSweepCommand:
@@ -331,21 +333,26 @@ class TestCheckCommand:
         assert not payload["mean_in_bounds"]
 
     def test_infinite_value_written_as_null(self, tmp_path, capsys):
-        # e^(q|u - mean|) overflows at one node of 200; strict JSON has no Infinity
+        # e^(q|u - mean|) overflows at one node of 200; at 1e200 the quadratic
+        # forms of the energy and spectral-gap checks overflow too.  Strict
+        # JSON has no Infinity, and no overflow warning leaks.
         cfg = make_config(tmp_path, nx=4, ny=4)
-        field = tmp_path / "u.field"
-        values = np.zeros(25)
-        values[12] = 200.0
-        write_field(field, values, epsilon=1.0, a=2.0)
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["check", "--config", str(cfg), "--out", str(out),
-                         "--field", str(field)]) == 0
-        payload = json.loads((out / "check.json").read_text(), parse_constant=_reject)
-        assert payload["exp_integral_q"] is None
-        assert payload["sup_norm"] == 200.0
-        assert json.loads(capsys.readouterr().out, parse_constant=_reject) == payload
+        for spike in (200.0, 1e200):
+            field = tmp_path / "u.field"
+            values = np.zeros(25)
+            values[12] = spike
+            write_field(field, values, epsilon=1.0, a=2.0)
+            out = tmp_path / f"out{spike:g}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["check", "--config", str(cfg), "--out", str(out),
+                             "--field", str(field)]) == 0
+            payload = json.loads((out / "check.json").read_text(), parse_constant=_reject)
+            assert payload["exp_integral_q"] is None
+            assert payload["sup_norm"] == spike
+            assert json.loads(capsys.readouterr().out, parse_constant=_reject) == payload
+        assert payload["energy_lhs"] is None and not payload["energy_ok"]
+        assert not payload["poincare_ok"]
 
     def test_field_with_bad_a_exits_4(self, tmp_path, capsys):
         cfg = make_config(tmp_path)

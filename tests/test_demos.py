@@ -1,5 +1,6 @@
 """Every demo script, and the README's library quick start, runs to
-completion against the package source.
+completion against the package source, and the README's config example
+is a valid config.
 
 Each runs in its own interpreter with ``src`` on the path and, like the
 rest of the suite, with ``RuntimeWarning`` turned into an error, in a
@@ -7,12 +8,15 @@ temporary working directory, so a demo's output files (demo 04 writes
 ``branch.csv``) land outside the checkout.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from neumann_rigidity.cli import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -37,3 +41,12 @@ def test_readme_quick_start_runs(tmp_path):
     proc = run_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "constant 1.2564" in proc.stdout
+
+
+def test_readme_config_example_parses():
+    # a key the config no longer has would exit 2 for a reader who copies it
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(json.loads(example))
+    assert cfg.domain == "rectangle"

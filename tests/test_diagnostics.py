@@ -206,9 +206,8 @@ class TestGreenConstants:
 class TestFullReport:
     def test_pattern_report_passes_suite(self, square32, pattern32):
         pair = first_eigenpair(square32)
-        tol = default_tol(square32)
         report = run_diagnostics(pattern32.u, pattern32.epsilon, A, 4.0,
-                                 square32, pair.mu1, newton_tol=tol)
+                                 square32, pair.mu1)
         assert report.ok
         assert report.poincare_ratio >= 1.0 - 1e-8
         assert report.sup_norm >= XI
@@ -216,9 +215,8 @@ class TestFullReport:
 
     def test_constant_report(self, square20):
         pair = first_eigenpair(square20)
-        tol = default_tol(square20)
         report = run_diagnostics(np.full(square20.n, XI), 1.0, A, 4.0,
-                                 square20, pair.mu1, newton_tol=tol)
+                                 square20, pair.mu1)
         assert report.ok
         assert report.poincare_ratio == 1.0  # vacuous for a constant
         assert report.exp_integral_q == pytest.approx(square20.area, rel=1e-12)
@@ -226,7 +224,7 @@ class TestFullReport:
     def test_report_serializable(self, square20):
         pair = first_eigenpair(square20)
         report = run_diagnostics(np.zeros(square20.n), 1.0, A, 4.0,
-                                 square20, pair.mu1, newton_tol=default_tol(square20))
+                                 square20, pair.mu1)
         d = report.as_dict()
         assert set(d) == {
             "zero_avg_residual", "zero_avg_ok", "l1_norm_f", "l1_bound", "l1_ok",
@@ -238,7 +236,7 @@ class TestFullReport:
     def test_overstated_mu1_fails_poincare(self, square32, pattern32):
         mu1 = 1.5 * first_eigenpair(square32).mu1
         report = run_diagnostics(pattern32.u, pattern32.epsilon, A, 4.0,
-                                 square32, mu1, newton_tol=default_tol(square32))
+                                 square32, mu1)
         # only the spectral gap can catch a wrong mu1
         assert report.zero_avg_ok and report.l1_ok and report.mean_in_bounds
         assert report.energy_ok and report.representation_ok

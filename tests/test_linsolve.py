@@ -285,6 +285,16 @@ class TestBorderedSystem:
                                   solve_projected(bordered(square16), b, *args))
 
 
+    def test_pickled_operator_leaves_cache_behind(self):
+        import pickle
+
+        op = assemble(build_rectangle_mesh(16, 16, 1.0, 1.0))
+        size = len(pickle.dumps(op))
+        first_eigenpair(op)  # fills the bordered system and the eigenpair
+        assert len(pickle.dumps(op)) == size
+        assert pickle.loads(pickle.dumps(op))._cache == {}
+
+
 class TestSmallestNonzeroEigen:
     def test_unit_square_64(self, square64):
         pair = first_eigenpair(square64)

@@ -16,6 +16,7 @@ from neumann_rigidity import (
 )
 from neumann_rigidity.errors import MeshFormatError
 from neumann_rigidity.meshing import (
+    MAX_DISK_REFINEMENT,
     _boundary_nodes,
     _edge_counts,
     _signed_areas,
@@ -140,6 +141,11 @@ class TestDiskMesh:
     def test_rejects_zero_refinement(self):
         with pytest.raises(ValueError):
             build_disk_mesh(0, 1.0)
+
+    def test_rejects_refinement_above_cap(self):
+        # raised before any node is made: refinement 16 would be ~3.2e9 nodes
+        with pytest.raises(ValueError, match="refinement"):
+            build_disk_mesh(MAX_DISK_REFINEMENT + 1, 1.0)
 
     def test_nodes_inside_disk(self):
         mesh = build_disk_mesh(3, 2.5)
