@@ -50,7 +50,6 @@ from .meshing import (
     assemble,
     build_disk_mesh,
     build_rectangle_mesh,
-    domain_metrics,
     read_field,
     read_mesh,
     write_field,

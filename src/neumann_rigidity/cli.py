@@ -1,8 +1,13 @@
 """Command-line front end: configuration loading, the experiment verbs
 (constants, eigen, solve, sweep, bifurcate, check) and their file outputs.
 
-Exit codes: 0 success, 2 configuration/validation, 3 numerical failure,
-4 input/output.  All commands are deterministic given config and seed.
+``COMMANDS`` defines each verb once: its function, the config keys it needs
+and its help line.  ``main`` loads the config, refuses a missing key, builds
+the operator and calls the function.  Exit codes: 0 success, 2
+configuration/validation (``ConfigError``), 3 numerical failure (any
+``NumericalError``), 4 input/output.  All commands are deterministic given
+the config, whose ``seed`` and ``threads`` keys set the noise seed and the
+sweep's worker count.
 """
 
 from __future__ import annotations
@@ -19,16 +24,7 @@ import numpy as np
 
 from .continuation import BIF_TOL, build_bifurcation_report, rigidity_sweep
 from .diagnostics import run_diagnostics
-from .errors import (
-    BranchLostError,
-    ConfigError,
-    FellBackToConstantError,
-    InvalidBracketError,
-    MeshFormatError,
-    NoConvergenceError,
-    SingularJacobianError,
-    ZeroFieldError,
-)
+from .errors import ConfigError, MeshFormatError, NumericalError
 from .linsolve import first_eigenpair
 from .meshing import (
     MAX_DISK_REFINEMENT,
@@ -43,12 +39,6 @@ from .meshing import (
 from .model import (SATURATION_EXPONENT, bifurcation_epsilon, constant_chain, find_xi,
                     rigidity_threshold)
 from .newton import attach_diagnostics, newton_solve, switch_directions
-
-_NUMERICAL_ERRORS = (
-    NoConvergenceError, SingularJacobianError, InvalidBracketError,
-    BranchLostError, FellBackToConstantError, ZeroFieldError,
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -72,7 +62,6 @@ class ExperimentConfig:
     bracket_hi: float | None = None
     bif_tol: float = BIF_TOL
     m_values: list[float] | None = None
-    out_dir: str | None = None
     threads: int = 1
 
     def validate(self) -> None:
@@ -126,19 +115,6 @@ class ExperimentConfig:
         if self.m_values is not None and not all(
                 0.0 <= m <= SATURATION_EXPONENT for m in self.m_values):
             raise ConfigError(f"m_values must lie in [0, {SATURATION_EXPONENT:g}]")
-
-    def require_eps(self) -> float:
-        if self.eps is None:
-            raise ConfigError("this command needs eps in the config")
-        return self.eps
-
-    def require_grid(self) -> list[float]:
-        if self.eps_grid is None:
-            raise ConfigError("this command needs eps_grid in the config")
-        return list(self.eps_grid)
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -211,8 +187,8 @@ def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
         (out_dir / name).write_text(text + "\n")
 
 
-def cmd_constants(cfg: ExperimentConfig, out_dir: Path | None) -> int:
-    op = build_operator(cfg)
+def cmd_constants(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
+                  args: argparse.Namespace) -> int:
     chain = constant_chain(cfg.a, cfg.q, op.area, op.diameter)
     pair = first_eigenpair(op)
     thresholds = {
@@ -238,8 +214,8 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return 0
 
 
-def cmd_eigen(cfg: ExperimentConfig, out_dir: Path | None) -> int:
-    op = build_operator(cfg)
+def cmd_eigen(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
+              args: argparse.Namespace) -> int:
     pair = first_eigenpair(op)
     payload = {
         "mu1": pair.mu1,
@@ -293,11 +269,10 @@ def _start_state(spec: str, cfg: ExperimentConfig, op: DiscreteOperator) -> np.n
     raise ConfigError(f"unknown start spec {spec!r} (use const:/eig:/noise:)")
 
 
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> int:
-    op = build_operator(cfg)
-    eps = cfg.require_eps()
-    u0 = _start_state(start_spec, cfg, op)
-    rec = newton_solve(u0, eps, cfg.a, op)
+def cmd_solve(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
+              args: argparse.Namespace) -> int:
+    u0 = _start_state(args.start, cfg, op)
+    rec = newton_solve(u0, cfg.eps, cfg.a, op)
     rec = attach_diagnostics(rec, cfg.a, cfg.q, op)
     payload = {
         "epsilon": rec.epsilon,
@@ -307,21 +282,20 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path | None, start_spec: str) -> i
         "mean": rec.mean,
         "sup_fluct": rec.sup_fluct,
         "diagnostics": rec.diagnostics.as_dict(),
-        "start": start_spec,
+        "start": args.start,
     }
     _emit_json(payload, out_dir, "solution.json")
     if out_dir is not None:
-        write_field(out_dir / "solution.field", rec.u, epsilon=eps, a=cfg.a)
+        write_field(out_dir / "solution.field", rec.u, epsilon=cfg.eps, a=cfg.a)
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None) -> int:
-    op = build_operator(cfg)
-    grid = cfg.require_grid()
+def cmd_sweep(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
+              args: argparse.Namespace) -> int:
     pair = first_eigenpair(op)
-    result = rigidity_sweep(grid, cfg.a, op, cfg.n_starts, cfg.seed, q=cfg.q,
+    result = rigidity_sweep(cfg.eps_grid, cfg.a, op, cfg.n_starts, cfg.seed, q=cfg.q,
                             threads=cfg.threads)
-    spacing = min(np.diff(sorted(grid))) if len(grid) > 1 else 0.0
+    spacing = min(np.diff(sorted(cfg.eps_grid))) if len(cfg.eps_grid) > 1 else 0.0
     payload = {
         "eps_hat": result.eps_hat,
         "eps_hat_uncertainty": float(spacing),
@@ -358,10 +332,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return 0
 
 
-def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
-    op = build_operator(cfg)
-    if cfg.bracket_lo is None or cfg.bracket_hi is None:
-        raise ConfigError("bifurcate needs bracket_lo and bracket_hi in the config")
+def cmd_bifurcate(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
+                  args: argparse.Namespace) -> int:
     report = build_bifurcation_report(
         cfg.a, op, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.bif_tol)
     payload = {
@@ -390,24 +362,38 @@ def cmd_bifurcate(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return 0
 
 
-def cmd_check(cfg: ExperimentConfig, out_dir: Path | None, field_path: str) -> int:
-    op = build_operator(cfg)
-    values, eps, a = read_field(field_path)
+def cmd_check(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
+              args: argparse.Namespace) -> int:
+    values, eps, a = read_field(args.field)
     if values.shape[0] != op.n:
         raise MeshFormatError(
             f"field has {values.shape[0]} values but the mesh has {op.n} nodes"
         )
-    if eps <= 0.0:
-        eps = cfg.require_eps()
+    if eps <= 0.0:  # a field without epsilon (eigen writes 0) takes the config's
+        if cfg.eps is None:
+            raise ConfigError("check needs eps in the config for a field without epsilon")
+        eps = cfg.eps
     if not 1.0 < a < np.inf:
-        raise MeshFormatError(f"field file {field_path}: a must exceed 1 and be finite")
+        raise MeshFormatError(f"field file {args.field}: a must exceed 1 and be finite")
     if not 0.0 < eps < np.inf:
-        raise MeshFormatError(f"field file {field_path}: epsilon must be positive and finite")
+        raise MeshFormatError(f"field file {args.field}: epsilon must be positive and finite")
     report = run_diagnostics(values, eps, a, cfg.q, op, first_eigenpair(op).mu1)
-    payload = {"field": str(field_path), "epsilon": eps, "a": a}
+    payload = {"field": str(args.field), "epsilon": eps, "a": a}
     payload.update(report.as_dict())
     _emit_json(payload, out_dir, "check.json")
     return 0
+
+
+# name -> (function, config keys it needs, help line)
+COMMANDS = {
+    "constants": (cmd_constants, (), "print the constant chain, mu1 and the linear threshold"),
+    "eigen": (cmd_eigen, (), "compute the first nonzero no-flux eigenpair"),
+    "solve": (cmd_solve, ("eps",), "run one Newton solve from a start state"),
+    "sweep": (cmd_sweep, ("eps_grid",), "multi-start rigidity sweep over eps_grid"),
+    "bifurcate": (cmd_bifurcate, ("bracket_lo", "bracket_hi"),
+                  "detect the primary bifurcation and trace the branch"),
+    "check": (cmd_check, (), "run the diagnostics suite on a stored field"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,19 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "with no-flux boundary conditions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("constants", "print the constant chain, mu1 and the linear threshold"),
-        ("eigen", "compute the first nonzero no-flux eigenpair"),
-        ("solve", "run one Newton solve from a start state"),
-        ("sweep", "multi-start rigidity sweep over eps_grid"),
-        ("bifurcate", "detect the primary bifurcation and trace the branch"),
-        ("check", "run the diagnostics suite on a stored field"),
-    ]:
+    for name, (_, _, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output directory (created)")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None, help="override config threads")
+        p.add_argument("--out", type=Path, default=None, help="output directory (created)")
         if name == "solve":
             p.add_argument("--start", required=True,
                            help="start state: const:<v>|const:xi|const:log_a|eig:<amp>|noise:<seed>")
@@ -440,33 +417,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, needs, _ = COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-        if args.threads is not None:
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "threads": args.threads})
-        out_dir = None
-        if args.out is not None or cfg.out_dir is not None:
-            out_dir = Path(args.out if args.out is not None else cfg.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "constants":
-            return cmd_constants(cfg, out_dir)
-        if args.command == "eigen":
-            return cmd_eigen(cfg, out_dir)
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir, args.start)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
-        if args.command == "bifurcate":
-            return cmd_bifurcate(cfg, out_dir)
-        if args.command == "check":
-            return cmd_check(cfg, out_dir, args.field)
-        raise ConfigError(f"unknown command {args.command!r}")
+        missing = [key for key in needs if getattr(cfg, key) is None]
+        if missing:
+            raise ConfigError(f"{args.command} needs {' and '.join(missing)} in the config")
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+        return command(cfg, build_operator(cfg), args.out, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (MeshFormatError, OSError) as exc:

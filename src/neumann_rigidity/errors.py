@@ -1,4 +1,9 @@
-"""Exception types shared across the solvers and the experiment harness."""
+"""Exception types shared across the solvers and the experiment harness.
+
+Every solver failure subclasses ``NumericalError``; the command line maps
+that one base to exit code 3, ``ConfigError`` to 2 and ``MeshFormatError``
+to 4.
+"""
 
 
 class NeumannLabError(Exception):
@@ -13,20 +18,24 @@ class MeshFormatError(NeumannLabError):
     """A mesh or field file does not follow the documented plain-text format."""
 
 
-class NoConvergenceError(NeumannLabError):
+class NumericalError(NeumannLabError):
+    """Base class for every solver failure."""
+
+
+class NoConvergenceError(NumericalError):
     """An iterative solver hit its iteration cap (or underflowed its step)."""
 
 
-class SingularJacobianError(NeumannLabError):
+class SingularJacobianError(NumericalError):
     """The Newton linear step is not solvable (the Jacobian is numerically
     singular), typically near a bifurcation point."""
 
 
-class InvalidBracketError(NeumannLabError):
+class InvalidBracketError(NumericalError):
     """A sign-change bracket does not actually change sign."""
 
 
-class BranchLostError(NeumannLabError):
+class BranchLostError(NumericalError):
     """Natural continuation could not advance even after step halving.
 
     Carries the branch points accepted before the loss in ``points``.
@@ -37,9 +46,9 @@ class BranchLostError(NeumannLabError):
         self.points = list(points) if points is not None else []
 
 
-class FellBackToConstantError(NeumannLabError):
+class FellBackToConstantError(NumericalError):
     """A branch-switch attempt converged back onto the constant branch."""
 
 
-class ZeroFieldError(NeumannLabError):
+class ZeroFieldError(NumericalError):
     """An operation that needs a nonzero fluctuation received (numerically) zero."""

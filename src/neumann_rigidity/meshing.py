@@ -279,15 +279,9 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
                             diameter=_diameter(mesh), mesh=mesh)
 
 
-def domain_metrics(mesh: Mesh) -> tuple[float, float]:
-    """Polygonal area (sum of triangle areas) and diameter (max pairwise
-    distance over boundary nodes: a polygon's diameter joins two of its
-    vertices)."""
-    return float(_signed_areas(mesh.nodes, mesh.triangles).sum()), _diameter(mesh)
-
-
 def _diameter(mesh: Mesh) -> float:
-    """Largest distance between boundary nodes.  Squared distances are taken
+    """Largest distance between boundary nodes (a polygon's diameter joins
+    two of its vertices).  Squared distances are taken
     a block of rows at a time against the rows that follow, keeping memory
     O(block*b); sqrt is applied once, to the largest."""
     x, y = mesh.nodes[mesh.boundary_nodes].T

@@ -109,11 +109,11 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> 
     ``diagnostics.default_tol(op)``; raises on failure.
 
     Backtracks alpha in {1, 1/2, 1/4, ...} until the mass-weighted residual
-    norm strictly decreases; raises NoConvergenceError on the iteration cap
-    or step underflow and SingularJacobianError when the linear step is not
-    solvable (typical right at a bifurcation point).  A non-finite ``eps``,
-    ``a`` or start raises ValueError, and a NaN residual norm never counts
-    as converged.
+    norm strictly decreases; raises NoConvergenceError on a start whose
+    residual norm is not finite, on the iteration cap or on step underflow,
+    and SingularJacobianError when the linear step is not solvable (typical
+    right at a bifurcation point).  A non-finite ``eps``, ``a`` or start
+    raises ValueError, and a NaN residual norm never counts as converged.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
@@ -129,6 +129,8 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> 
         raise ValueError("start vector has non-finite entries")
     r = residual(u, eps, a, op)
     rnorm = dual_norm(r, m)
+    if not np.isfinite(rnorm):  # no damped step can reduce it
+        raise NoConvergenceError(f"start residual {rnorm:.3e} is not finite")
     history = [rnorm]
     iters = 0
     while not rnorm <= tol:

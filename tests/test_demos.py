@@ -1,6 +1,6 @@
 """Every demo script, and the README's library quick start, runs to
-completion against the package source, and the README's config example
-is a valid config.
+completion against the package source, the README's config example is a
+valid config, and its command lines parse.
 
 Each runs in its own interpreter with ``src`` on the path and, like the
 rest of the suite, with ``RuntimeWarning`` turned into an error, in a
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from neumann_rigidity.cli import ExperimentConfig
+from neumann_rigidity.cli import ExperimentConfig, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -50,3 +50,16 @@ def test_readme_config_example_parses():
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     cfg = ExperimentConfig.from_dict(json.loads(example))
     assert cfg.domain == "rectangle"
+
+
+def test_readme_command_lines_parse():
+    # a flag or command the parser no longer has would exit 2 for a reader
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [words for words in lines if words]
+    assert len(lines) == 7 and all(words[0] == "neumann-lab" for words in lines)
+    for words in lines:
+        args = build_parser().parse_args(words[1:])
+        assert args.config == "cfg.json"

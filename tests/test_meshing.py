@@ -8,7 +8,6 @@ from neumann_rigidity import (
     assemble,
     build_disk_mesh,
     build_rectangle_mesh,
-    domain_metrics,
     read_field,
     read_mesh,
     write_field,
@@ -118,7 +117,7 @@ class TestEdgeCounts:
 class TestDiskMesh:
     def test_coarse_hexagon(self):
         mesh = build_disk_mesh(1, 1.0)
-        area, _ = domain_metrics(mesh)
+        area = assemble(mesh).area
         assert mesh.n_triangles == 6
         assert area == pytest.approx(6 * 0.5 * np.sin(np.pi / 3), abs=1e-12)
         assert area < np.pi
@@ -135,7 +134,7 @@ class TestDiskMesh:
         for refinement in (2, 3):
             mesh = build_disk_mesh(refinement, 1.0)
             n_b = 6 * 2 ** (refinement - 1)
-            area, _ = domain_metrics(mesh)
+            area = assemble(mesh).area
             assert area == pytest.approx(0.5 * n_b * np.sin(2 * np.pi / n_b), rel=1e-12)
 
     def test_rejects_zero_refinement(self):
@@ -230,14 +229,14 @@ class TestAssembly:
 
 class TestDomainMetrics:
     def test_unit_square(self):
-        area, diam = domain_metrics(build_rectangle_mesh(8, 8, 1.0, 1.0))
-        assert area == pytest.approx(1.0, abs=1e-13)
-        assert diam == pytest.approx(np.sqrt(2.0), abs=1e-13)
+        op = assemble(build_rectangle_mesh(8, 8, 1.0, 1.0))
+        assert op.area == pytest.approx(1.0, abs=1e-13)
+        assert op.diameter == pytest.approx(np.sqrt(2.0), abs=1e-13)
 
     def test_rectangle_2x1(self):
-        area, diam = domain_metrics(build_rectangle_mesh(8, 4, 2.0, 1.0))
-        assert area == pytest.approx(2.0, abs=1e-13)
-        assert diam == pytest.approx(np.sqrt(5.0), abs=1e-13)
+        op = assemble(build_rectangle_mesh(8, 4, 2.0, 1.0))
+        assert op.area == pytest.approx(2.0, abs=1e-13)
+        assert op.diameter == pytest.approx(np.sqrt(5.0), abs=1e-13)
 
     @pytest.mark.parametrize("name", ["rect20", "rect7x3", "disk4", "disk6", "lshape"])
     def test_diameter_equals_row_by_row_max(self, name):
@@ -250,7 +249,7 @@ class TestDomainMetrics:
         }[name]()
         pts = mesh.nodes[mesh.boundary_nodes]
         reference = max(np.sqrt(((pts - p)**2).sum(axis=1)).max() for p in pts)
-        assert domain_metrics(mesh)[1] == float(reference)
+        assert assemble(mesh).diameter == float(reference)
 
     def test_mesh_size_square(self):
         h = mesh_size(build_rectangle_mesh(10, 10, 1.0, 1.0))

@@ -203,6 +203,21 @@ class TestNewtonSolve:
         with pytest.raises((NoConvergenceError, SingularJacobianError)):
             newton_solve(u0, 1.0, A, square16)
 
+    @pytest.mark.parametrize("value", [1e300, 800.0, -1e300])
+    def test_infinite_start_residual_fails_at_once(self, square20, monkeypatch, value):
+        # no damped step reduces an infinite residual norm, so no Jacobian is
+        # factored and no trial residual evaluated
+        calls = []
+
+        def counting_residual(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(newton, "residual", counting_residual)
+        with pytest.raises(NoConvergenceError, match="start residual inf"):
+            newton_solve(np.full(square20.n, value), 1.0, A, square20)
+        assert len(calls) == 1
+
 
 class TestClassify:
     def test_constant(self, square16):
