@@ -28,6 +28,7 @@ from .errors import ConfigError, MeshFormatError, NumericalError
 from .linsolve import first_eigenpair
 from .meshing import (
     MAX_DISK_REFINEMENT,
+    MAX_NODES,
     DiscreteOperator,
     assemble,
     build_disk_mesh,
@@ -78,6 +79,8 @@ class ExperimentConfig:
                 raise ConfigError("rectangle domain needs lx, ly, nx, ny")
             if self.nx < 2 or self.ny < 2:
                 raise ConfigError("nx and ny must both be at least 2")
+            if (self.nx + 1) * (self.ny + 1) > MAX_NODES:
+                raise ConfigError(f"(nx+1)*(ny+1) must not exceed {MAX_NODES} nodes")
             if self.lx <= 0 or self.ly <= 0:
                 raise ConfigError("lx and ly must be positive")
         elif self.domain == "disk":

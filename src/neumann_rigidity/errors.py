@@ -23,7 +23,8 @@ class NumericalError(NeumannLabError):
 
 
 class NoConvergenceError(NumericalError):
-    """An iterative solver hit its iteration cap (or underflowed its step)."""
+    """An iterative solver hit its iteration cap, underflowed its step, or
+    (ARPACK) stopped with an error."""
 
 
 class SingularJacobianError(NumericalError):

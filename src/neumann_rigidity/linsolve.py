@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import NoConvergenceError
 
@@ -364,8 +364,8 @@ def _smallest_restricted(system: BorderedSystem, scale: float, d, shift: float,
     try:
         theta, vecs = eigsh(pencil, k=2, M=sp.diags(m), sigma=shift, OPinv=op_inv,
                             v0=v0, tol=tol)
-    except ArpackNoConvergence as exc:
-        raise NoConvergenceError(f"shift-invert Lanczos did not converge: {exc}") from exc
+    except ArpackError as exc:  # non-convergence included
+        raise NoConvergenceError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(theta)
     return theta[order], vecs[:, order]
 

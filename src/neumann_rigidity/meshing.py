@@ -1,6 +1,11 @@
 """Triangulations of rectangles and disks, P1 assembly with natural
 (no-flux) boundary conditions, and the plain-text mesh/field file formats.
 
+A ``Mesh`` checks its triangulation when it is made, so every mesh that
+exists is finite, conforming and connected, and its boundary comes from the
+same edge census; the builders, ``read_mesh`` and ``assemble`` check
+nothing again.
+
 The discrete operator pairs the P1 stiffness matrix with a row-sum lumped
 mass vector.  Lumping keeps nodal reaction terms diagonal, so the discrete
 zero-average identity sum(m_i * f(u_i)) = 0 holds exactly at converged
@@ -17,12 +22,22 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshFormatError
 
-MAX_DISK_REFINEMENT = 10  # 2**9 rings, 787,969 nodes
+MAX_DISK_REFINEMENT = 10  # 2**9 rings
+# node budget of a built mesh: the disk's 1 + 6*(1 + ... + 2**9) = 787,969 nodes at refinement 10
+MAX_NODES = 1 + 3 * 2 ** (MAX_DISK_REFINEMENT - 1) * (2 ** (MAX_DISK_REFINEMENT - 1) + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Conforming triangulation: node coordinates, CCW triangles, boundary set.
+    """Conforming, connected triangulation with counterclockwise triangles,
+    valid by construction: ``Mesh(nodes, triangles)`` raises
+    MeshFormatError if a node coordinate is not finite, or if the
+    triangulation is empty, indexes a missing node, has a triangle area that
+    overflows, or is degenerate, non-conforming or disconnected (checked in
+    that order, so each check may rely on the ones before it).  A node that
+    no triangle uses is a component of its own.  Connectivity makes the
+    constants the whole kernel of the stiffness matrix, so grounding one
+    node leaves it positive definite.
 
     Attributes
     ----------
@@ -31,12 +46,36 @@ class Mesh:
     triangles : (t, 3) int array
         Vertex index triples, counterclockwise.
     boundary_nodes : (b,) int array
-        Sorted indices of nodes on the domain boundary.
+        Sorted indices of the nodes on edges that belong to exactly one
+        triangle; derived, not passed.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_nodes: np.ndarray
+    boundary_nodes: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        nodes, triangles = self.nodes, self.triangles
+        if not np.isfinite(nodes).all():
+            raise MeshFormatError("node coordinates must be finite")
+        if triangles.shape[0] == 0:
+            raise MeshFormatError("triangulation has no triangles")
+        if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
+            raise MeshFormatError("triangle indices out of range")
+        areas = _signed_areas(nodes, triangles)
+        if not np.isfinite(areas).all():
+            raise MeshFormatError("triangle areas overflow: node coordinates are too large")
+        if np.any(areas <= 0.0):
+            raise MeshFormatError("triangulation contains inverted or flat triangles")
+        edges, counts = _edge_counts(triangles)
+        if np.any(counts > 2):
+            raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
+        n = nodes.shape[0]
+        graph = sp.coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(n, n))
+        n_parts = connected_components(graph, directed=False, return_labels=False)
+        if n_parts > 1:
+            raise MeshFormatError(f"triangulation is not connected: {n_parts} components")
+        object.__setattr__(self, "boundary_nodes", np.unique(edges[counts == 1]))
 
     @property
     def n_nodes(self) -> int:
@@ -80,10 +119,13 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed triangle areas, silently inf or NaN where the coordinates are
+    too large; ``Mesh`` rejects those."""
     p0 = nodes[triangles[:, 0]]
     p1 = nodes[triangles[:, 1]]
     p2 = nodes[triangles[:, 2]]
-    return 0.5 * _cross2(p1 - p0, p2 - p0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * _cross2(p1 - p0, p2 - p0)
 
 
 def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,44 +145,6 @@ def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([keys // n, keys % n]), counts
 
 
-def _boundary_nodes(triangles: np.ndarray) -> np.ndarray:
-    """Nodes on edges that belong to exactly one triangle."""
-    edges, counts = _edge_counts(triangles)
-    return np.unique(edges[counts == 1])
-
-
-def _check_triangulation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Run the ``validate_mesh`` checks; returns the (positive) triangle areas."""
-    if not np.isfinite(nodes).all():
-        raise MeshFormatError("node coordinates must be finite")
-    if triangles.shape[0] == 0:
-        raise MeshFormatError("triangulation has no triangles")
-    if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
-        raise MeshFormatError("triangle indices out of range")
-    areas = _signed_areas(nodes, triangles)
-    if np.any(areas <= 0.0):
-        raise MeshFormatError("triangulation contains inverted or flat triangles")
-    edges, counts = _edge_counts(triangles)
-    if np.any(counts > 2):
-        raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
-    n = nodes.shape[0]
-    graph = sp.coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    n_parts = connected_components(graph, directed=False, return_labels=False)
-    if n_parts > 1:
-        raise MeshFormatError(f"triangulation is not connected: {n_parts} components")
-    return areas
-
-
-def validate_mesh(mesh: Mesh) -> None:
-    """Raise if a node coordinate is not finite, or if the triangulation is
-    empty, indexes a missing node, or is degenerate, non-conforming or
-    disconnected (checked in that order, so each check may rely on the ones
-    before it).  A node that no triangle uses is a component of its own.
-    Connectivity makes the constants the whole kernel of the stiffness
-    matrix, so grounding one node leaves it positive definite."""
-    _check_triangulation(mesh.nodes, mesh.triangles)
-
-
 def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     """Structured triangulation of [0, lx] x [0, ly].
 
@@ -150,12 +154,14 @@ def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     Parameters
     ----------
     nx, ny : int
-        Cells per direction; at least 2 each.
+        Cells per direction; at least 2 each, with at most MAX_NODES nodes.
     lx, ly : float
         Side lengths, positive.
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must both be at least 2")
+    if (nx + 1) * (ny + 1) > MAX_NODES:
+        raise ValueError(f"(nx+1)*(ny+1) must not exceed {MAX_NODES} nodes")
     if not (lx > 0.0 and ly > 0.0):
         raise ValueError("side lengths must be positive")
 
@@ -169,7 +175,7 @@ def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     v10, v01 = v00 + 1, v00 + nx + 1
     v11 = v01 + 1
     triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
-    return Mesh(nodes=nodes, triangles=triangles, boundary_nodes=_boundary_nodes(triangles))
+    return Mesh(nodes, triangles)
 
 
 def _stitch_rings(inner: np.ndarray, outer: np.ndarray) -> list[tuple[int, int, int]]:
@@ -237,7 +243,7 @@ def build_disk_mesh(refinement: int, radius: float = 1.0) -> Mesh:
     areas = _signed_areas(nodes, triangles)
     flip = areas < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    return Mesh(nodes=nodes, triangles=triangles, boundary_nodes=_boundary_nodes(triangles))
+    return Mesh(nodes, triangles)
 
 
 def assemble(mesh: Mesh) -> DiscreteOperator:
@@ -245,10 +251,11 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
 
     Per triangle, the gradient of the barycentric basis at vertex k is the
     rotated opposite edge divided by twice the area, so the local stiffness
-    entry (i, j) is dot(e_i, e_j) / (4*area).  Fails on inverted triangles.
+    entry (i, j) is dot(e_i, e_j) / (4*area).  The mesh checked its
+    triangles when it was made, so every area is finite and positive.
     """
     nodes, triangles = mesh.nodes, mesh.triangles
-    areas = _check_triangulation(nodes, triangles)
+    areas = _signed_areas(nodes, triangles)
     p0 = nodes[triangles[:, 0]]
     p1 = nodes[triangles[:, 1]]
     p2 = nodes[triangles[:, 2]]
@@ -341,9 +348,7 @@ def read_mesh(path) -> Mesh:
         triangles = np.array(tokens[pos:pos + 3 * t], dtype=np.int64).reshape(t, 3)
     except (ValueError, IndexError) as exc:
         raise MeshFormatError(f"malformed mesh file {path}: {exc}") from exc
-    # validate before the boundary census, which needs indices in [0, n)
-    _check_triangulation(nodes, triangles)
-    return Mesh(nodes=nodes, triangles=triangles, boundary_nodes=_boundary_nodes(triangles))
+    return Mesh(nodes, triangles)
 
 
 def write_field(path, values: np.ndarray, epsilon: float, a: float) -> None:

@@ -24,8 +24,7 @@ def renumbered(mesh, seed):
     new = np.random.default_rng(seed).permutation(mesh.n_nodes)
     nodes = np.empty_like(mesh.nodes)
     nodes[new] = mesh.nodes
-    return Mesh(nodes=nodes, triangles=new[mesh.triangles],
-                boundary_nodes=np.sort(new[mesh.boundary_nodes]))
+    return Mesh(nodes, new[mesh.triangles])
 
 
 @pytest.fixture(scope="session")

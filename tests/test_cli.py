@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import neumann_rigidity
-from neumann_rigidity import build_disk_mesh, cli, find_xi, write_field, write_mesh
+from neumann_rigidity import build_disk_mesh, cli, find_xi, meshing, write_field, write_mesh
 from neumann_rigidity.cli import load_config, main
 from neumann_rigidity.errors import ConfigError, NumericalError
 
@@ -60,6 +60,7 @@ class TestConfig:
         {"seed": -1}, {"eps_grid": [0.3, 0.3]}, {"newton_tol": 0.0}, {"newton_tol": -1.0},
         {"m_values": [-1.0]}, {"m_values": [1e308]}, {"m_values": [2.0, 700.5]},
         {"domain": "disk", "radius": 1.0, "refinement": 11}, {"out_dir": "out"},
+        {"nx": 887, "ny": 888},
     ])
     def test_constraints(self, tmp_path, bad):
         path = make_config(tmp_path, **bad)
@@ -173,7 +174,9 @@ class TestEigenCommand:
         "nodes 6\n0 0\n1 0\n0 1\n2 0\n3 0\n2 1\ntriangles 2\n0 1 2\n3 4 5\n",
         "nodes 3\n0 0\n1 0\nnan 1\ntriangles 1\n0 1 2\n",
         "nodes 3\n0 0\n1 0\ninf 1\ntriangles 1\n0 1 2\n",
-    ], ids=["index_ge_n", "zero_triangles", "disconnected", "nan_node", "inf_node"])
+        "nodes 3\n0 0\n1e200 0\n0 1e200\ntriangles 1\n0 1 2\n",
+    ], ids=["index_ge_n", "zero_triangles", "disconnected", "nan_node", "inf_node",
+            "overflowing_area"])
     def test_bad_mesh_file_exits_4(self, tmp_path, capsys, text):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)
@@ -183,6 +186,43 @@ class TestEigenCommand:
             assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("i/o error:")
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("constants", {"domain": "disk", "radius": 1e300, "refinement": 2}),
+        ("eigen", {"lx": 1e300, "ly": 1e300, "nx": 8, "ny": 8}),
+    ], ids=["disk", "rectangle"])
+    def test_overflowing_triangulation_exits_4(self, tmp_path, capsys, command, overrides):
+        # finite coordinates whose triangle areas overflow to inf or NaN
+        cfg = make_config(tmp_path, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "triangle areas overflow" in err[0]
+
+    @pytest.mark.parametrize("domain", ["rectangle", "disk", "mesh_file"])
+    def test_one_triangulation_check_per_command(self, tmp_path, monkeypatch, domain):
+        mesh_path = tmp_path / "disk.mesh"
+        write_mesh(mesh_path, build_disk_mesh(3, 1.0))
+        overrides = {
+            "rectangle": {"nx": 8, "ny": 8},
+            "disk": {"domain": "disk", "radius": 1.0, "refinement": 3},
+            "mesh_file": {"domain": "mesh_file", "mesh_path": str(mesh_path)},
+        }[domain]
+        calls = {"_edge_counts": 0, "connected_components": 0}
+
+        def counted(name):
+            original = getattr(meshing, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(meshing, name, counted(name))
+        assert main(["eigen", "--config", str(make_config(tmp_path, **overrides))]) == 0
+        assert calls == {"_edge_counts": 1, "connected_components": 1}
 
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys):
         cfg = make_config(tmp_path, nx="4")
@@ -284,13 +324,6 @@ class TestSweepCommand:
                 elif r["classification"] == "nonconstant":
                     assert float(r["sup_fluct"]) > 0.0
 
-    def test_needs_grid(self, tmp_path):
-        cfg = make_config(tmp_path, eps_grid=None)
-        data = json.loads(cfg.read_text())
-        data.pop("eps_grid", None)
-        cfg.write_text(json.dumps(data))
-        assert main(["sweep", "--config", str(cfg)]) == 2
-
 
 class TestBifurcateCommand:
     def test_report_files(self, tmp_path):
@@ -309,12 +342,13 @@ class TestBifurcateCommand:
         cfg = make_config(tmp_path, bracket_lo=0.5, bracket_hi=1.0)
         assert main(["bifurcate", "--config", str(cfg)]) == 3
 
-    def test_missing_bracket_exits_2(self, tmp_path):
-        cfg = make_config(tmp_path)
-        data = json.loads(cfg.read_text())
-        del data["bracket_lo"]
-        cfg.write_text(json.dumps(data))
-        assert main(["bifurcate", "--config", str(cfg)]) == 2
+    def test_arpack_failure_exits_3(self, tmp_path, capsys):
+        # a bracket end of 1e300 makes ARPACK fail with "starting vector is zero",
+        # which is not a non-convergence
+        cfg = make_config(tmp_path, nx=8, ny=8, bracket_lo=0.1, bracket_hi=1e300)
+        assert main(["bifurcate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
 
 
 class TestCheckCommand:

@@ -16,11 +16,10 @@ from neumann_rigidity import (
 from neumann_rigidity.errors import MeshFormatError
 from neumann_rigidity.meshing import (
     MAX_DISK_REFINEMENT,
-    _boundary_nodes,
+    MAX_NODES,
     _edge_counts,
     _signed_areas,
     mesh_size,
-    validate_mesh,
 )
 
 from conftest import renumbered
@@ -40,9 +39,7 @@ def _l_shape():
     centroids = square.nodes[square.triangles].mean(axis=1)
     kept = square.triangles[~np.all(centroids > 1.0, axis=1)]
     used, triangles = np.unique(kept, return_inverse=True)
-    triangles = triangles.reshape(-1, 3)
-    return Mesh(nodes=square.nodes[used], triangles=triangles,
-                boundary_nodes=_boundary_nodes(triangles))
+    return Mesh(square.nodes[used], triangles.reshape(-1, 3))
 
 
 def _write_mesh_text(path, nodes, triangles):
@@ -76,7 +73,16 @@ class TestRectangleMesh:
         assert set(mesh.boundary_nodes) == set(np.nonzero(on_boundary)[0])
 
     def test_conforming(self):
-        validate_mesh(build_rectangle_mesh(5, 3, 2.0, 1.0))
+        # every interior edge lies on two triangles, the 2*(5+3) boundary edges on one
+        _, counts = _edge_counts(build_rectangle_mesh(5, 3, 2.0, 1.0).triangles)
+        assert counts.max() == 2
+        assert np.count_nonzero(counts == 1) == 16
+
+    def test_rejects_node_budget(self):
+        # 888*889 = 789,432 nodes: raised before any array is made
+        assert MAX_NODES == 787_969
+        with pytest.raises(ValueError, match="787969 nodes"):
+            build_rectangle_mesh(887, 888, 1.0, 1.0)
 
     @pytest.mark.parametrize("nx, ny", [(2, 2), (5, 3), (3, 7)])
     def test_triangles_match_cell_loop(self, nx, ny):
@@ -171,11 +177,8 @@ class TestAssembly:
         assert np.abs(square64.stiffness @ ones).max() <= 1e-13
 
     def test_reference_triangle_local_stiffness(self):
-        mesh = Mesh(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            triangles=np.array([[0, 1, 2]]),
-            boundary_nodes=np.array([0, 1, 2]),
-        )
+        mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+        assert np.array_equal(mesh.boundary_nodes, [0, 1, 2])
         op = assemble(mesh)
         expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.allclose(op.stiffness.toarray(), expected, atol=1e-14)
@@ -199,13 +202,9 @@ class TestAssembly:
         assert disk4.lumped_mass.sum() == pytest.approx(disk4.area, rel=1e-14)
 
     def test_rejects_inverted_triangle(self):
-        mesh = Mesh(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            triangles=np.array([[0, 2, 1]]),  # clockwise
-            boundary_nodes=np.array([0, 1, 2]),
-        )
-        with pytest.raises(MeshFormatError):
-            assemble(mesh)
+        with pytest.raises(MeshFormatError, match="inverted"):
+            Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                 np.array([[0, 2, 1]]))  # clockwise
 
     def test_galerkin_energy_cos(self, square64):
         u = np.cos(np.pi * square64.mesh.nodes[:, 0])
@@ -323,10 +322,8 @@ class TestFileFormats:
 
 class TestConformity:
     def test_validate_rejects_edge_on_three_triangles(self):
-        mesh = Mesh(nodes=OVERSHARED_NODES, triangles=OVERSHARED_TRIANGLES,
-                    boundary_nodes=np.arange(5))
         with pytest.raises(MeshFormatError, match="shared by >2 triangles"):
-            validate_mesh(mesh)
+            Mesh(OVERSHARED_NODES, OVERSHARED_TRIANGLES)
 
     def test_read_rejects_edge_on_three_triangles(self, tmp_path):
         path = tmp_path / "overshared.mesh"
@@ -337,17 +334,13 @@ class TestConformity:
 
 class TestConnectivity:
     def test_validate_rejects_two_components(self):
-        mesh = Mesh(nodes=DISJOINT_NODES, triangles=DISJOINT_TRIANGLES,
-                    boundary_nodes=np.arange(6))
         with pytest.raises(MeshFormatError, match="not connected: 2 components"):
-            validate_mesh(mesh)
+            Mesh(DISJOINT_NODES, DISJOINT_TRIANGLES)
 
     def test_validate_rejects_unused_node(self):
         # a node no triangle uses would leave a zero row in the stiffness
-        mesh = Mesh(nodes=DISJOINT_NODES[:4], triangles=DISJOINT_TRIANGLES[:1],
-                    boundary_nodes=np.arange(3))
         with pytest.raises(MeshFormatError, match="not connected: 2 components"):
-            validate_mesh(mesh)
+            Mesh(DISJOINT_NODES[:4], DISJOINT_TRIANGLES[:1])
 
     def test_read_rejects_two_components(self, tmp_path):
         path = tmp_path / "disjoint.mesh"
@@ -358,7 +351,5 @@ class TestConnectivity:
     def test_assemble_rejects_two_disjoint_squares(self):
         square = build_rectangle_mesh(4, 4, 1.0, 1.0)
         triangles = np.vstack([square.triangles, square.triangles + square.n_nodes])
-        mesh = Mesh(nodes=np.vstack([square.nodes, square.nodes + [2.0, 0.0]]),
-                    triangles=triangles, boundary_nodes=_boundary_nodes(triangles))
         with pytest.raises(MeshFormatError, match="not connected: 2 components"):
-            assemble(mesh)
+            Mesh(np.vstack([square.nodes, square.nodes + [2.0, 0.0]]), triangles)
