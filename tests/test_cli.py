@@ -324,6 +324,13 @@ class TestSweepCommand:
                 elif r["classification"] == "nonconstant":
                     assert float(r["sup_fluct"]) > 0.0
 
+    def test_needs_grid(self, tmp_path):
+        cfg = make_config(tmp_path, eps_grid=None)
+        data = json.loads(cfg.read_text())
+        data.pop("eps_grid", None)
+        cfg.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+
 
 class TestBifurcateCommand:
     def test_report_files(self, tmp_path):
@@ -341,6 +348,13 @@ class TestBifurcateCommand:
     def test_bad_bracket_exits_3(self, tmp_path):
         cfg = make_config(tmp_path, bracket_lo=0.5, bracket_hi=1.0)
         assert main(["bifurcate", "--config", str(cfg)]) == 3
+
+    def test_missing_bracket_exits_2(self, tmp_path):
+        cfg = make_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        del data["bracket_lo"]
+        cfg.write_text(json.dumps(data))
+        assert main(["bifurcate", "--config", str(cfg)]) == 2
 
     def test_arpack_failure_exits_3(self, tmp_path, capsys):
         # a bracket end of 1e300 makes ARPACK fail with "starting vector is zero",
