@@ -94,20 +94,19 @@ class PoissonFactor:
 
     ``solve`` takes an (n,) or (n, k) right-hand side b, sets the multiplier
     lam = sum(b)/sum(m) (exact, since 1'A = 0), solves A x = b - lam*m with
-    the factor of A + A[0, 0]*e0*e0', removes the weighted mean of x and
-    divides by ``scale``: the field part of K^{-1} [b; 0] for K(scale, 0).
+    the factor of A + A[0, 0]*e0*e0' and removes the weighted mean of x:
+    the field part of K^{-1} [b; 0] for K = [[A, m], [m', 0]].
     """
 
-    def __init__(self, chol: CholeskyFactor, m: np.ndarray, scale: float = 1.0):
+    def __init__(self, chol: CholeskyFactor, m: np.ndarray):
         self.chol = chol
         self.m = m
-        self.scale = scale
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         m = self.m
         x = self.chol.solve(b - np.multiply.outer(m, b.sum(axis=0) / m.sum()))
-        return _finite((x - np.dot(m, x) / m.sum()) / self.scale)
+        return _finite(x - np.dot(m, x) / m.sum())
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -236,20 +235,14 @@ class BorderedSystem:
         except NoConvergenceError as exc:
             raise NoConvergenceError("grounded Poisson matrix is singular: "
                                      "zero pivot in band Cholesky") from exc
-        self._poisson = PoissonFactor(chol, self.m)
+        self.poisson = PoissonFactor(chol, self.m)
 
-    def factor(self, scale: float = 1.0,
-               d: np.ndarray | float | None = None) -> PoissonFactor | BandFactor:
-        """Factors of B = scale*A - diag(d); the default call returns the
-        Poisson factor.  Only with d omitted is B = scale*A served by the
-        Poisson factor, whose solves are weighted-mean-zero and divided by
-        scale.  A given d, even an all-zero one, gets the band LU of B.
+    def factor(self, scale: float, d: np.ndarray | float) -> BandFactor:
+        """Band LU of B = scale*A - diag(d), for any d, even an all-zero one.
 
-        Raises NoConvergenceError when that band LU finds B numerically
-        singular: a zero pivot, or min|U_ii| <= n*eps*max|U_ii|.
+        Raises NoConvergenceError when it finds B numerically singular: a
+        zero pivot, or min|U_ii| <= n*eps*max|U_ii|.
         """
-        if d is None:
-            return self._poisson if scale == 1.0 else PoissonFactor(self._poisson.chol, self.m, scale)
         band = self._band
         lu, piv, info = dgbtrf(band.lu.fill(scale, d), band.k, band.k, overwrite_ab=1)
         pivots = np.abs(lu[2 * band.k])
@@ -281,17 +274,20 @@ def bordered(op) -> BorderedSystem:
 
 def solve_projected(system: BorderedSystem, b: np.ndarray, scale: float = 1.0,
                     d: np.ndarray | float | None = None) -> np.ndarray:
-    """Solve (scale*A - diag(d)) x = b by one LU (``BorderedSystem.factor``).
+    """Solve (scale*A - diag(d)) x = b; the one place that picks a factor.
 
     With d omitted this is the Poisson problem scale*A x = b on the
-    weighted-mean-zero subspace, from the factor computed once per
-    operator: the multiplier removes exactly the range-incompatible part
-    of b (its plain sum, along the mass vector).  With d given it is the
-    plain solve x = B^{-1} b of B = scale*A - diag(d), and it raises
-    NoConvergenceError when B is numerically singular.  ``b`` is an (n,)
-    vector or an (n, k) block of right-hand sides sharing the
+    weighted-mean-zero subspace, from the Poisson factor computed once per
+    operator (``system.poisson``), divided by scale: the multiplier removes
+    exactly the range-incompatible part of b (its plain sum, along the
+    mass vector).  With d given it is the plain solve x = B^{-1} b of
+    B = scale*A - diag(d) by one band LU (``BorderedSystem.factor``), and
+    it raises NoConvergenceError when B is numerically singular.  ``b`` is
+    an (n,) vector or an (n, k) block of right-hand sides sharing the
     factorization.
     """
+    if d is None:
+        return system.poisson.solve(b) / scale
     return system.factor(scale, d).solve(b)
 
 
@@ -336,33 +332,24 @@ def _mean_bordered(factor: BandFactor | CholeskyFactor, m: np.ndarray):
     return solve
 
 
-def _smallest_restricted(system: BorderedSystem, scale: float, d, shift: float,
-                         tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two eigenvalues of the pencil (scale*A - diag(d), diag(m)) on the
-    mean-zero subspace nearest to ``shift``, ascending, with their
-    eigenvectors.
+def _nearest_eigenpairs(system: BorderedSystem, solve, shift: float, k: int,
+                        tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k eigenpairs of a pencil (B, diag(m)) on the mean-zero subspace
+    nearest to ``shift``, ascending.
 
-    Shift-invert Lanczos whose inverse is the Poisson factor (d omitted,
-    shift 0) or the mean-bordered band Cholesky factor of
-    scale*A - diag(d + shift*m), so the shift must lie below the whole
-    pencil spectrum: its range is the mean-zero subspace, and Lanczos in
-    the M inner product returns vectors of weighted norm one.  In this
-    mode ARPACK never multiplies by the pencil matrix itself.  The start vector is seeded, so
-    repeated calls give identical results.
+    Shift-invert Lanczos (ARPACK mode 3) whose inverse ``solve`` applies
+    (B - shift*diag(m))^{-1} restricted to the mean-zero subspace, which is
+    its range; Lanczos in the M inner product returns vectors of weighted
+    norm one.  The start vector is seeded, so repeated calls give identical
+    results.
     """
     n, m = system.n, system.m
-    diag = 0.0 if d is None else d
-    pencil = LinearOperator((n, n), matvec=lambda x: scale * system.a_mat.dot(x) - diag * x,
-                            dtype=float)
-    if d is None and shift == 0.0:
-        solve = system.factor(scale).solve
-    else:
-        solve = _mean_bordered(system.cholesky(scale, diag + shift * m), m)
     op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
     x = np.random.default_rng(_RNG_SEED).standard_normal(n)
     v0 = x - weighted_mean(x, m)  # any start in the mean-zero subspace will do
     try:
-        theta, vecs = eigsh(pencil, k=2, M=sp.diags(m), sigma=shift, OPinv=op_inv,
+        # mode 3 reads its A argument only for the shape and dtype
+        theta, vecs = eigsh(op_inv, k=k, M=sp.diags(m), sigma=shift, OPinv=op_inv,
                             v0=v0, tol=tol)
     except ArpackError as exc:  # non-convergence included
         raise NoConvergenceError(f"shift-invert Lanczos failed: {exc}") from exc
@@ -377,7 +364,7 @@ def smallest_nonzero_eigen(system: BorderedSystem) -> EigenPair:
     inverting with the Poisson factor; the second eigenvalue detects a
     (near-)degenerate first eigenvalue.
     """
-    theta, vecs = _smallest_restricted(system, 1.0, None, 0.0, MU1_TOL)
+    theta, vecs = _nearest_eigenpairs(system, system.poisson.solve, 0.0, 2, MU1_TOL)
     mu1, mu2 = float(theta[0]), float(theta[1])
     degenerate = abs(mu2 - mu1) <= 10.0 * MU1_TOL * max(1.0, abs(mu1))
     return EigenPair(mu1=mu1, phi1=vecs[:, 0].copy(), degenerate=degenerate,
@@ -386,7 +373,7 @@ def smallest_nonzero_eigen(system: BorderedSystem) -> EigenPair:
 
 def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
                               scale: float = 1.0,
-                              d: np.ndarray | float | None = None) -> tuple[float, np.ndarray]:
+                              d: np.ndarray | float = 0.0) -> tuple[float, np.ndarray]:
     """Smallest mean-zero-subspace eigenvalue of the symmetric pencil
     (scale*A - diag(d), diag(m)) and its eigenvector, to INDICATOR_TOL.
 
@@ -395,11 +382,14 @@ def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
     Jacobians, minus the largest pointwise reaction slope does).  The shift
     is placed below it with a safety margin, so the shifted pencil is
     positive definite and the eigenvalue nearest the shift is the smallest
-    one; its band Cholesky factor certifies that, and a ``lower_bound``
-    that is not below the spectrum raises NoConvergenceError.
+    one; its band Cholesky factor, closed by the mean border, is the
+    shift-invert operator.  The factor certifies the margin, and a
+    ``lower_bound`` that is not below the spectrum raises
+    NoConvergenceError.
     """
     shift = lower_bound - max(1.0, 0.1 * abs(lower_bound))
-    theta, vecs = _smallest_restricted(system, scale, d, shift, INDICATOR_TOL)
+    solve = _mean_bordered(system.cholesky(scale, d + shift * system.m), system.m)
+    theta, vecs = _nearest_eigenpairs(system, solve, shift, 1, INDICATOR_TOL)
     return float(theta[0]), vecs[:, 0].copy()
 
 
