@@ -1,5 +1,5 @@
-"""Direct solves with B = scale*A - diag(d) and the first nonzero no-flux
-eigenvalue by shift-invert Lanczos.
+"""Direct solves with B = scale*A - diag(d), and eigenpairs of the pencil
+(B, diag(m)) on the mean-zero subspace by shift-invert Lanczos.
 
 Every matrix is factored in one band layout: reverse Cuthill-McKee
 ordering, computed once per operator, puts the P1 pattern in a band of
@@ -25,17 +25,22 @@ A + c*e0*e0' with c = A[0, 0], which is positive definite on a connected
 mesh and is band-Cholesky factored once per operator.  For the compatible
 r = b - lam*m its solution has x[0] = 0 and A x = r (sum the equations:
 c*x[0] = 1'r = 0), and removing the weighted mean of x gives the bordered
-solution (Bochev & Lehoucq, SIAM Review 47(1), 2005).  That factor serves
-the Poisson solves and mu1.
+solution (Bochev & Lehoucq, SIAM Review 47(1), 2005).  That factor,
+``BorderedSystem.poisson``, serves the Poisson solves and mu1;
+``solve_projected`` is the one solve that picks it (d omitted) or the band
+LU (d given).
 
-The shifted pencils of the stability eigensolver are positive definite,
-since the shift lies below the pencil spectrum, so they get the band
-Cholesky, and a failed Cholesky says that the shift was not below the
-spectrum.  Only that shift-invert operator needs the mean border
-[[B, m], [m', 0]]: it is closed by the Schur complement s = m'B^{-1}m,
-x = y - B^{-1}m (m'y)/s with y = B^{-1}b, which sends constants to zero and
-so restricts the spectrum to mean-zero fields without any projection; that
-K is singular exactly when s = 0.
+One shift-invert Lanczos routine (ARPACK mode 3; Lehoucq, Sorensen & Yang,
+ARPACK Users' Guide, SIAM 1998) returns the k eigenpairs nearest a shift,
+and each caller hands it its inverse and its k: mu1 passes the Poisson
+factor at shift 0 with k = 2, and the stability indicator the shifted
+pencil below the spectrum with k = 1.  Those shifted pencils are positive
+definite, so they get the band Cholesky, and a failed Cholesky says that
+the shift was not below the spectrum.  Only that shift-invert operator
+needs the mean border [[B, m], [m', 0]]: it is closed by the Schur
+complement s = m'B^{-1}m, x = y - B^{-1}m (m'y)/s with y = B^{-1}b, which
+sends constants to zero and so restricts the spectrum to mean-zero fields
+without any projection; that K is singular exactly when s = 0.
 """
 
 from __future__ import annotations
@@ -105,8 +110,9 @@ class PoissonFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         m = self.m
-        x = self.chol.solve(b - np.multiply.outer(m, b.sum(axis=0) / m.sum()))
-        return _finite(x - np.dot(m, x) / m.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite reports overflow
+            x = self.chol.solve(b - np.multiply.outer(m, b.sum(axis=0) / m.sum()))
+            return _finite(x - np.dot(m, x) / m.sum())
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -215,12 +221,12 @@ class BorderedSystem:
     Construction lays out A's band in reverse Cuthill-McKee order and
     grounds the Poisson matrix at node 0: it band-Cholesky factors
     A + A[0, 0]*e0*e0', positive definite on a connected mesh, and keeps
-    that factor, whose solves are those of the bordered [[A, m], [m', 0]]
-    with the multiplier sum(b)/sum(m) in closed form.  Every B with a given
-    diagonal d fills a band array in the same order: LAPACK's ``dgbtrf``
-    factors an indefinite B (``factor``), ``dpbtrf`` a positive definite
-    one (``cholesky``).  The factors are numpy arrays, so a system pickles
-    whole.
+    that factor as ``poisson``, whose solves are those of the bordered
+    [[A, m], [m', 0]] with the multiplier sum(b)/sum(m) in closed form.
+    Every B with a given diagonal d fills a band array in the same order:
+    LAPACK's ``dgbtrf`` factors an indefinite B (``factor``), ``dpbtrf`` a
+    positive definite one (``cholesky``).  The factors are numpy arrays,
+    so a system pickles whole.
     """
 
     def __init__(self, a_mat: sp.spmatrix, m: np.ndarray):
@@ -385,10 +391,17 @@ def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
     one; its band Cholesky factor, closed by the mean border, is the
     shift-invert operator.  The factor certifies the margin, and a
     ``lower_bound`` that is not below the spectrum raises
-    NoConvergenceError.
+    NoConvergenceError.  So does a margin that the round-off of scale*A
+    would swamp, margin*min(m) <= n*eps*scale*max(A_ii), where a failed
+    or passed Cholesky says nothing about the bound.
     """
-    shift = lower_bound - max(1.0, 0.1 * abs(lower_bound))
-    solve = _mean_bordered(system.cholesky(scale, d + shift * system.m), system.m)
+    m = system.m
+    margin = max(1.0, 0.1 * abs(lower_bound))
+    if not margin * m.min() > system.n * _EPS * scale * system.a_mat.diagonal().max():
+        raise NoConvergenceError("shift margin is below the round-off of scale*A: "
+                                 "the shifted pencil cannot be certified")
+    shift = lower_bound - margin
+    solve = _mean_bordered(system.cholesky(scale, d + shift * m), m)
     theta, vecs = _nearest_eigenpairs(system, solve, shift, 1, INDICATOR_TOL)
     return float(theta[0]), vecs[:, 0].copy()
 

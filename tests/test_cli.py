@@ -200,6 +200,17 @@ class TestEigenCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "triangle areas overflow" in err[0]
 
+    @pytest.mark.parametrize("command", ["constants", "eigen"])
+    def test_overflowing_poisson_solve_exits_3(self, tmp_path, capsys, command):
+        # areas near 1e298 pass the mesh check, but the mass-weighted mean of
+        # the first Poisson solve overflows: the solve reports it, no warning
+        cfg = make_config(tmp_path, lx=1e150, ly=1e150, nx=8, ny=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: linear solve produced non-finite values"]
+
     @pytest.mark.parametrize("domain", ["rectangle", "disk", "mesh_file"])
     def test_one_triangulation_check_per_command(self, tmp_path, monkeypatch, domain):
         mesh_path = tmp_path / "disk.mesh"
@@ -357,12 +368,23 @@ class TestBifurcateCommand:
         assert main(["bifurcate", "--config", str(cfg)]) == 2
 
     def test_arpack_failure_exits_3(self, tmp_path, capsys):
-        # a bracket end of 1e300 makes ARPACK fail with "starting vector is zero",
-        # which is not a non-convergence
+        # a bracket end of 1e300 made ARPACK fail with "starting vector is zero",
+        # which is not a non-convergence; the shift-margin guard now refuses it
+        # first, and either way the command prints one numerical-failure line
         cfg = make_config(tmp_path, nx=8, ny=8, bracket_lo=0.1, bracket_hi=1e300)
         assert main(["bifurcate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
+
+    def test_huge_bracket_names_round_off(self, tmp_path, capsys):
+        # at eps = 1e50 the unit shift margin of the stability pencil is far
+        # below the round-off of eps*A, so the bound is not what failed
+        cfg = make_config(tmp_path, nx=8, ny=8, bracket_lo=0.1, bracket_hi=1e50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bifurcate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "round-off" in err[0]
 
 
 class TestCheckCommand:
@@ -486,13 +508,14 @@ class TestSeedOverride:
 
 
 class TestImportPath:
-    def test_cli_import_skips_spatial_and_optimize(self):
-        # every command starts a fresh interpreter and pays for what it imports
-        code = ("import sys, neumann_rigidity.cli; "
-                "print([m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules])")
+    def test_cli_import_loads_only_linalg_and_sparse(self):
+        # every command starts a fresh interpreter and pays for what it
+        # imports: of scipy's public subpackages, only these two
+        code = ("import sys, neumann_rigidity.cli, scipy; "
+                "print([m for m in scipy.__all__ if 'scipy.' + m in sys.modules])")
         src = Path(neumann_rigidity.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "['linalg', 'sparse']"

@@ -3,6 +3,7 @@ natural continuation, and the rigidity sweep."""
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, eigvalsh, null_space, solve_triangular
 
 import neumann_rigidity.continuation as continuation
 import neumann_rigidity.newton as newton
@@ -47,6 +48,23 @@ class TestStabilityIndicator:
         eps = FP_XI / mu1
         lam = stability_indicator(np.full(square20.n, XI), eps, A, square20)
         assert abs(lam) <= 1e-6 * FP_XI
+
+    def test_patterned_state_matches_dense_reference(self, square16):
+        # off the constant branch the mean border does real work: compare
+        # with the smallest eigenvalue of Q'JQ, where J = eps*A - diag(m*f'(u))
+        # and the columns of Q are an M-orthonormal basis of {v : m'v = 0}
+        eps_star = bifurcation_epsilon(A, first_eigenpair(square16).mu1)
+        rec, _, _ = branch_switch(eps_star, A, square16)
+        point = continue_branch(rec, [0.9 * eps_star], A, square16)[-1]
+        u, eps = point.solution.u, point.solution.epsilon
+        assert eps == 0.9 * eps_star and point.solution.sup_fluct > 0.1
+        m = square16.lumped_mass
+        basis = null_space(m[None, :])
+        chol = cholesky(basis.T @ (m[:, None] * basis), lower=True)
+        q = solve_triangular(chol, basis.T, lower=True).T
+        jac = eps * square16.stiffness.toarray() - np.diag(m * (np.exp(u) - A))
+        dense = eigvalsh(q.T @ jac @ q)[0]
+        assert point.stability_indicator == pytest.approx(dense, rel=1e-8)
 
 
 class TestDetectBifurcation:

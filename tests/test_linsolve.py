@@ -388,6 +388,14 @@ class TestRestrictedSmallestEigen:
         with pytest.raises(NoConvergenceError, match="not positive definite"):
             restricted_smallest_eigen(bordered(square20), lower_bound=mu1 + above)
 
+    def test_arpack_error_raises_no_convergence(self, square20, monkeypatch):
+        def failing_eigsh(*args, **kwargs):
+            raise linsolve.ArpackError(-9)
+
+        monkeypatch.setattr(linsolve, "eigsh", failing_eigsh)
+        with pytest.raises(NoConvergenceError, match="shift-invert Lanczos failed"):
+            restricted_smallest_eigen(bordered(square20), lower_bound=0.0)
+
     def test_returns_mean_zero_eigenvector(self, square20):
         m = square20.lumped_mass
         lam, vec = restricted_smallest_eigen(bordered(square20), lower_bound=0.0)
