@@ -39,7 +39,7 @@ from .meshing import (
 )
 from .model import (SATURATION_EXPONENT, bifurcation_epsilon, constant_chain, find_xi,
                     rigidity_threshold)
-from .newton import attach_diagnostics, newton_solve, switch_directions
+from .newton import attach_diagnostics, newton_solve, noise_start, switch_directions
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -267,8 +267,7 @@ def _start_state(spec: str, cfg: ExperimentConfig, op: DiscreteOperator) -> np.n
             raise ConfigError(f"bad noise start {spec!r}") from exc
         if noise_seed < 0:
             raise ConfigError(f"bad noise start {spec!r}: seed must be non-negative")
-        rng = np.random.default_rng(noise_seed)
-        return rng.uniform(-2.0, xi + 2.0, size=op.n)
+        return noise_start(np.random.default_rng(noise_seed), xi, op.n)
     raise ConfigError(f"unknown start spec {spec!r} (use const:/eig:/noise:)")
 
 

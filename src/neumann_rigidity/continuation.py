@@ -11,6 +11,7 @@ predicts, which closes the loop between the two routes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
@@ -274,14 +275,14 @@ def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
 
     Deterministic for a fixed seed, grid, and mesh: each grid value gets the
     derived seed ``seed + 7919*index``.  Grid values are independent, so
-    they may be distributed over min(threads, len(eps_grid)) worker
-    processes; with one, the sweep runs in this process.
+    they may be distributed over min(threads, len(eps_grid), os.cpu_count())
+    worker processes; with one, the sweep runs in this process.
     """
     tasks = [
         (float(eps), a, op, n_starts, seed + 7919 * i, q)
         for i, eps in enumerate(eps_grid)
     ]
-    workers = min(threads, len(tasks))
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, tasks))

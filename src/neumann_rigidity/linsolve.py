@@ -8,6 +8,8 @@ definite B gets LAPACK's band Cholesky ``dpbtrf`` of its lower triangle in
 a (k+1, n) array, solved by ``dpbtrs``; an indefinite B, the Newton
 Jacobian, gets the pivoting band LU ``dgbtrf`` in a (3k+1, n) array, about
 four times the Cholesky's flops, and a Newton step is one ``dgbtrs`` solve.
+A factor is held only as the function b -> x that solves with it (type
+``Solve``), for an (n,) vector or an (n, k) block b.
 
 The stiffness matrix A of the natural boundary condition annihilates
 constants, so the Poisson matrix B = scale*A (d omitted) is singular and
@@ -25,26 +27,28 @@ A + c*e0*e0' with c = A[0, 0], which is positive definite on a connected
 mesh and is band-Cholesky factored once per operator.  For the compatible
 r = b - lam*m its solution has x[0] = 0 and A x = r (sum the equations:
 c*x[0] = 1'r = 0), and removing the weighted mean of x gives the bordered
-solution (Bochev & Lehoucq, SIAM Review 47(1), 2005).  That factor,
-``BorderedSystem.poisson``, serves the Poisson solves and mu1;
-``solve_projected`` is the one solve that picks it (d omitted) or the band
-LU (d given).
+solution (Bochev & Lehoucq, SIAM Review 47(1), 2005).  That solve,
+``BorderedSystem.poisson``, serves the Poisson problems and mu1;
+``solve_projected`` is the one place that picks it (d omitted) or the band
+LU solve (d given).
 
 One shift-invert Lanczos routine (ARPACK mode 3; Lehoucq, Sorensen & Yang,
 ARPACK Users' Guide, SIAM 1998) returns the k eigenpairs nearest a shift,
 and each caller hands it its inverse and its k: mu1 passes the Poisson
-factor at shift 0 with k = 2, and the stability indicator the shifted
-pencil below the spectrum with k = 1.  Those shifted pencils are positive
-definite, so they get the band Cholesky, and a failed Cholesky says that
-the shift was not below the spectrum.  Only that shift-invert operator
-needs the mean border [[B, m], [m', 0]]: it is closed by the Schur
-complement s = m'B^{-1}m, x = y - B^{-1}m (m'y)/s with y = B^{-1}b, which
-sends constants to zero and so restricts the spectrum to mean-zero fields
-without any projection; that K is singular exactly when s = 0.
+solve at shift 0 with k = 2, and the stability indicator the solve with
+the shifted pencil below the spectrum with k = 1.  Those shifted pencils
+are positive definite, so they get the band Cholesky, and a failed
+Cholesky says that the shift was not below the spectrum.  Only that
+shift-invert operator needs the mean border [[B, m], [m', 0]]: it is
+closed by the Schur complement s = m'B^{-1}m, x = y - B^{-1}m (m'y)/s with
+y = B^{-1}b, which sends constants to zero and so restricts the spectrum
+to mean-zero fields without any projection; that K is singular exactly
+when s = 0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +63,7 @@ _RNG_SEED = 20260810  # deterministic Lanczos start vector
 MU1_TOL = 1e-10       # Lanczos tolerance of mu1, and of its degeneracy test
 INDICATOR_TOL = 1e-9  # Lanczos tolerance of the restricted smallest eigenvalue
 _EPS = np.finfo(float).eps
+Solve = Callable[[np.ndarray], np.ndarray]  # a factor, as the solve b -> x with it
 
 
 def weighted_mean(u: np.ndarray, m: np.ndarray) -> float:
@@ -92,27 +97,6 @@ def project_mean_zero(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """
     v = x - np.dot(m, x) / m.sum()
     return v - np.dot(m, v) / m.sum()
-
-
-class PoissonFactor:
-    """Band Cholesky factor of the Poisson matrix A grounded at node 0.
-
-    ``solve`` takes an (n,) or (n, k) right-hand side b, sets the multiplier
-    lam = sum(b)/sum(m) (exact, since 1'A = 0), solves A x = b - lam*m with
-    the factor of A + A[0, 0]*e0*e0' and removes the weighted mean of x:
-    the field part of K^{-1} [b; 0] for K = [[A, m], [m', 0]].
-    """
-
-    def __init__(self, chol: CholeskyFactor, m: np.ndarray):
-        self.chol = chol
-        self.m = m
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        m = self.m
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite reports overflow
-            x = self.chol.solve(b - np.multiply.outer(m, b.sum(axis=0) / m.sum()))
-            return _finite(x - np.dot(m, x) / m.sum())
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -173,45 +157,19 @@ def _band(a_mat: sp.spmatrix) -> _Band:
                  lower=layout(k + 1, 0, row >= col))
 
 
-class _BandSolve:
-    """Solves with a factor held in the operator's band order: ``solve``
+def _band_solve(order: np.ndarray, lapack_solve: Solve) -> Solve:
+    """The solve b -> x with a factor held in band order ``order``: it
     permutes an (n,) or (n, k) right-hand side into that order, makes one
-    LAPACK solve call and permutes back."""
+    LAPACK solve call ``lapack_solve(rhs)`` and permutes back."""
 
-    def __init__(self, band: _Band):
-        self._band = band
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        order = self._band.order
-        y = self._lapack_solve(b[order].reshape(b.shape[0], -1))
+        y = lapack_solve(b[order].reshape(b.shape[0], -1))
         x = np.empty_like(y)
         x[order] = y
         return _finite(x.reshape(b.shape))
 
-
-class BandFactor(_BandSolve):
-    """Band LU of B = scale*A - diag(d), solved by ``dgbtrs``."""
-
-    def __init__(self, lu, piv, band: _Band):
-        super().__init__(band)
-        self._lu, self._piv = lu, piv
-
-    def _lapack_solve(self, rhs: np.ndarray) -> np.ndarray:
-        k = self._band.k
-        return dgbtrs(self._lu, k, k, rhs, self._piv, overwrite_b=1)[0]
-
-
-class CholeskyFactor(_BandSolve):
-    """Band Cholesky L L' of a positive definite B = scale*A - diag(d),
-    with L in lower band storage, solved by ``dpbtrs``."""
-
-    def __init__(self, chol, band: _Band):
-        super().__init__(band)
-        self._chol = chol
-
-    def _lapack_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return dpbtrs(self._chol, rhs, lower=1, overwrite_b=1)[0]
+    return solve
 
 
 class BorderedSystem:
@@ -220,13 +178,13 @@ class BorderedSystem:
 
     Construction lays out A's band in reverse Cuthill-McKee order and
     grounds the Poisson matrix at node 0: it band-Cholesky factors
-    A + A[0, 0]*e0*e0', positive definite on a connected mesh, and keeps
-    that factor as ``poisson``, whose solves are those of the bordered
-    [[A, m], [m', 0]] with the multiplier sum(b)/sum(m) in closed form.
-    Every B with a given diagonal d fills a band array in the same order:
-    LAPACK's ``dgbtrf`` factors an indefinite B (``factor``), ``dpbtrf`` a
-    positive definite one (``cholesky``).  The factors are numpy arrays,
-    so a system pickles whole.
+    A + A[0, 0]*e0*e0', positive definite on a connected mesh, once, for
+    ``poisson``, the solve of the bordered [[A, m], [m', 0]] with the
+    multiplier sum(b)/sum(m) in closed form.  Every B with a given
+    diagonal d fills a band array in the same order: ``factor`` returns
+    the solve with LAPACK's band LU ``dgbtrf`` of an indefinite B,
+    ``cholesky`` the solve with the band Cholesky ``dpbtrf`` of a positive
+    definite one.  Each solve is a function b -> x.
     """
 
     def __init__(self, a_mat: sp.spmatrix, m: np.ndarray):
@@ -237,29 +195,44 @@ class BorderedSystem:
         ground = np.zeros(self.n)
         ground[0] = -a_mat.diagonal()[0]  # B = A + A[0, 0]*e0*e0'
         try:
-            chol = self.cholesky(1.0, ground)
+            self._grounded = self.cholesky(1.0, ground)
         except NoConvergenceError as exc:
             raise NoConvergenceError("grounded Poisson matrix is singular: "
                                      "zero pivot in band Cholesky") from exc
-        self.poisson = PoissonFactor(chol, self.m)
 
-    def factor(self, scale: float, d: np.ndarray | float) -> BandFactor:
-        """Band LU of B = scale*A - diag(d), for any d, even an all-zero one.
+    def poisson(self, b: np.ndarray) -> np.ndarray:
+        """The grounded Poisson solve of an (n,) or (n, k) right-hand side
+        b: it sets the multiplier lam = sum(b)/sum(m) (exact, since 1'A = 0),
+        solves A x = b - lam*m with the Cholesky factor of
+        A + A[0, 0]*e0*e0' and removes the weighted mean of x, which gives
+        the field part of K^{-1} [b; 0] for K = [[A, m], [m', 0]].
+        """
+        b = np.asarray(b, dtype=float)
+        m = self.m
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite reports overflow
+            x = self._grounded(b - np.multiply.outer(m, b.sum(axis=0) / m.sum()))
+            return _finite(x - np.dot(m, x) / m.sum())
+
+    def factor(self, scale: float, d: np.ndarray | float) -> Solve:
+        """The solve with the band LU of B = scale*A - diag(d), for any d,
+        even an all-zero one: one ``dgbtrs`` call per right-hand side block.
 
         Raises NoConvergenceError when it finds B numerically singular: a
         zero pivot, or min|U_ii| <= n*eps*max|U_ii|.
         """
-        band = self._band
-        lu, piv, info = dgbtrf(band.lu.fill(scale, d), band.k, band.k, overwrite_ab=1)
-        pivots = np.abs(lu[2 * band.k])
+        k = self._band.k
+        lu, piv, info = dgbtrf(self._band.lu.fill(scale, d), k, k, overwrite_ab=1)
+        pivots = np.abs(lu[2 * k])
         if info > 0 or not pivots.min() > self.n * _EPS * pivots.max():
             raise NoConvergenceError("matrix is singular: zero pivot in band LU")
-        return BandFactor(lu, piv, band)
+        return _band_solve(self._band.order,
+                           lambda rhs: dgbtrs(lu, k, k, rhs, piv, overwrite_b=1)[0])
 
-    def cholesky(self, scale: float, d: np.ndarray | float) -> CholeskyFactor:
-        """Band Cholesky factor of B = scale*A - diag(d), which must be
-        positive definite, as the stability eigensolver's shifted pencils
-        are when their shift lies below the pencil spectrum.
+    def cholesky(self, scale: float, d: np.ndarray | float) -> Solve:
+        """The solve with the band Cholesky factor L L' of
+        B = scale*A - diag(d), one ``dpbtrs`` call per right-hand side block.
+        B must be positive definite, as the stability eigensolver's shifted
+        pencils are when their shift lies below the pencil spectrum.
 
         Raises NoConvergenceError when ``dpbtrf`` finds B not positive
         definite.
@@ -268,7 +241,8 @@ class BorderedSystem:
         if info > 0:
             raise NoConvergenceError("shifted pencil is not positive definite: "
                                      "lower_bound is not below the spectrum")
-        return CholeskyFactor(chol, self._band)
+        return _band_solve(self._band.order,
+                           lambda rhs: dpbtrs(chol, rhs, lower=1, overwrite_b=1)[0])
 
 
 def bordered(op) -> BorderedSystem:
@@ -280,21 +254,21 @@ def bordered(op) -> BorderedSystem:
 
 def solve_projected(system: BorderedSystem, b: np.ndarray, scale: float = 1.0,
                     d: np.ndarray | float | None = None) -> np.ndarray:
-    """Solve (scale*A - diag(d)) x = b; the one place that picks a factor.
+    """Solve (scale*A - diag(d)) x = b; the one place that picks a solve.
 
     With d omitted this is the Poisson problem scale*A x = b on the
-    weighted-mean-zero subspace, from the Poisson factor computed once per
-    operator (``system.poisson``), divided by scale: the multiplier removes
-    exactly the range-incompatible part of b (its plain sum, along the
-    mass vector).  With d given it is the plain solve x = B^{-1} b of
-    B = scale*A - diag(d) by one band LU (``BorderedSystem.factor``), and
-    it raises NoConvergenceError when B is numerically singular.  ``b`` is
-    an (n,) vector or an (n, k) block of right-hand sides sharing the
-    factorization.
+    weighted-mean-zero subspace: the grounded Poisson solve
+    ``system.poisson``, from the factor made once per operator, divided
+    by scale.  Its multiplier removes exactly the range-incompatible part
+    of b (its plain sum, along the mass vector).  With d given it is the
+    plain solve x = B^{-1} b of B = scale*A - diag(d) with a fresh band LU
+    (``system.factor(scale, d)(b)``), and it raises NoConvergenceError
+    when B is numerically singular.  ``b`` is an (n,) vector or an (n, k)
+    block of right-hand sides sharing the factorization.
     """
     if d is None:
-        return system.poisson.solve(b) / scale
-    return system.factor(scale, d).solve(b)
+        return system.poisson(b) / scale
+    return system.factor(scale, d)(b)
 
 
 @dataclass(frozen=True)
@@ -317,8 +291,8 @@ class EigenPair:
     phi2: np.ndarray
 
 
-def _mean_bordered(factor: BandFactor | CholeskyFactor, m: np.ndarray):
-    """Solve of K = [[B, m], [m', 0]] from a band factor of B: the field
+def _mean_bordered(solve: Solve, m: np.ndarray) -> Solve:
+    """The solve of K = [[B, m], [m', 0]] from a solve with B: the field
     part x = y - y_m (m'y)/s of K^{-1} [b; 0], with y = B^{-1} b,
     y_m = B^{-1} m and the Schur complement s = m'y_m.  Its range is the
     weighted-mean-zero subspace.
@@ -326,19 +300,19 @@ def _mean_bordered(factor: BandFactor | CholeskyFactor, m: np.ndarray):
     Raises NoConvergenceError when K is singular, i.e. when
     |s| <= n*eps*|m|'|y_m|.
     """
-    y_m = factor.solve(m)
+    y_m = solve(m)
     s = float(np.dot(m, y_m))
     if not abs(s) > m.shape[0] * _EPS * float(np.dot(np.abs(m), np.abs(y_m))):
         raise NoConvergenceError("bordered matrix is singular: m'B^-1 m vanishes")
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        y = factor.solve(b)
+    def solve_k(b: np.ndarray) -> np.ndarray:
+        y = solve(b)
         return _finite(y - np.multiply.outer(y_m, np.dot(m, y) / s))
 
-    return solve
+    return solve_k
 
 
-def _nearest_eigenpairs(system: BorderedSystem, solve, shift: float, k: int,
+def _nearest_eigenpairs(system: BorderedSystem, solve: Solve, shift: float, k: int,
                         tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The k eigenpairs of a pencil (B, diag(m)) on the mean-zero subspace
     nearest to ``shift``, ascending.
@@ -367,10 +341,10 @@ def smallest_nonzero_eigen(system: BorderedSystem) -> EigenPair:
     """First nonzero eigenvalue mu1 of A x = mu * m x with A psd, A 1 = 0.
 
     Shift-invert Lanczos at shift 0 on the mean-zero subspace, to MU1_TOL,
-    inverting with the Poisson factor; the second eigenvalue detects a
+    inverting with the Poisson solve; the second eigenvalue detects a
     (near-)degenerate first eigenvalue.
     """
-    theta, vecs = _nearest_eigenpairs(system, system.poisson.solve, 0.0, 2, MU1_TOL)
+    theta, vecs = _nearest_eigenpairs(system, system.poisson, 0.0, 2, MU1_TOL)
     mu1, mu2 = float(theta[0]), float(theta[1])
     degenerate = abs(mu2 - mu1) <= 10.0 * MU1_TOL * max(1.0, abs(mu1))
     return EigenPair(mu1=mu1, phi1=vecs[:, 0].copy(), degenerate=degenerate,
@@ -388,9 +362,9 @@ def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
     Jacobians, minus the largest pointwise reaction slope does).  The shift
     is placed below it with a safety margin, so the shifted pencil is
     positive definite and the eigenvalue nearest the shift is the smallest
-    one; its band Cholesky factor, closed by the mean border, is the
-    shift-invert operator.  The factor certifies the margin, and a
-    ``lower_bound`` that is not below the spectrum raises
+    one; the solve with its band Cholesky factor, closed by the mean
+    border, is the shift-invert operator.  The Cholesky certifies the
+    margin, and a ``lower_bound`` that is not below the spectrum raises
     NoConvergenceError.  So does a margin that the round-off of scale*A
     would swamp, margin*min(m) <= n*eps*scale*max(A_ii), where a failed
     or passed Cholesky says nothing about the bound.

@@ -346,6 +346,8 @@ def read_mesh(path) -> Mesh:
         t = int(tokens[pos + 1])
         pos += 2
         triangles = np.array(tokens[pos:pos + 3 * t], dtype=np.int64).reshape(t, 3)
+        if len(tokens) != pos + 3 * t:
+            raise ValueError(f"{len(tokens) - pos - 3 * t} tokens after the last triangle")
     except (ValueError, IndexError) as exc:
         raise MeshFormatError(f"malformed mesh file {path}: {exc}") from exc
     return Mesh(nodes, triangles)

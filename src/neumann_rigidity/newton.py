@@ -215,12 +215,17 @@ def switch_directions(op: DiscreteOperator) -> list[tuple[str, np.ndarray]]:
     return [(name, d / np.abs(d).max()) for name, d in dirs]
 
 
+def noise_start(rng: np.random.Generator, xi: float, n: int) -> np.ndarray:
+    """A seeded noise start: n values drawn uniformly from [-2, xi + 2]."""
+    return rng.uniform(-2.0, xi + 2.0, size=n)
+
+
 def start_family(eps: float, a: float, op: DiscreteOperator, n_starts: int,
                  seed: int) -> list[tuple[str, np.ndarray]]:
     """Deterministic start states: the constant states 0 and xi_a,
     perturbations of xi_a along the ``switch_directions`` (relative sup
-    amplitudes 0.15, 0.45 and 1, both signs, smallest first), then seeded
-    uniform noise fields.
+    amplitudes 0.15, 0.45 and 1, both signs, smallest first), then
+    ``noise_start`` fields from one generator seeded with ``seed``.
 
     The constant log(a) is left out: f'(log a) = 0 makes the first Newton
     Jacobian eps*A, which is singular.
@@ -240,7 +245,7 @@ def start_family(eps: float, a: float, op: DiscreteOperator, n_starts: int,
     rng = np.random.default_rng(seed)
     k = 0
     while len(starts) < n_starts:
-        starts.append((f"noise:{k}", rng.uniform(-2.0, xi + 2.0, size=n)))
+        starts.append((f"noise:{k}", noise_start(rng, xi, n)))
         k += 1
     return starts[:n_starts]
 

@@ -13,11 +13,20 @@ import numpy as np
 import pytest
 
 import neumann_rigidity
-from neumann_rigidity import build_disk_mesh, cli, find_xi, meshing, write_field, write_mesh
+from neumann_rigidity import (build_disk_mesh, build_rectangle_mesh, cli, find_xi, linsolve,
+                              meshing, write_field, write_mesh)
 from neumann_rigidity.cli import load_config, main
 from neumann_rigidity.errors import ConfigError, NumericalError
 
 XI = find_xi(2.0)
+
+
+def _mesh_text(mesh) -> str:
+    """A mesh file's text, as write_mesh writes it."""
+    return (f"nodes {mesh.n_nodes}\n"
+            + "".join(f"{x!r} {y!r}\n" for x, y in mesh.nodes.tolist())
+            + f"triangles {mesh.n_triangles}\n"
+            + "".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()))
 
 
 def _reject(constant):
@@ -175,8 +184,9 @@ class TestEigenCommand:
         "nodes 3\n0 0\n1 0\nnan 1\ntriangles 1\n0 1 2\n",
         "nodes 3\n0 0\n1 0\ninf 1\ntriangles 1\n0 1 2\n",
         "nodes 3\n0 0\n1e200 0\n0 1e200\ntriangles 1\n0 1 2\n",
+        _mesh_text(build_rectangle_mesh(4, 4, 1.0, 1.0)) + "triangles 2\n0 1 5\n1 6 5\nstray\n",
     ], ids=["index_ge_n", "zero_triangles", "disconnected", "nan_node", "inf_node",
-            "overflowing_area"])
+            "overflowing_area", "trailing_content"])
     def test_bad_mesh_file_exits_4(self, tmp_path, capsys, text):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)
@@ -367,23 +377,28 @@ class TestBifurcateCommand:
         cfg.write_text(json.dumps(data))
         assert main(["bifurcate", "--config", str(cfg)]) == 2
 
-    def test_arpack_failure_exits_3(self, tmp_path, capsys):
-        # a bracket end of 1e300 swamps the unit shift margin in round-off
-        # (ARPACK's own errors: test_arpack_error_raises_no_convergence)
-        cfg = make_config(tmp_path, nx=8, ny=8, bracket_lo=0.1, bracket_hi=1e300)
+    def test_arpack_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing_eigsh(*args, **kwargs):
+            raise linsolve.ArpackError(-9)
+
+        monkeypatch.setattr(linsolve, "eigsh", failing_eigsh)
+        cfg = make_config(tmp_path, nx=8, ny=8)
         assert main(["bifurcate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("numerical failure:")
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: shift-invert Lanczos failed")
 
     def test_huge_bracket_names_round_off(self, tmp_path, capsys):
-        # at eps = 1e50 the unit shift margin of the stability pencil is far
-        # below the round-off of eps*A, so the bound is not what failed
-        cfg = make_config(tmp_path, nx=8, ny=8, bracket_lo=0.1, bracket_hi=1e50)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["bifurcate", "--config", str(cfg)]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "round-off" in err[0]
+        # at eps = 1e50 or 1e300 the unit shift margin of the stability
+        # pencil is far below the round-off of eps*A, so the bound is not
+        # what failed
+        for bracket_hi in (1e50, 1e300):
+            cfg = make_config(tmp_path, nx=8, ny=8, bracket_lo=0.1, bracket_hi=bracket_hi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["bifurcate", "--config", str(cfg)]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "round-off" in err[0], bracket_hi
 
 
 class TestCheckCommand:

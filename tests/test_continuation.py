@@ -1,6 +1,8 @@
 """The stability indicator, bifurcation detection, branch switching and
 natural continuation, and the rigidity sweep."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, eigvalsh, null_space, solve_triangular
@@ -207,7 +209,8 @@ class TestRigiditySweep:
 
     def test_workers_capped_at_grid_size(self, square16, monkeypatch):
         # a process pool starts all max_workers at its first task, so the
-        # worker count must not exceed the number of grid values
+        # worker count must exceed neither the number of grid values nor
+        # the machine's CPU count
         pools = []
 
         class SerialPool:
@@ -228,6 +231,9 @@ class TestRigiditySweep:
         assert pools == [2] and [row.epsilon for row in two.rows] == [0.5, 1.0]
         one = rigidity_sweep([1.0], A, square16, 4, seed=0, threads=64)
         assert pools == [2] and one.rows[0].n_distinct == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        three = rigidity_sweep([0.5, 1.0, 10.0], A, square16, 4, seed=0, threads=64)
+        assert pools == [2, 2] and [row.epsilon for row in three.rows] == [0.5, 1.0, 10.0]
 
     def test_m_emp_positive(self, square16):
         result = rigidity_sweep([1.0], A, square16, 6, seed=0)

@@ -192,7 +192,7 @@ class TestBorderedSystem:
         cached = system.cholesky(0.3, d) if kind == "cholesky" else system.factor(0.3, d)
         if which == 0:
             fresh = splu(sp.csc_matrix(0.3 * op.stiffness - sp.diags(d))).solve
-            got_of = cached.solve
+            got_of = cached
         else:
             lu = _fresh_bordered_lu(op, 0.3, d)
             fresh = lambda b: lu.solve(np.concatenate([b, np.zeros((1,) + b.shape[1:])]))[:n]
@@ -215,7 +215,7 @@ class TestBorderedSystem:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("which", [0, 1], ids=["newton", "eigen_shift"])
-    def test_fill_equals_fresh_ordering(self, shuffled20, which):
+    def test_fill_equals_fresh_ordering(self, shuffled20, which, monkeypatch):
         # the band factor's fill is its (3k+1, n) band array; k must be the
         # half-bandwidth of the freshly assembled B in a fresh reverse
         # Cuthill-McKee order, with order[i] read as the old index at
@@ -225,11 +225,24 @@ class TestBorderedSystem:
         order = reverse_cuthill_mckee(b_mat, symmetric_mode=True)
         coo = b_mat[order][:, order].tocoo()
         k = int(np.abs(coo.row - coo.col).max())
-        lu = bordered(shuffled20).factor(0.3, d)._lu
-        assert lu.shape == (3 * k + 1, shuffled20.n)
+        system = bordered(shuffled20)  # the Poisson dpbtrf is made before recording
+        shapes = {"dgbtrf": [], "dpbtrf": []}
+
+        def recording(name):
+            routine = getattr(linsolve, name)
+
+            def wrapper(ab, *args, **kwargs):
+                shapes[name].append(ab.shape)
+                return routine(ab, *args, **kwargs)
+            return wrapper
+
+        for name in shapes:
+            monkeypatch.setattr(linsolve, name, recording(name))
+        system.factor(0.3, d)
+        assert shapes["dgbtrf"] == [(3 * k + 1, shuffled20.n)]
         if which == 1:  # the positive definite pencil: k+1 rows, no fill
-            chol = bordered(shuffled20).cholesky(0.3, d)._chol
-            assert chol.shape == (k + 1, shuffled20.n)
+            system.cholesky(0.3, d)
+            assert shapes["dpbtrf"] == [(k + 1, shuffled20.n)]
 
     def test_cholesky_refuses_indefinite_matrix(self, square20):
         d = _reaction_diagonals(square20)[0]  # a Newton Jacobian, indefinite
@@ -268,9 +281,9 @@ class TestBorderedSystem:
         d = _reaction_diagonals(square20)[0]
         b = rng.standard_normal((square20.n, 2))
         system = bordered(square20)
-        first = system.factor(0.3, d).solve(b)
+        first = system.factor(0.3, d)(b)
         system.factor(0.7, 2.0 * d)
-        assert np.array_equal(system.factor(0.3, d).solve(b), first)
+        assert np.array_equal(system.factor(0.3, d)(b), first)
 
     def test_pickled_operator_refactors(self, square16):
         import pickle
