@@ -53,6 +53,5 @@ print(f"\nmulti-start census at eps = {eps:.4f} (30 starts):")
 result = multi_start(eps, a, op, 30, seed=0)
 for r in result.distinct:
     print(f"  {r.classification:<11}  mean {r.mean:.6f}  sup {r.sup_fluct:.4f}")
-n_failed = sum(1 for r in result.runs if not r.converged)
-print(f"  ({n_failed} of {len(result.runs)} starts failed to converge; "
+print(f"  ({result.n_failed} of {len(result.runs)} starts failed to converge; "
       "rough noise starts often do below the bifurcation)")

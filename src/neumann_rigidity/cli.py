@@ -297,15 +297,18 @@ def cmd_sweep(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
     pair = first_eigenpair(op)
     result = rigidity_sweep(cfg.eps_grid, cfg.a, op, cfg.n_starts, cfg.seed, q=cfg.q,
                             threads=cfg.threads)
-    spacing = min(np.diff(sorted(cfg.eps_grid))) if len(cfg.eps_grid) > 1 else 0.0
+    below = [r.epsilon for r in result.rows
+             if result.eps_hat is not None and r.epsilon < result.eps_hat]
     payload = {
         "eps_hat": result.eps_hat,
-        "eps_hat_uncertainty": float(spacing),
+        "eps_hat_uncertainty": result.eps_hat - max(below) if below else None,
         "m_emp": result.m_emp,
         "mu1": pair.mu1,
         "sufficient_threshold_from_m_emp": rigidity_threshold(result.m_emp, cfg.a, pair.mu1)
         if result.m_emp > 0 else None,
-        "rows": [asdict(r) for r in result.rows],
+        "rows": [{"epsilon": r.epsilon, "n_distinct": r.n_distinct,
+                  "any_nonconstant": r.any_nonconstant, "n_failed": r.n_failed}
+                 for r in result.rows],
     }
     _emit_json(payload, out_dir, "sweep_summary.json")
     if out_dir is not None:
@@ -316,20 +319,20 @@ def cmd_sweep(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
         _write_csv(out_dir / "runs.csv",
                    ["epsilon", "start_id", "converged", "classification",
                     "mean", "sup_fluct", "residual_norm", "iters"],
-                   ([r.epsilon, r.start_id, int(r.converged),
+                   ([row.epsilon, r.start_id, int(r.converged),
                      r.classification or r.failure or "",
                      r.mean, r.sup_fluct, r.residual_norm, r.iters]
-                    for r in result.runs))
+                    for row in result.rows for r in row.runs))
         _write_csv(out_dir / "diagnostics_summary.csv",
                    ["epsilon", "classification", "mean", "sup_fluct",
                     "zero_avg_residual", "l1_norm_f", "l1_bound",
                     "energy_gap", "representation_error", "exp_integral_q", "sup_norm"],
-                   ([eps, rec.classification, rec.mean, rec.sup_fluct,
+                   ([row.epsilon, rec.classification, rec.mean, rec.sup_fluct,
                      d.zero_avg_residual, d.l1_norm_f, d.l1_bound,
                      abs(d.energy_lhs - d.energy_rhs),
                      d.representation_error, d.exp_integral_q, d.sup_norm]
-                    for eps in sorted(result.solutions)
-                    for rec in result.solutions[eps]
+                    for row in sorted(result.rows, key=lambda r: r.epsilon)
+                    for rec in row.distinct
                     for d in [rec.diagnostics]))
     return 0
 

@@ -27,7 +27,8 @@ from .errors import (
 from .linsolve import bordered, first_eigenpair, restricted_smallest_eigen
 from .meshing import DiscreteOperator
 from .model import bifurcation_epsilon, eval_f_prime_clipped, find_xi
-from .newton import SolutionRecord, StartOutcome, multi_start, newton_solve, switch_directions
+from .newton import (MultiStartResult, SolutionRecord, multi_start, newton_solve,
+                     switch_directions)
 
 BIF_TOL = 1e-8          # default bracket width of the eps* root finder
 SWITCH_DELTA = 0.05     # branch switching runs at (1 - SWITCH_DELTA)*eps*
@@ -236,34 +237,24 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    epsilon: float
-    n_distinct: int
-    any_nonconstant: bool
-    n_failed: int
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Multi-start census over a diffusion grid with the empirical threshold.
 
-    ``eps_hat`` is the smallest grid value from which on no patterned
-    solution was found (None if patterns persist through the grid top);
-    its uncertainty is one grid spacing.  ``m_emp`` is the largest sup-norm
-    over every solution found, the empirical stand-in for the a priori
-    sup bound.
+    ``rows`` holds one census per grid value, in grid order.  ``eps_hat`` is
+    the smallest grid value from which on no patterned solution was found
+    (None if patterns persist through the grid top); the threshold lies
+    between the grid value below it and ``eps_hat``.  ``m_emp`` is the
+    largest sup-norm over every solution found, the empirical stand-in for
+    the a priori sup bound.
     """
 
-    rows: list[SweepRow]
+    rows: list[MultiStartResult]
     eps_hat: float | None
     m_emp: float
-    solutions: dict[float, list[SolutionRecord]]
-    runs: list[StartOutcome]
 
 
 def _sweep_one(args):
-    eps, a, op, n_starts, seed, q = args
-    return eps, multi_start(eps, a, op, n_starts, seed, q)
+    return multi_start(*args)
 
 
 def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
@@ -285,32 +276,16 @@ def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_one, tasks))
+            rows = list(pool.map(_sweep_one, tasks))
     else:
-        outcomes = [_sweep_one(t) for t in tasks]
+        rows = [_sweep_one(t) for t in tasks]
 
-    rows: list[SweepRow] = []
-    solutions: dict[float, list[SolutionRecord]] = {}
-    runs: list[StartOutcome] = []
-    m_emp = 0.0
-    for eps, result in outcomes:
-        any_nc = any(r.sup_fluct > 0.0 for r in result.distinct)
-        rows.append(SweepRow(
-            epsilon=eps,
-            n_distinct=len(result.distinct),
-            any_nonconstant=any_nc,
-            n_failed=sum(1 for r in result.runs if not r.converged),
-        ))
-        solutions[eps] = result.distinct
-        runs.extend(result.runs)
-        for rec in result.distinct:
-            m_emp = max(m_emp, float(np.abs(rec.u).max()))
-
+    m_emp = max((float(np.abs(rec.u).max()) for row in rows for rec in row.distinct),
+                default=0.0)
     by_eps = sorted(rows, key=lambda r: r.epsilon)
     eps_hat = None
     for i, row in enumerate(by_eps):
         if all(not r.any_nonconstant for r in by_eps[i:]):
             eps_hat = row.epsilon
             break
-    return SweepResult(rows=rows, eps_hat=eps_hat, m_emp=m_emp,
-                       solutions=solutions, runs=runs)
+    return SweepResult(rows=rows, eps_hat=eps_hat, m_emp=m_emp)

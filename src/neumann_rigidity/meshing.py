@@ -70,6 +70,8 @@ class Mesh:
         edges, counts = _edge_counts(triangles)
         if np.any(counts > 2):
             raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
+        if not np.any(counts == 1):
+            raise MeshFormatError("triangulation has no boundary edge")
         n = nodes.shape[0]
         graph = sp.coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(n, n))
         n_parts = connected_components(graph, directed=False, return_labels=False)

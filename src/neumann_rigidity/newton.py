@@ -127,38 +127,41 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> 
         raise ValueError("start vector length does not match the operator")
     if not np.all(np.isfinite(u)):
         raise ValueError("start vector has non-finite entries")
-    r = residual(u, eps, a, op)
-    rnorm = dual_norm(r, m)
-    if not np.isfinite(rnorm):  # no damped step can reduce it
-        raise NoConvergenceError(f"start residual {rnorm:.3e} is not finite")
-    history = [rnorm]
-    iters = 0
-    while not rnorm <= tol:
-        if iters >= MAX_ITER:
-            raise NoConvergenceError(
-                f"Newton hit max_iter={MAX_ITER} with residual {rnorm:.3e}"
-            )
-        if len(history) > STALL_WINDOW and rnorm > STALL_FACTOR * history[-STALL_WINDOW - 1]:
-            raise NoConvergenceError(
-                f"Newton stalled near residual {rnorm:.3e} after {iters} iterations"
-            )
-        delta = _newton_step(u, r, eps, a, op)
-
-        alpha = 1.0
-        while True:
-            trial = u + alpha * delta
-            r_trial = residual(trial, eps, a, op)
-            rnorm_trial = dual_norm(r_trial, m)
-            if rnorm_trial < rnorm:
-                u, r, rnorm = trial, r_trial, rnorm_trial
-                break
-            alpha *= DAMPING
-            if alpha < MIN_ALPHA:
+    # huge states overflow the reaction and eps*A*u; the norms below are
+    # checked for that explicitly, so numpy's warnings would be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = residual(u, eps, a, op)
+        rnorm = dual_norm(r, m)
+        if not np.isfinite(rnorm):  # no damped step can reduce it
+            raise NoConvergenceError(f"start residual {rnorm:.3e} is not finite")
+        history = [rnorm]
+        iters = 0
+        while not rnorm <= tol:
+            if iters >= MAX_ITER:
                 raise NoConvergenceError(
-                    f"line search underflow at residual {rnorm:.3e}"
+                    f"Newton hit max_iter={MAX_ITER} with residual {rnorm:.3e}"
                 )
-        history.append(rnorm)
-        iters += 1
+            if len(history) > STALL_WINDOW and rnorm > STALL_FACTOR * history[-STALL_WINDOW - 1]:
+                raise NoConvergenceError(
+                    f"Newton stalled near residual {rnorm:.3e} after {iters} iterations"
+                )
+            delta = _newton_step(u, r, eps, a, op)
+
+            alpha = 1.0
+            while True:
+                trial = u + alpha * delta
+                r_trial = residual(trial, eps, a, op)
+                rnorm_trial = dual_norm(r_trial, m)
+                if rnorm_trial < rnorm:
+                    u, r, rnorm = trial, r_trial, rnorm_trial
+                    break
+                alpha *= DAMPING
+                if alpha < MIN_ALPHA:
+                    raise NoConvergenceError(
+                        f"line search underflow at residual {rnorm:.3e}"
+                    )
+            history.append(rnorm)
+            iters += 1
 
     mean, sup_fluct = classify(u, m)
     return SolutionRecord(u=u, epsilon=eps, residual_norm=rnorm, newton_iters=iters,
@@ -179,7 +182,6 @@ class StartOutcome:
 
     start_id: int
     label: str
-    epsilon: float
     converged: bool
     failure: str | None
     classification: str | None
@@ -191,8 +193,23 @@ class StartOutcome:
 
 @dataclass(frozen=True)
 class MultiStartResult:
+    """The census at one eps: the distinct states found and the per-start log."""
+
+    epsilon: float
     distinct: list[SolutionRecord]
     runs: list[StartOutcome]
+
+    @property
+    def n_distinct(self) -> int:
+        return len(self.distinct)
+
+    @property
+    def any_nonconstant(self) -> bool:
+        return any(r.sup_fluct > 0.0 for r in self.distinct)
+
+    @property
+    def n_failed(self) -> int:
+        return sum(not r.converged for r in self.runs)
 
 
 def switch_directions(op: DiscreteOperator) -> list[tuple[str, np.ndarray]]:
@@ -280,13 +297,13 @@ def multi_start(eps: float, a: float, op: DiscreteOperator, n_starts: int,
         try:
             rec = newton_solve(u0, eps, a, op)
         except (NoConvergenceError, SingularJacobianError) as exc:
-            runs.append(StartOutcome(start_id, label, eps, False, type(exc).__name__,
+            runs.append(StartOutcome(start_id, label, False, type(exc).__name__,
                                      None, None, None, None, None))
             continue
         runs.append(StartOutcome(
-            start_id, label, eps, True, None, rec.classification, rec.mean, rec.sup_fluct,
+            start_id, label, True, None, rec.classification, rec.mean, rec.sup_fluct,
             rec.residual_norm, rec.newton_iters,
         ))
         found.append(rec)
     distinct = [attach_diagnostics(rec, a, q, op) for rec in dedup_records(found)]
-    return MultiStartResult(distinct=distinct, runs=runs)
+    return MultiStartResult(eps, distinct, runs)

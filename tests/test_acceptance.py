@@ -94,7 +94,7 @@ def test_criterion_3_identity_suite(square20, sweep_result):
     result = sweep_result["result"]
     tol = default_tol(square20)
 
-    records = [(eps, rec) for eps in result.solutions for rec in result.solutions[eps]]
+    records = [(row.epsilon, rec) for row in result.rows for rec in row.distinct]
     extra = multi_start(2.0, A, square20, 12, seed=1)
     records += [(2.0, rec) for rec in extra.distinct]
 
@@ -185,18 +185,19 @@ def test_criterion_7_jensen_green(square20, square32, disk4, sweep_result):
     eps0 = chain.eps0_of_q
     m = square20.lumped_mass
 
+    solutions = {row.epsilon: row.distinct for row in result.rows}
     ok_regime = True
     checked = 0
-    for eps in sorted(result.solutions):
+    for eps in sorted(solutions):
         if eps < eps0:
             continue
-        for rec in result.solutions[eps]:
+        for rec in solutions[eps]:
             integral, _ = check_exp_integrability(rec.u, m, q=4.0)
             ok_regime = ok_regime and integral <= 2.0 * square20.area
             checked += 1
-    top = max(result.solutions)
+    top = max(solutions)
     ok_top = top >= eps0
-    for rec in result.solutions[top]:
+    for rec in solutions[top]:
         integral, _ = check_exp_integrability(rec.u, m, q=4.0)
         ok_top = ok_top and abs(integral - square20.area) <= 0.01 * square20.area
 

@@ -185,8 +185,9 @@ class TestEigenCommand:
         "nodes 3\n0 0\n1 0\ninf 1\ntriangles 1\n0 1 2\n",
         "nodes 3\n0 0\n1e200 0\n0 1e200\ntriangles 1\n0 1 2\n",
         _mesh_text(build_rectangle_mesh(4, 4, 1.0, 1.0)) + "triangles 2\n0 1 5\n1 6 5\nstray\n",
+        "nodes 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n0 1 2\n",
     ], ids=["index_ge_n", "zero_triangles", "disconnected", "nan_node", "inf_node",
-            "overflowing_area", "trailing_content"])
+            "overflowing_area", "trailing_content", "repeated_triangle"])
     def test_bad_mesh_file_exits_4(self, tmp_path, capsys, text):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)
@@ -309,6 +310,21 @@ class TestSolveCommand:
         assert err.count("\n") == 1
         assert err.startswith("numerical failure: start residual inf is not finite")
 
+    @pytest.mark.parametrize("spec, eps", [
+        ("const:1e308", 1.0), ("const:-1e308", 1.0), ("eig:1e308", 1.0),
+        ("noise:5", 1e308), ("const:0.5", 1e308),
+    ], ids=["const_huge", "const_huge_negative", "eig_huge", "eps_huge_noise",
+            "eps_huge_const"])
+    def test_overflow_exits_3_without_warning(self, tmp_path, capsys, spec, eps):
+        # the reaction, eps*A*u or the Jacobian fill overflows; Newton
+        # refuses the start or the step, and no RuntimeWarning leaks
+        cfg = make_config(tmp_path, nx=8, ny=8, eps=eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg), "--start", spec]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+
 
 class TestSweepCommand:
     def test_outputs_and_determinism(self, tmp_path):
@@ -320,6 +336,7 @@ class TestSweepCommand:
         assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
         summary = json.loads((out1 / "sweep_summary.json").read_text())
         assert summary["eps_hat"] == 0.5
+        assert summary["eps_hat_uncertainty"] is None  # no pattern below the grid's bottom
         assert summary["m_emp"] == pytest.approx(XI, rel=1e-6)
         runs = (out1 / "runs.csv").read_text().splitlines()
         assert runs[0] == "epsilon,start_id,converged,classification,mean,sup_fluct,residual_norm,iters"
@@ -344,6 +361,16 @@ class TestSweepCommand:
                     assert float(r["sup_fluct"]) == 0.0
                 elif r["classification"] == "nonconstant":
                     assert float(r["sup_fluct"]) > 0.0
+
+    def test_uncertainty_is_gap_below_eps_hat(self, tmp_path):
+        # a pattern at 0.12 and none at 0.3 bracket the threshold in (0.12, 0.3]
+        cfg = make_config(tmp_path, eps_grid=[0.12, 0.3], n_starts=50)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert [r["any_nonconstant"] for r in summary["rows"]] == [True, False]
+        assert summary["eps_hat"] == 0.3
+        assert summary["eps_hat_uncertainty"] == pytest.approx(0.18)
 
     def test_needs_grid(self, tmp_path):
         cfg = make_config(tmp_path, eps_grid=None)
@@ -463,6 +490,18 @@ class TestCheckCommand:
             assert json.loads(capsys.readouterr().out, parse_constant=_reject) == payload
         assert payload["energy_lhs"] is None and not payload["energy_ok"]
         assert not payload["poincare_ok"]
+
+    def test_overflowing_field_exits_3_without_warning(self, tmp_path, capsys):
+        # f(u) overflows to inf and -inf, so the zero-average sum is NaN and
+        # the representation solve meets non-finite values; no warning leaks
+        cfg = make_config(tmp_path, nx=8, ny=8)
+        field = tmp_path / "u.field"
+        write_field(field, np.where(np.arange(81) % 2, 1e308, -1e308), epsilon=1.0, a=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", str(cfg), "--field", str(field)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: linear solve produced non-finite values"]
 
     def test_field_with_bad_a_exits_4(self, tmp_path, capsys):
         cfg = make_config(tmp_path)

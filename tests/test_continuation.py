@@ -196,8 +196,8 @@ class TestRigiditySweep:
         r2 = rigidity_sweep([0.5, 1.0], A, square16, 8, seed=3)
         assert [(row.epsilon, row.n_distinct, row.any_nonconstant) for row in r1.rows] \
             == [(row.epsilon, row.n_distinct, row.any_nonconstant) for row in r2.rows]
-        for eps in (0.5, 1.0):
-            for rec1, rec2 in zip(r1.solutions[eps], r2.solutions[eps]):
+        for row1, row2 in zip(r1.rows, r2.rows):
+            for rec1, rec2 in zip(row1.distinct, row2.distinct):
                 assert np.array_equal(rec1.u, rec2.u)
 
     def test_bad_q_rejected_before_any_start(self, square16, monkeypatch):

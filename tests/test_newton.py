@@ -338,6 +338,14 @@ class TestMultiStart:
         for r in result.runs:
             assert r.converged == (r.failure is None) == (r.iters is not None)
 
+    def test_census_record(self, square20):
+        # below the bifurcation some noise starts fail, and the record counts them
+        result = multi_start(0.125, A, square20, 30, seed=0)
+        assert result.epsilon == 0.125
+        assert result.n_distinct == len(result.distinct)
+        assert result.any_nonconstant
+        assert result.n_failed == sum(not r.converged for r in result.runs) > 0
+
     def test_reports_use_q(self, square20):
         result = multi_start(0.125, A, square20, 15, seed=0, q=3.0)
         m = square20.lumped_mass

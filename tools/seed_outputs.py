@@ -1,14 +1,22 @@
-"""Write the seed-0 output files of the benchmark workloads.
+"""Write the seed-0 output files of the benchmark workloads and of the
+single-state commands.
 
     python tools/seed_outputs.py OUT_DIR [--workload NAME ...]
 
-Each workload of perfbench/run.py (all of them unless ``--workload`` names
-some) runs its neumann-lab command once, at seed 0, from the ``src/`` of
-the checkout this file is in, in a fresh interpreter with BLAS and OpenMP
-pinned to one thread, as a benchmark operation does.  OUT_DIR/NAME gets the
-command's config, its output files and its standard output (``stdout.txt``).
-``WORKLOADS``, ``BASE_CONFIG`` and ``THREAD_VARS`` are read from run.py
-without running it.  Two checkouts give the same results when
+Each workload of perfbench/run.py, and the extra set ``cli-sq20`` (all of
+them unless ``--workload`` names some), runs its neumann-lab commands once,
+at seed 0, from the ``src/`` of the checkout this file is in, in a fresh
+interpreter with BLAS and OpenMP pinned to one thread, as a benchmark
+operation does.  OUT_DIR/NAME gets the config; each command writes its
+output files and its standard output (``stdout.txt``) to its own directory
+under it, which for a benchmark workload is OUT_DIR/NAME itself.
+``cli-sq20`` runs ``constants``, ``solve`` from ``eig:0.3`` and from
+``noise:5``, and ``check`` on the ``noise:5`` solution, at eps 1 on the
+20x20 square.  Each command runs from inside its output directory, so
+``check`` reads the solution by a relative path and ``check.json`` echoes
+the same path in every checkout.  ``WORKLOADS``, ``BASE_CONFIG`` and
+``THREAD_VARS`` are read from run.py without running it.  Two checkouts
+give the same results when
 
     diff -r OUT_A OUT_B
 
@@ -28,6 +36,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "perfbench" / "run.py"
 
+# the single-state commands, on top of BASE_CONFIG: (output subdirectory,
+# command, its extra arguments)
+CLI_SET, CLI_CONFIG = "cli-sq20", {"nx": 20, "ny": 20, "eps": 1.0}
+CLI_COMMANDS = [
+    ("constants", "constants", []),
+    ("solve-eig", "solve", ["--start", "eig:0.3"]),
+    ("solve-noise", "solve", ["--start", "noise:5"]),
+    ("check", "check", ["--field", "../solve-noise/solution.field"]),
+]
+
 
 def run_literals(*names: str) -> list:
     """The literal values assigned to ``names`` at the top of run.py."""
@@ -42,27 +60,35 @@ def run_literals(*names: str) -> list:
 
 def main(argv: list[str] | None = None) -> int:
     base, workloads, thread_vars = run_literals("BASE_CONFIG", "WORKLOADS", "THREAD_VARS")
+    # name -> (config, [(output subdirectory, command, its extra arguments)])
+    sets = {name: ({**base, **extra}, [("", command, [])])
+            for name, (command, extra) in workloads.items()}
+    sets[CLI_SET] = ({**base, **CLI_CONFIG}, CLI_COMMANDS)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--workload", action="append", choices=sorted(workloads),
+    parser.add_argument("--workload", action="append", choices=sorted(sets),
                         help="run only this workload (repeatable)")
     args = parser.parse_args(argv)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     env.update({var: "1" for var in thread_vars})
     failed = 0
-    for name in args.workload or sorted(workloads):
-        command, extra = workloads[name]
-        out = args.out_dir / name
+    for name in args.workload or sorted(sets):
+        config, commands = sets[name]
+        out = args.out_dir.resolve() / name
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.json").write_text(json.dumps({**base, **extra, "seed": 0}))
-        with open(out / "stdout.txt", "w") as fh:
-            rc = subprocess.call([sys.executable, "-m", "neumann_rigidity.cli", command,
-                                  "--config", str(out / "config.json"), "--out", str(out)],
-                                 cwd=ROOT, env=env, stdout=fh)
-        if rc != 0:
-            print(f"{name}: {command} exited {rc}", file=sys.stderr)
-            failed += 1
+        (out / "config.json").write_text(json.dumps({**config, "seed": 0}))
+        for sub, command, extra_args in commands:
+            run_dir = out / sub
+            run_dir.mkdir(exist_ok=True)
+            with open(run_dir / "stdout.txt", "w") as fh:
+                rc = subprocess.call([sys.executable, "-m", "neumann_rigidity.cli", command,
+                                      "--config", str(out / "config.json"),
+                                      "--out", str(run_dir), *extra_args],
+                                     cwd=run_dir, env=env, stdout=fh)
+            if rc != 0:
+                print(f"{name}: {command} exited {rc}", file=sys.stderr)
+                failed += 1
     return 1 if failed else 0
 
 
