@@ -16,6 +16,7 @@ from neumann_rigidity import (
     eval_f_prime,
     find_xi,
     first_eigenpair,
+    lipschitz_bound,
     rigidity_threshold,
 )
 
@@ -40,7 +41,7 @@ print(f"\nmu1 (discrete, 32x32)         = {pair.mu1:.8f}   (pi^2 = {np.pi**2:.8f
 print(f"eps* = f'(xi_a)/mu1           = {bifurcation_epsilon(a, pair.mu1):.8f}")
 print("\nsufficient rigidity thresholds K(M)/mu1 for sample sup bounds M:")
 for m_sup in (1.5, 2.0, 3.0):
-    print(f"  M = {m_sup}:  K = {chain.lipschitz_k(m_sup):9.4f}  "
+    print(f"  M = {m_sup}:  K = {lipschitz_bound(m_sup, a):9.4f}  "
           f"threshold = {rigidity_threshold(m_sup, a, pair.mu1):.4f}")
 print("\nthe detected pattern onset (about eps*) sits well below every K(M)/mu1,")
 print("as it must: the energy bound is sufficient for rigidity, not sharp.")

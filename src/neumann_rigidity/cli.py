@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -38,7 +38,7 @@ from .meshing import (
     write_field,
 )
 from .model import (SATURATION_EXPONENT, bifurcation_epsilon, constant_chain, find_xi,
-                    rigidity_threshold)
+                    lipschitz_bound, rigidity_threshold)
 from .newton import attach_diagnostics, newton_solve, noise_start, switch_directions
 
 @dataclass(frozen=True)
@@ -192,26 +192,15 @@ def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
 
 def cmd_constants(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
                   args: argparse.Namespace) -> int:
-    chain = constant_chain(cfg.a, cfg.q, op.area, op.diameter)
     pair = first_eigenpair(op)
-    thresholds = {
-        str(m): rigidity_threshold(m, cfg.a, pair.mu1) for m in (cfg.m_values or [])
-    }
+    m_values = cfg.m_values or []
     payload = {
-        "a": cfg.a,
-        "q": cfg.q,
-        "area": op.area,
-        "diameter": op.diameter,
-        "xi_a": chain.xi_a,
-        "c0": chain.c0,
-        "c1": chain.c1,
-        "eps0_of_q": chain.eps0_of_q,
-        "c2_bound": chain.c2_bound,
+        **asdict(constant_chain(cfg.a, cfg.q, op.area, op.diameter)),
         "mu1": pair.mu1,
         "mu1_degenerate": pair.degenerate,
         "eps_star_linear": bifurcation_epsilon(cfg.a, pair.mu1),
-        "lipschitz_k_of_m": {str(m): chain.lipschitz_k(m) for m in (cfg.m_values or [])},
-        "threshold_of_m": thresholds,
+        "lipschitz_k_of_m": {str(m): lipschitz_bound(m, cfg.a) for m in m_values},
+        "threshold_of_m": {str(m): rigidity_threshold(m, cfg.a, pair.mu1) for m in m_values},
     }
     _emit_json(payload, out_dir, "constants.json")
     return 0
@@ -276,16 +265,8 @@ def cmd_solve(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
     u0 = _start_state(args.start, cfg, op)
     rec = newton_solve(u0, cfg.eps, cfg.a, op)
     rec = attach_diagnostics(rec, cfg.a, cfg.q, op)
-    payload = {
-        "epsilon": rec.epsilon,
-        "residual_norm": rec.residual_norm,
-        "newton_iters": rec.newton_iters,
-        "classification": rec.classification,
-        "mean": rec.mean,
-        "sup_fluct": rec.sup_fluct,
-        "diagnostics": rec.diagnostics.as_dict(),
-        "start": args.start,
-    }
+    payload = {k: v for k, v in asdict(rec).items() if k != "u"}
+    payload.update(classification=rec.classification, start=args.start)
     _emit_json(payload, out_dir, "solution.json")
     if out_dir is not None:
         write_field(out_dir / "solution.field", rec.u, epsilon=cfg.eps, a=cfg.a)
@@ -341,17 +322,11 @@ def cmd_bifurcate(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | N
                   args: argparse.Namespace) -> int:
     report = build_bifurcation_report(
         cfg.a, op, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.bif_tol)
-    payload = {
-        "eps_star_detected": report.eps_star_detected,
-        "eps_star_predicted": report.eps_star_predicted,
-        "relative_gap": report.relative_gap,
-        "mu1": report.mu1,
-        "mu1_degenerate": report.mu1_degenerate,
-        "switch_amplitude": report.switch_amplitude,
-        "switch_direction": report.switch_direction,
-        "n_branch_points": len(report.branch),
-        "n_upward_points": len(report.upward_branch),
-    }
+    # the fields are read, not copied: asdict would deep-copy the branch states
+    payload = {f.name: getattr(report, f.name) for f in fields(report)
+               if f.name not in ("branch", "upward_branch", "switch_eigenvector")}
+    payload.update(n_branch_points=len(report.branch),
+                   n_upward_points=len(report.upward_branch))
     _emit_json(payload, out_dir, "bifurcation.json")
     if out_dir is not None:
         write_field(out_dir / "switch_eigenvector.field", report.switch_eigenvector,
@@ -383,8 +358,7 @@ def cmd_check(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
     if not 0.0 < eps < np.inf:
         raise MeshFormatError(f"field file {args.field}: epsilon must be positive and finite")
     report = run_diagnostics(values, eps, a, cfg.q, op, first_eigenpair(op).mu1)
-    payload = {"field": str(args.field), "epsilon": eps, "a": a}
-    payload.update(report.as_dict())
+    payload = {"field": str(args.field), "epsilon": eps, "a": a, **asdict(report)}
     _emit_json(payload, out_dir, "check.json")
     return 0
 

@@ -6,16 +6,20 @@ spectral-gap inequality, and the discrete Green representation.
 Each check returns raw numbers plus a pass flag where the estimate admits a
 sharp discrete form; regime-dependent quantities (exponential integrability)
 are reported and judged by the experiment layer.
+
+The module holds the tolerance policy, including ``classify``, the one test
+that calls a state constant: Newton labels its records with it, and the
+suite gives a constant state the spectral-gap entry (1, True).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroFieldError
-from .linsolve import bordered, mass_norm, project_mean_zero, solve_projected, weighted_mean
+from .linsolve import bordered, project_mean_zero, solve_projected, weighted_mean
 from .meshing import DiscreteOperator, mesh_size
 from .model import eval_f_clipped, find_xi
 
@@ -26,12 +30,24 @@ REPRESENTATION_TOL_FACTOR = 100.0   # Green-representation round trip
 MEAN_SLACK = 1e-6                   # absolute, on both ends of [0, xi_a]
 L1_REL_SLACK = 1e-8
 POINCARE_FLOOR = 1.0 - 1e-8
+CLASSIFY_REL_TOL = 1e-6             # sup fluctuation separating round-off from pattern
 
 
 def default_tol(op: DiscreteOperator) -> float:
     """The Newton residual target 1e-10*(1 + total mass), independent of the
     mesh size; every solve runs to it and the identity checks scale by it."""
     return 1e-10 * (1.0 + float(op.lumped_mass.sum()))
+
+
+def classify(u: np.ndarray, m: np.ndarray) -> tuple[float, float]:
+    """(mass-weighted mean, sup fluctuation) of u.  The state is constant iff
+    its sup fluctuation is below 1e-6*max(1, |mean|), and the fluctuation of
+    a constant state is returned as exactly 0.0."""
+    mean = weighted_mean(u, m)
+    sup_fluct = float(np.abs(u - mean).max())
+    if sup_fluct <= CLASSIFY_REL_TOL * max(1.0, abs(mean)):
+        sup_fluct = 0.0
+    return mean, sup_fluct
 
 
 def check_zero_average(u: np.ndarray, m: np.ndarray, a: float,
@@ -189,27 +205,23 @@ class DiagnosticsReport:
         return (self.zero_avg_ok and self.l1_ok and self.mean_in_bounds
                 and self.energy_ok and self.poincare_ok and self.representation_ok)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def run_diagnostics(u: np.ndarray, eps: float, a: float, q: float, op: DiscreteOperator,
                     mu1: float) -> DiagnosticsReport:
     """Evaluate the full check suite on one field.
 
     The identity tolerances are multiples of ``default_tol(op)`` (see the
-    policy constants above).  For a numerically constant field the
-    spectral-gap ratio is reported as 1 (both sides vanish).
+    policy constants above).  A field that ``classify`` calls constant gets
+    the spectral-gap entry (1, True): both sides vanish up to round-off.
     """
     m = op.lumped_mass
     tol = default_tol(op)
     # an overflowing field fails its flags or raises; numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        v = project_mean_zero(u, m)
-        if mass_norm(v, m) <= 1e-14 * (1.0 + abs(weighted_mean(u, m))) * np.sqrt(m.sum()):
+        if classify(u, m)[1] == 0.0:
             poincare = (1.0, True)
         else:
-            poincare = check_poincare(v, m, op, mu1)
+            poincare = check_poincare(project_mean_zero(u, m), m, op, mu1)
         return DiagnosticsReport(
             *check_zero_average(u, m, a, tol=IDENTITY_TOL_FACTOR * tol),
             *check_l1_bound(u, m, a),

@@ -116,11 +116,18 @@ class _Layout:
     diag_pos: np.ndarray
 
     def fill(self, scale: float, d: np.ndarray | float) -> np.ndarray:
-        """The band array of B = scale*A - diag(d)."""
+        """The band array of B = scale*A - diag(d).
+
+        Raises NoConvergenceError when a diagonal entry is not finite.  For
+        A positive semidefinite, |A_ij| <= max(A_ii, A_jj), so a finite
+        diagonal bounds every band entry.
+        """
         n = self.diag_pos.shape[0]
         flat = np.zeros(self.rows * n)
         flat[self.a_pos] = scale * self.a_data
         flat[self.diag_pos] -= d
+        if not np.isfinite(flat[self.diag_pos]).all():
+            raise NoConvergenceError("scale*A - diag(d) overflows: band entries are not finite")
         return flat.reshape(n, -1).T  # column-major (rows, n), factored in place
 
 

@@ -107,9 +107,6 @@ class ConstantChain:
     eps0_of_q: float
     c2_bound: float
 
-    def lipschitz_k(self, m_sup: float) -> float:
-        return lipschitz_bound(m_sup, self.a)
-
 
 def constant_chain(a: float, q: float, area: float, diameter: float) -> ConstantChain:
     """Evaluate the closed-form constant chain for reaction coefficient

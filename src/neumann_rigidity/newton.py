@@ -3,9 +3,9 @@ eps*A*u = m*f(u), a deterministic multi-start search over its solution set,
 and classification of converged states as constant or patterned.
 
 Every converged state is a flat ``SolutionRecord`` carrying its
-mass-weighted mean and sup fluctuation; ``classify`` sets the fluctuation
-to exactly 0.0 for a constant state, and the record's ``classification``
-label is read from that.
+mass-weighted mean and sup fluctuation from ``diagnostics.classify``, which
+sets the fluctuation to exactly 0.0 for a constant state; the record's
+``classification`` label is read from that.
 
 ``newton_solve`` returns a bare record; ``attach_diagnostics`` runs the
 check suite on one, and ``multi_start`` runs it on each distinct state it
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .diagnostics import DiagnosticsReport, default_tol, run_diagnostics
+from .diagnostics import DiagnosticsReport, classify, default_tol, run_diagnostics
 from .errors import NoConvergenceError, SingularJacobianError
 from .linsolve import bordered, dual_norm, first_eigenpair, solve_projected, weighted_mean
 from .meshing import DiscreteOperator
@@ -36,7 +36,6 @@ __all__ = [
     "weighted_mean", "multi_start", "dedup_records", "switch_directions",
 ]
 
-CLASSIFY_REL_TOL = 1e-6  # sup-fluctuation threshold separating round-off from pattern
 DEDUP_REL_TOL = 1e-5
 MAX_ITER = 40
 DAMPING = 0.5        # line-search backtracking factor
@@ -81,17 +80,6 @@ def jacobian(u: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> sp.cs
     """Symmetric Jacobian eps*A - diag(m*f'(u)) of the residual."""
     fp = eval_f_prime_clipped(u, a)
     return (eps * op.stiffness - sp.diags(op.lumped_mass * fp)).tocsr()
-
-
-def classify(u: np.ndarray, m: np.ndarray) -> tuple[float, float]:
-    """(mass-weighted mean, sup fluctuation) of u.  The state is constant iff
-    its sup fluctuation is below 1e-6*max(1, |mean|), and the fluctuation of
-    a constant state is returned as exactly 0.0."""
-    mean = weighted_mean(u, m)
-    sup_fluct = float(np.abs(u - mean).max())
-    if sup_fluct <= CLASSIFY_REL_TOL * max(1.0, abs(mean)):
-        sup_fluct = 0.0
-    return mean, sup_fluct
 
 
 def _newton_step(u: np.ndarray, r: np.ndarray, eps: float, a: float,

@@ -134,6 +134,9 @@ class TestConstantsCommand:
         assert payload["eps_star_linear"] == pytest.approx(0.153285, rel=0.01)
         assert payload["threshold_of_m"]["2.0"] == pytest.approx(
             (np.exp(2) - 2) / payload["mu1"], rel=1e-10)
+        assert set(payload) == {
+            "a", "q", "area", "diameter", "xi_a", "c0", "c1", "eps0_of_q", "c2_bound",
+            "mu1", "mu1_degenerate", "eps_star_linear", "lipschitz_k_of_m", "threshold_of_m"}
 
     def test_m_values_range_ends(self, tmp_path):
         cfg = make_config(tmp_path, nx=4, ny=4, m_values=[0.0, 700.0])
@@ -262,6 +265,8 @@ class TestSolveCommand:
         assert payload["classification"] == "constant"
         assert abs(payload["mean"]) < 1e-8
         assert "diagnostics" in payload
+        assert set(payload) == {"epsilon", "residual_norm", "newton_iters", "classification",
+                                "mean", "sup_fluct", "diagnostics", "start"}
 
     def test_xi_start(self, tmp_path):
         cfg = make_config(tmp_path)
@@ -324,6 +329,8 @@ class TestSolveCommand:
             assert main(["solve", "--config", str(cfg), "--start", spec]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
+        if (spec, eps) == ("const:0.5", 1e308):  # the band fill eps*A overflows
+            assert "overflow" in err[0] and "singular" not in err[0]
 
 
 class TestSweepCommand:
@@ -388,6 +395,9 @@ class TestBifurcateCommand:
         payload = json.loads((out / "bifurcation.json").read_text())
         assert payload["relative_gap"] <= 1e-4
         assert payload["eps_star_detected"] == pytest.approx(0.153285, rel=0.02)
+        assert set(payload) == {
+            "eps_star_detected", "eps_star_predicted", "relative_gap", "mu1", "mu1_degenerate",
+            "switch_amplitude", "switch_direction", "n_branch_points", "n_upward_points"}
         branch = (out / "branch.csv").read_text().splitlines()
         assert branch[0].startswith("direction,epsilon,mean,sup_fluct")
         assert len(branch) > 3
@@ -442,6 +452,11 @@ class TestCheckCommand:
             ["zero_avg_ok", "l1_ok", "mean_in_bounds", "energy_ok", "poincare_ok",
              "representation_ok"], True)
         assert payload["zero_avg_residual"] <= 1e-12
+        assert set(payload) == {
+            "field", "epsilon", "a", "zero_avg_residual", "zero_avg_ok", "l1_norm_f", "l1_bound",
+            "l1_ok", "mean_u", "mean_in_bounds", "exp_integral_q", "energy_lhs", "energy_rhs",
+            "energy_ok", "poincare_ratio", "poincare_ok", "representation_error",
+            "representation_ok", "sup_norm"}
 
     def test_stored_solution_passes(self, tmp_path):
         cfg = make_config(tmp_path, eps=0.14)

@@ -1,5 +1,7 @@
 """The per-solution check suite and the empirical Green-kernel constants."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from neumann_rigidity import (
     run_diagnostics,
     solve_projected,
 )
-from neumann_rigidity.diagnostics import cq_numerical_estimate
+from neumann_rigidity.diagnostics import classify, cq_numerical_estimate
 from neumann_rigidity.errors import ZeroFieldError
 from neumann_rigidity.newton import default_tol
 
@@ -221,11 +223,20 @@ class TestFullReport:
         assert report.poincare_ratio == 1.0  # vacuous for a constant
         assert report.exp_integral_q == pytest.approx(square20.area, rel=1e-12)
 
+    def test_constant_by_classify_gets_unit_ratio(self, square20):
+        # classify is the one constant test: a constant plus round-off noise
+        # is constant to it, so the spectral gap is not evaluated on the noise
+        noise = np.random.default_rng(0).standard_normal(square20.n)
+        u = XI + 1e-12 * noise
+        assert classify(u, square20.lumped_mass)[1] == 0.0
+        report = run_diagnostics(u, 1.0, A, 4.0, square20, first_eigenpair(square20).mu1)
+        assert report.poincare_ratio == 1.0 and report.poincare_ok
+
     def test_report_serializable(self, square20):
         pair = first_eigenpair(square20)
         report = run_diagnostics(np.zeros(square20.n), 1.0, A, 4.0,
                                  square20, pair.mu1)
-        d = report.as_dict()
+        d = asdict(report)
         assert set(d) == {
             "zero_avg_residual", "zero_avg_ok", "l1_norm_f", "l1_bound", "l1_ok",
             "mean_u", "mean_in_bounds", "exp_integral_q", "energy_lhs", "energy_rhs",

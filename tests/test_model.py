@@ -151,8 +151,7 @@ class TestConstantChain:
         assert tiny.eps0_of_q <= 1e-11
 
     def test_lipschitz_value(self):
-        chain = constant_chain(2.0, 4.0, 1.0, 1.0)
-        assert chain.lipschitz_k(2.0) == pytest.approx(np.exp(2.0) - 2.0, abs=1e-12)
+        assert lipschitz_bound(2.0, 2.0) == pytest.approx(np.exp(2.0) - 2.0, abs=1e-12)
         assert lipschitz_bound(2.0, 2.0) == pytest.approx(5.389056, abs=1e-6)
         # for small M the e^-M side dominates
         assert lipschitz_bound(0.1, 3.0) == pytest.approx(3.0 - np.exp(-0.1), abs=1e-12)

@@ -12,11 +12,12 @@ output files and its standard output (``stdout.txt``) to its own directory
 under it, which for a benchmark workload is OUT_DIR/NAME itself.
 ``cli-sq20`` runs ``constants``, ``solve`` from ``eig:0.3`` and from
 ``noise:5``, and ``check`` on the ``noise:5`` solution, at eps 1 on the
-20x20 square.  Each command runs from inside its output directory, so
-``check`` reads the solution by a relative path and ``check.json`` echoes
-the same path in every checkout.  ``WORKLOADS``, ``BASE_CONFIG`` and
-``THREAD_VARS`` are read from run.py without running it.  Two checkouts
-give the same results when
+20x20 square, with ``m_values`` at both ends of their range and between.
+Each command runs from inside its output directory, so ``check`` reads
+the solution by a relative path and ``check.json`` echoes the same path in
+every checkout.  ``WORKLOADS``, ``BASE_CONFIG`` and ``THREAD_VARS`` are
+read from run.py without running it.  Two checkouts give the same results
+when
 
     diff -r OUT_A OUT_B
 
@@ -38,7 +39,7 @@ RUN = ROOT / "perfbench" / "run.py"
 
 # the single-state commands, on top of BASE_CONFIG: (output subdirectory,
 # command, its extra arguments)
-CLI_SET, CLI_CONFIG = "cli-sq20", {"nx": 20, "ny": 20, "eps": 1.0}
+CLI_SET, CLI_CONFIG = "cli-sq20", {"nx": 20, "ny": 20, "eps": 1.0, "m_values": [0.0, 2.0, 700.0]}
 CLI_COMMANDS = [
     ("constants", "constants", []),
     ("solve-eig", "solve", ["--start", "eig:0.3"]),
