@@ -172,11 +172,12 @@ def build_operator(cfg: ExperimentConfig) -> DiscreteOperator:
     return assemble(mesh)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows) -> None:
+    """Write a header and rows; a bool cell is written as 0 or 1."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
 
 
 def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
@@ -273,35 +274,33 @@ def cmd_solve(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
     return 0
 
 
+# the MultiStartResult attributes of a sweep row: the sweep.csv columns and
+# the keys of each sweep_summary.json row
+SWEEP_COLUMNS = ("epsilon", "n_distinct", "any_nonconstant", "n_failed")
+
+
 def cmd_sweep(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
               args: argparse.Namespace) -> int:
     pair = first_eigenpair(op)
     result = rigidity_sweep(cfg.eps_grid, cfg.a, op, cfg.n_starts, cfg.seed, q=cfg.q,
                             threads=cfg.threads)
-    below = [r.epsilon for r in result.rows
-             if result.eps_hat is not None and r.epsilon < result.eps_hat]
+    sweep_rows = [[getattr(r, c) for c in SWEEP_COLUMNS] for r in result.rows]
     payload = {
         "eps_hat": result.eps_hat,
-        "eps_hat_uncertainty": result.eps_hat - max(below) if below else None,
+        "eps_hat_uncertainty": result.eps_hat_uncertainty,
         "m_emp": result.m_emp,
         "mu1": pair.mu1,
         "sufficient_threshold_from_m_emp": rigidity_threshold(result.m_emp, cfg.a, pair.mu1)
         if result.m_emp > 0 else None,
-        "rows": [{"epsilon": r.epsilon, "n_distinct": r.n_distinct,
-                  "any_nonconstant": r.any_nonconstant, "n_failed": r.n_failed}
-                 for r in result.rows],
+        "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in sweep_rows],
     }
     _emit_json(payload, out_dir, "sweep_summary.json")
     if out_dir is not None:
-        _write_csv(out_dir / "sweep.csv",
-                   ["epsilon", "n_distinct", "any_nonconstant", "n_failed"],
-                   ([r.epsilon, r.n_distinct, int(r.any_nonconstant), r.n_failed]
-                    for r in result.rows))
+        _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, sweep_rows)
         _write_csv(out_dir / "runs.csv",
                    ["epsilon", "start_id", "converged", "classification",
                     "mean", "sup_fluct", "residual_norm", "iters"],
-                   ([row.epsilon, r.start_id, int(r.converged),
-                     r.classification or r.failure or "",
+                   ([row.epsilon, r.start_id, r.converged, r.classification or r.failure,
                      r.mean, r.sup_fluct, r.residual_norm, r.iters]
                     for row in result.rows for r in row.runs))
         _write_csv(out_dir / "diagnostics_summary.csv",
@@ -312,7 +311,7 @@ def cmd_sweep(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
                      d.zero_avg_residual, d.l1_norm_f, d.l1_bound,
                      abs(d.energy_lhs - d.energy_rhs),
                      d.representation_error, d.exp_integral_q, d.sup_norm]
-                    for row in sorted(result.rows, key=lambda r: r.epsilon)
+                    for row in result.rows
                     for rec in row.distinct
                     for d in [rec.diagnostics]))
     return 0

@@ -95,8 +95,9 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
 
     Requires opposite indicator signs at the bracket ends.  Each step takes
     the secant point clamped to [lo + tol/2, hi - tol/2], so the bracket
-    shrinks by at least tol/2 per call; once it is no wider than tol, the
-    end with the smaller |indicator| is returned.
+    shrinks by at least tol/2 per call; once it is no wider than tol, or no
+    float lies strictly inside it (a tol below the float spacing at the
+    bracket), the end with the smaller |indicator| is returned.
 
     On the constant branch the indicator is exactly eps*mu1 - f'(xi_a),
     affine in eps, so the first secant point is the root up to the
@@ -116,6 +117,8 @@ def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, flo
     while hi - lo > tol:
         x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:  # tol below the float spacing: no float lies inside
+            break
         f_x = stability_indicator(u, x, a, op)
         if f_x == 0.0:
             return x
@@ -240,16 +243,19 @@ def build_bifurcation_report(a: float, op: DiscreteOperator, bracket: tuple[floa
 class SweepResult:
     """Multi-start census over a diffusion grid with the empirical threshold.
 
-    ``rows`` holds one census per grid value, in grid order.  ``eps_hat`` is
-    the smallest grid value from which on no patterned solution was found
-    (None if patterns persist through the grid top); the threshold lies
-    between the grid value below it and ``eps_hat``.  ``m_emp`` is the
-    largest sup-norm over every solution found, the empirical stand-in for
-    the a priori sup bound.
+    ``rows`` holds one census per grid value, in ascending ``eps``.
+    ``eps_hat`` is the smallest grid value from which on no patterned
+    solution was found (None if patterns persist through the grid top); the
+    threshold lies between the grid value below it and ``eps_hat``, and
+    ``eps_hat_uncertainty`` is that bracket's width (None when ``eps_hat``
+    is None or the smallest grid value).  ``m_emp`` is the largest sup-norm
+    over every solution found, the empirical stand-in for the a priori sup
+    bound.
     """
 
     rows: list[MultiStartResult]
     eps_hat: float | None
+    eps_hat_uncertainty: float | None
     m_emp: float
 
 
@@ -265,7 +271,8 @@ def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
     through to ``multi_start``.
 
     Deterministic for a fixed seed, grid, and mesh: each grid value gets the
-    derived seed ``seed + 7919*index``.  Grid values are independent, so
+    derived seed ``seed + 7919*index`` from its position in ``eps_grid``;
+    the rows are then sorted by ``eps``.  Grid values are independent, so
     they may be distributed over min(threads, len(eps_grid), os.cpu_count())
     worker processes; with one, the sweep runs in this process.
     """
@@ -280,12 +287,10 @@ def rigidity_sweep(eps_grid: list[float], a: float, op: DiscreteOperator,
     else:
         rows = [_sweep_one(t) for t in tasks]
 
-    m_emp = max((float(np.abs(rec.u).max()) for row in rows for rec in row.distinct),
-                default=0.0)
-    by_eps = sorted(rows, key=lambda r: r.epsilon)
-    eps_hat = None
-    for i, row in enumerate(by_eps):
-        if all(not r.any_nonconstant for r in by_eps[i:]):
-            eps_hat = row.epsilon
-            break
-    return SweepResult(rows=rows, eps_hat=eps_hat, m_emp=m_emp)
+    rows.sort(key=lambda r: r.epsilon)
+    # one past the last patterned row: eps_hat and the value below bracket the threshold
+    top = max((i + 1 for i, row in enumerate(rows) if row.any_nonconstant), default=0)
+    eps_hat = rows[top].epsilon if top < len(rows) else None
+    uncertainty = eps_hat - rows[top - 1].epsilon if eps_hat is not None and top else None
+    m_emp = max((rec.diagnostics.sup_norm for row in rows for rec in row.distinct), default=0.0)
+    return SweepResult(rows=rows, eps_hat=eps_hat, eps_hat_uncertainty=uncertainty, m_emp=m_emp)

@@ -379,6 +379,17 @@ class TestSweepCommand:
         assert summary["eps_hat"] == 0.3
         assert summary["eps_hat_uncertainty"] == pytest.approx(0.18)
 
+    def test_rows_in_ascending_eps(self, tmp_path):
+        cfg = make_config(tmp_path, eps_grid=[1.0, 0.5], n_starts=4, nx=8, ny=8)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert [r["epsilon"] for r in summary["rows"]] == [0.5, 1.0]
+        for name in ("sweep.csv", "runs.csv"):
+            rows = list(csv.DictReader((out / name).read_text().splitlines()))
+            eps = [float(r["epsilon"]) for r in rows]
+            assert eps == sorted(eps) and set(eps) == {0.5, 1.0}
+
     def test_needs_grid(self, tmp_path):
         cfg = make_config(tmp_path, eps_grid=None)
         data = json.loads(cfg.read_text())

@@ -85,6 +85,22 @@ class TestDetectBifurcation:
         with pytest.raises(InvalidBracketError):
             detect_bifurcation(A, square20, (0.2, 0.1))
 
+    def test_tol_below_float_spacing_returns(self, square20, monkeypatch):
+        # lo + tol/2 rounds to lo, so without a stop the secant loop would
+        # repeat one eigensolve forever; the counter turns a hang into a failure
+        reference = detect_bifurcation(A, square20, (0.10, 0.20), tol=1e-8)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 20:
+                raise RuntimeError("detect_bifurcation does not stop")
+            return stability_indicator(*args)
+
+        monkeypatch.setattr(continuation, "stability_indicator", counted)
+        eps_star = detect_bifurcation(A, square20, (0.10, 0.20), tol=1e-20)
+        assert abs(eps_star - reference) <= 1e-14
+
     def test_mesh_refinement_approaches_continuum(self, square16, square32):
         target = FP_XI / np.pi**2
         d16 = detect_bifurcation(A, square16, (0.10, 0.20), tol=1e-7)
@@ -190,6 +206,14 @@ class TestRigiditySweep:
         assert not row.any_nonconstant
         assert row.n_distinct == 2
         assert result.eps_hat == 10.0
+        assert result.eps_hat_uncertainty is None
+
+    def test_uncertainty_is_gap_below_eps_hat(self, square16):
+        # a pattern at 0.12 and none at 0.3 bracket the threshold in (0.12, 0.3]
+        result = rigidity_sweep([0.12, 0.3], A, square16, 16, seed=0)
+        assert [row.any_nonconstant for row in result.rows] == [True, False]
+        assert result.eps_hat == 0.3
+        assert result.eps_hat_uncertainty == pytest.approx(0.18)
 
     def test_deterministic(self, square16):
         r1 = rigidity_sweep([0.5, 1.0], A, square16, 8, seed=3)

@@ -192,6 +192,15 @@ class TestAssembly:
         asym = abs(square32.stiffness - square32.stiffness.T)
         assert asym.nnz == 0 or asym.max() <= 1e-15
 
+    def test_exactly_symmetric_without_stored_zeros(self, tmp_path):
+        path = tmp_path / "l_shape.mesh"
+        write_mesh(path, _l_shape())
+        for mesh in (build_rectangle_mesh(20, 12, 2.0, 1.0), build_disk_mesh(3, 1.0),
+                     read_mesh(path)):
+            a_mat = assemble(mesh).stiffness
+            assert (a_mat != a_mat.T).nnz == 0
+            assert (a_mat.data == 0).sum() == 0
+
     def test_positive_semidefinite(self, square20, rng):
         for _ in range(10):
             x = rng.standard_normal(square20.n)

@@ -23,7 +23,7 @@ def test_writes_cli_set_outputs(tmp_path):
     assert done.returncode == 0, done.stderr
     out = tmp_path / "cli-sq20"
     assert sorted(p.name for p in out.iterdir()) == [
-        "check", "config.json", "constants", "solve-eig", "solve-noise"]
+        "check", "config.json", "constants", "solve-eig", "solve-noise", "sweep-unsorted"]
     assert (out / "constants" / "constants.json").is_file()
     for solve in ("solve-eig", "solve-noise"):
         assert (out / solve / "solution.field").is_file()

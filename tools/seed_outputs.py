@@ -12,7 +12,9 @@ output files and its standard output (``stdout.txt``) to its own directory
 under it, which for a benchmark workload is OUT_DIR/NAME itself.
 ``cli-sq20`` runs ``constants``, ``solve`` from ``eig:0.3`` and from
 ``noise:5``, and ``check`` on the ``noise:5`` solution, at eps 1 on the
-20x20 square, with ``m_values`` at both ends of their range and between.
+20x20 square, with ``m_values`` at both ends of their range and between,
+and ``sweep`` over a grid given out of order, whose files list it in
+ascending eps.
 Each command runs from inside its output directory, so ``check`` reads
 the solution by a relative path and ``check.json`` echoes the same path in
 every checkout.  ``WORKLOADS``, ``BASE_CONFIG`` and ``THREAD_VARS`` are
@@ -37,14 +39,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "perfbench" / "run.py"
 
-# the single-state commands, on top of BASE_CONFIG: (output subdirectory,
-# command, its extra arguments)
-CLI_SET, CLI_CONFIG = "cli-sq20", {"nx": 20, "ny": 20, "eps": 1.0, "m_values": [0.0, 2.0, 700.0]}
+# the commands outside the benchmark, on top of BASE_CONFIG: (output
+# subdirectory, command, its extra arguments)
+CLI_SET, CLI_CONFIG = "cli-sq20", {"nx": 20, "ny": 20, "eps": 1.0, "m_values": [0.0, 2.0, 700.0],
+                                   "eps_grid": [0.3, 0.12, 1.0]}
 CLI_COMMANDS = [
     ("constants", "constants", []),
     ("solve-eig", "solve", ["--start", "eig:0.3"]),
     ("solve-noise", "solve", ["--start", "noise:5"]),
     ("check", "check", ["--field", "../solve-noise/solution.field"]),
+    ("sweep-unsorted", "sweep", []),
 ]
 
 
