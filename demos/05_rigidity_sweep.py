@@ -11,8 +11,8 @@ from neumann_rigidity import (
     bifurcation_epsilon,
     build_rectangle_mesh,
     first_eigenpair,
-    lipschitz_bound,
     rigidity_sweep,
+    rigidity_threshold,
 )
 
 a = 2.0
@@ -32,6 +32,6 @@ for row in result.rows:
 
 print(f"\nempirical rigidity threshold (grid resolution): eps_hat = {result.eps_hat}")
 print(f"largest sup norm over every solution found:     M_emp = {result.m_emp:.4f}")
-suff = lipschitz_bound(result.m_emp, a) / pair.mu1
+suff = rigidity_threshold(result.m_emp, a, pair.mu1)
 print(f"sufficient threshold K(M_emp)/mu1 = {suff:.4f} >= eps_hat, as the energy")
 print("argument guarantees; the gap shows how far from sharp that bound is.")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ZeroFieldError
 from .linsolve import bordered, project_mean_zero, solve_projected, weighted_mean
 from .meshing import DiscreteOperator, mesh_size
-from .model import eval_f_clipped, find_xi
+from .model import c0_of_a, eval_f_clipped, find_xi
 
 # The tolerance policy of the suite.  The identities hold to a multiple of
 # the Newton residual target default_tol(op); the bounds hold up to a fixed slack.
@@ -63,8 +63,7 @@ def check_l1_bound(u: np.ndarray, m: np.ndarray, a: float) -> tuple[float, float
     """Quadrature L1 mass of f(u) against the closed-form bound 2*C0*area."""
     fu = eval_f_clipped(u, a)
     l1 = float(np.dot(m, np.abs(fu)))
-    c0 = a * np.log(a) - a + 1.0
-    bound = float(2.0 * c0 * m.sum())
+    bound = float(2.0 * c0_of_a(a) * m.sum())
     return l1, bound, l1 <= bound * (1.0 + L1_REL_SLACK)
 
 

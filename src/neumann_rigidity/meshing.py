@@ -34,7 +34,9 @@ class Mesh:
     MeshFormatError if a node coordinate is not finite, or if the
     triangulation is empty, indexes a missing node, has a triangle area that
     overflows, or is degenerate, non-conforming or disconnected (checked in
-    that order, so each check may rely on the ones before it).  A node that
+    that order, so each check may rely on the ones before it).  One edge
+    census (``_edge_census``) gives conformity and the boundary nodes from
+    its counts, and connectivity from its pattern.  A node that
     no triangle uses is a component of its own.  Connectivity makes the
     constants the whole kernel of the stiffness matrix, so grounding one
     node leaves it positive definite.
@@ -67,17 +69,16 @@ class Mesh:
             raise MeshFormatError("triangle areas overflow: node coordinates are too large")
         if np.any(areas <= 0.0):
             raise MeshFormatError("triangulation contains inverted or flat triangles")
-        edges, counts = _edge_counts(triangles)
-        if np.any(counts > 2):
+        census = _edge_census(triangles, nodes.shape[0])
+        if census.data.max() > 2:
             raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
-        if not np.any(counts == 1):
+        lo, hi = (census == 1).nonzero()
+        if lo.size == 0:
             raise MeshFormatError("triangulation has no boundary edge")
-        n = nodes.shape[0]
-        graph = sp.coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(n, n))
-        n_parts = connected_components(graph, directed=False, return_labels=False)
+        n_parts = connected_components(census, directed=False, return_labels=False)
         if n_parts > 1:
             raise MeshFormatError(f"triangulation is not connected: {n_parts} components")
-        object.__setattr__(self, "boundary_nodes", np.unique(edges[counts == 1]))
+        object.__setattr__(self, "boundary_nodes", np.union1d(lo, hi).astype(np.int64))
 
     @property
     def n_nodes(self) -> int:
@@ -103,8 +104,9 @@ class DiscreteOperator:
     diameter: float
     mesh: Mesh
     # lazily filled cache: the first eigenpair (linsolve.first_eigenpair)
-    # and the bordered system (linsolve.bordered)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # and the bordered system (linsolve.bordered).  Not an __init__ field, so
+    # dataclasses.replace gives the new operator an empty cache of its own
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -130,21 +132,15 @@ def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
         return 0.5 * _cross2(p1 - p0, p2 - p0)
 
 
-def _edge_counts(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct edges (sorted node pairs) and how many triangles share each.
-
-    Each pair (lo, hi) is encoded as the integer key lo*n + hi, with n one
-    more than the largest node index, so a 1-D unique counts the edges.  Keys
-    order as their pairs do, so the rows come out lexicographically sorted,
-    as a row-wise unique would give them.  Indices must be nonnegative.
+def _edge_census(triangles: np.ndarray, n: int) -> sp.csr_matrix:
+    """The edge census: an (n, n) sparse matrix whose entry (lo, hi), lo < hi,
+    counts the triangles on the edge lo-hi.  Building it sums the duplicate
+    entries of the 3t sorted edge pairs, so each stored value is an exact
+    count, and its pattern is the node graph of the triangulation.
     """
-    edges = np.sort(
-        np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]),
-        axis=1,
-    ).astype(np.int64, copy=False)
-    n = int(triangles.max(initial=0)) + 1
-    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
-    return np.column_stack([keys // n, keys % n]), counts
+    pairs = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    lo, hi = np.sort(pairs, axis=1).T
+    return sp.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
 
 
 def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
@@ -188,6 +184,12 @@ def _stitch_rings(inner: np.ndarray, outer: np.ndarray) -> list[tuple[int, int, 
     angle fractions (k+1)/n_in vs (n+1)/n_out are compared by exact integer
     cross-multiplication so ties break identically in every sector and the
     triangulation inherits the full rotational symmetry of the node rings.
+
+    Every triangle comes out counterclockwise by construction: an outer
+    step (inner[k], outer[n], outer[n+1]) runs along the outer ring by
+    increasing angle with the inner node on the centre side, and an inner
+    step (inner[k], outer[n], inner[k+1]) goes out and comes back to the
+    inner ring at the larger angle.
     """
     n_in, n_out = len(inner), len(outer)
     tris = []
@@ -207,7 +209,9 @@ def build_disk_mesh(refinement: int, radius: float = 1.0) -> Mesh:
 
     Concentric rings at radii j/R carry 6*j nodes each, with R = 2**(refinement-1)
     rings, so the boundary resolution doubles per refinement level and the
-    polygonal area converges to pi*r**2.
+    polygonal area converges to pi*r**2.  The centre fan and the ring
+    stitches emit counterclockwise triangles, so no orientation pass runs;
+    ``Mesh`` would still reject a clockwise one.
 
     Parameters
     ----------
@@ -239,13 +243,7 @@ def build_disk_mesh(refinement: int, radius: float = 1.0) -> Mesh:
     for j in range(1, rings):
         tris.extend(_stitch_rings(ring_ids[j - 1], ring_ids[j]))
 
-    nodes = np.asarray(coords, dtype=float)
-    triangles = np.asarray(tris, dtype=np.int64)
-    # enforce counterclockwise orientation
-    areas = _signed_areas(nodes, triangles)
-    flip = areas < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    return Mesh(nodes, triangles)
+    return Mesh(np.asarray(coords, dtype=float), np.asarray(tris, dtype=np.int64))
 
 
 def assemble(mesh: Mesh) -> DiscreteOperator:

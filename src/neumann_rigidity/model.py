@@ -72,6 +72,11 @@ def find_xi(a: float) -> float:
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
+def c0_of_a(a: float) -> float:
+    """C0 = a*log(a) - a + 1, minus the global minimum of f (at t = log(a))."""
+    return float(a * np.log(a) - a + 1.0)
+
+
 def lipschitz_bound(m_sup: float, a: float) -> float:
     """Bound max{e^M - a, a - e^-M} on |f'| over [-M, M]."""
     return max(np.exp(m_sup) - a, a - np.exp(-m_sup))
@@ -125,7 +130,7 @@ def constant_chain(a: float, q: float, area: float, diameter: float) -> Constant
     if not diameter > 0.0:
         raise ValueError("diameter must be positive")
     xi_a = find_xi(a)
-    c0 = a * np.log(a) - a + 1.0
+    c0 = c0_of_a(a)
     c1 = 2.0 * c0 * area
     return ConstantChain(
         a=a,
@@ -133,7 +138,7 @@ def constant_chain(a: float, q: float, area: float, diameter: float) -> Constant
         area=area,
         diameter=diameter,
         xi_a=xi_a,
-        c0=float(c0),
+        c0=c0,
         c1=float(c1),
         eps0_of_q=float(q * c1 / np.pi),
         c2_bound=float(2.0 * np.pi * diameter**2),

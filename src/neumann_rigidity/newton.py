@@ -26,14 +26,14 @@ import scipy.sparse as sp
 
 from .diagnostics import DiagnosticsReport, classify, default_tol, run_diagnostics
 from .errors import NoConvergenceError, SingularJacobianError
-from .linsolve import bordered, dual_norm, first_eigenpair, solve_projected, weighted_mean
+from .linsolve import bordered, dual_norm, first_eigenpair, solve_projected
 from .meshing import DiscreteOperator
 from .model import eval_f_clipped, eval_f_prime_clipped, find_xi
 
 __all__ = [
     "SolutionRecord", "StartOutcome", "MultiStartResult",
     "residual", "jacobian", "newton_solve", "attach_diagnostics", "classify",
-    "weighted_mean", "multi_start", "dedup_records", "switch_directions",
+    "multi_start", "dedup_records", "switch_directions",
 ]
 
 DEDUP_REL_TOL = 1e-5

@@ -234,7 +234,7 @@ class TestEigenCommand:
             "disk": {"domain": "disk", "radius": 1.0, "refinement": 3},
             "mesh_file": {"domain": "mesh_file", "mesh_path": str(mesh_path)},
         }[domain]
-        calls = {"_edge_counts": 0, "connected_components": 0}
+        calls = {"_edge_census": 0, "connected_components": 0}
 
         def counted(name):
             original = getattr(meshing, name)
@@ -247,7 +247,7 @@ class TestEigenCommand:
         for name in calls:
             monkeypatch.setattr(meshing, name, counted(name))
         assert main(["eigen", "--config", str(make_config(tmp_path, **overrides))]) == 0
-        assert calls == {"_edge_counts": 1, "connected_components": 1}
+        assert calls == {"_edge_census": 1, "connected_components": 1}
 
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys):
         cfg = make_config(tmp_path, nx="4")

@@ -20,7 +20,12 @@ from neumann_rigidity import (
     rigidity_sweep,
     stability_indicator,
 )
-from neumann_rigidity.errors import FellBackToConstantError, InvalidBracketError
+from neumann_rigidity.errors import (
+    BranchLostError,
+    FellBackToConstantError,
+    InvalidBracketError,
+    NoConvergenceError,
+)
 from neumann_rigidity.model import eval_f_prime
 from neumann_rigidity.newton import switch_directions
 
@@ -168,6 +173,30 @@ class TestContinueBranch:
         bp = points[0]
         lam = stability_indicator(bp.solution.u, bp.solution.epsilon, A, square20)
         assert abs(lam - bp.stability_indicator) <= 1e-6 * max(1.0, abs(lam))
+
+    def test_step_halving_then_branch_lost(self, square20, monkeypatch):
+        # the first solve is real, every later one fails: the step at e2 is
+        # halved toward e1 MAX_HALVINGS times, then the branch is lost
+        eps_star = bifurcation_epsilon(A, first_eigenpair(square20).mu1)
+        rec, _, _ = branch_switch(eps_star, A, square20)
+        e1, e2 = 0.9 * eps_star, 0.8 * eps_star
+        real_solve, calls = continuation.newton_solve, []
+
+        def first_only(u0, epsilon, a, op):
+            calls.append(epsilon)
+            if len(calls) == 1:
+                return real_solve(u0, epsilon, a, op)
+            raise NoConvergenceError("forced failure")
+
+        monkeypatch.setattr(continuation, "newton_solve", first_only)
+        with pytest.raises(BranchLostError) as info:
+            continue_branch(rec, [e1, e2], A, square20)
+        assert len(calls) == 1 + continuation.MAX_HALVINGS + 1
+        assert [p.solution.epsilon for p in info.value.points] == [e1]
+        failed = [e2]
+        for _ in range(continuation.MAX_HALVINGS):
+            failed.append(0.5 * (e1 + failed[-1]))
+        assert calls == [e1] + failed
 
 
 @pytest.fixture(scope="class")

@@ -307,6 +307,15 @@ class TestBorderedSystem:
         assert len(pickle.dumps(op)) == size
         assert pickle.loads(pickle.dumps(op))._cache == {}
 
+    def test_replaced_operator_gets_fresh_cache(self):
+        from dataclasses import replace
+
+        op = assemble(build_rectangle_mesh(8, 8, 1.0, 1.0))
+        mu1 = first_eigenpair(op).mu1  # fills the bordered system and the eigenpair
+        scaled = replace(op, lumped_mass=4.0 * op.lumped_mass)
+        assert first_eigenpair(scaled).mu1 == pytest.approx(mu1 / 4.0, rel=1e-9)
+        assert bordered(scaled) is not bordered(op)
+
 
 class TestSmallestNonzeroEigen:
     def test_unit_square_64(self, square64):

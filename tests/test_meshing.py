@@ -17,7 +17,7 @@ from neumann_rigidity.errors import MeshFormatError
 from neumann_rigidity.meshing import (
     MAX_DISK_REFINEMENT,
     MAX_NODES,
-    _edge_counts,
+    _edge_census,
     _signed_areas,
     mesh_size,
 )
@@ -74,7 +74,8 @@ class TestRectangleMesh:
 
     def test_conforming(self):
         # every interior edge lies on two triangles, the 2*(5+3) boundary edges on one
-        _, counts = _edge_counts(build_rectangle_mesh(5, 3, 2.0, 1.0).triangles)
+        mesh = build_rectangle_mesh(5, 3, 2.0, 1.0)
+        counts = _edge_census(mesh.triangles, mesh.n_nodes).data
         assert counts.max() == 2
         assert np.count_nonzero(counts == 1) == 16
 
@@ -112,12 +113,14 @@ EDGE_COUNT_MESHES = {
 class TestEdgeCounts:
     @pytest.mark.parametrize("name", sorted(EDGE_COUNT_MESHES))
     def test_matches_row_unique(self, name):
-        t = EDGE_COUNT_MESHES[name]().triangles
+        mesh = EDGE_COUNT_MESHES[name]()
+        t = mesh.triangles
         edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         ref_edges, ref_counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
-        got_edges, got_counts = _edge_counts(t)
-        assert np.array_equal(got_edges, ref_edges)
-        assert np.array_equal(got_counts, ref_counts)
+        census = _edge_census(t, mesh.n_nodes).tocoo()  # canonical csr: row-major, sorted
+        assert np.array_equal(census.row, ref_edges[:, 0])
+        assert np.array_equal(census.col, ref_edges[:, 1])
+        assert np.array_equal(census.data, ref_counts)
 
 
 class TestDiskMesh:

@@ -32,3 +32,16 @@ def test_writes_cli_set_outputs(tmp_path):
     assert check["field"] == "../solve-noise/solution.field" and check["epsilon"] == 1.0
     assert (out / "check" / "stdout.txt").read_text().strip() == \
         (out / "check" / "check.json").read_text().strip()
+
+
+def test_writes_disk_set_outputs(tmp_path):
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), "--workload", "cli-disk5"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "cli-disk5"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.json", "constants", "eigen", "solve-noise"]
+    config = json.loads((out / "config.json").read_text())
+    assert (config["domain"], config["radius"], config["refinement"]) == ("disk", 1.0, 5)
+    assert (out / "eigen" / "eigen.json").is_file()
+    assert (out / "solve-noise" / "solution.field").is_file()

@@ -3,10 +3,10 @@ single-state commands.
 
     python tools/seed_outputs.py OUT_DIR [--workload NAME ...]
 
-Each workload of perfbench/run.py, and the extra set ``cli-sq20`` (all of
-them unless ``--workload`` names some), runs its neumann-lab commands once,
-at seed 0, from the ``src/`` of the checkout this file is in, in a fresh
-interpreter with BLAS and OpenMP pinned to one thread, as a benchmark
+Each workload of perfbench/run.py, and the extra sets ``cli-sq20`` and
+``cli-disk5`` (all of them unless ``--workload`` names some), runs its
+neumann-lab commands once, at seed 0, from the ``src/`` of the checkout
+this file is in, in a fresh interpreter with BLAS and OpenMP pinned to one thread, as a benchmark
 operation does.  OUT_DIR/NAME gets the config; each command writes its
 output files and its standard output (``stdout.txt``) to its own directory
 under it, which for a benchmark workload is OUT_DIR/NAME itself.
@@ -14,7 +14,8 @@ under it, which for a benchmark workload is OUT_DIR/NAME itself.
 ``noise:5``, and ``check`` on the ``noise:5`` solution, at eps 1 on the
 20x20 square, with ``m_values`` at both ends of their range and between,
 and ``sweep`` over a grid given out of order, whose files list it in
-ascending eps.
+ascending eps.  ``cli-disk5`` runs ``constants``, ``eigen`` and ``solve``
+from ``noise:5`` at eps 1 on the unit disk at refinement 5.
 Each command runs from inside its output directory, so ``check`` reads
 the solution by a relative path and ``check.json`` echoes the same path in
 every checkout.  ``WORKLOADS``, ``BASE_CONFIG`` and ``THREAD_VARS`` are
@@ -39,17 +40,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "perfbench" / "run.py"
 
-# the commands outside the benchmark, on top of BASE_CONFIG: (output
-# subdirectory, command, its extra arguments)
-CLI_SET, CLI_CONFIG = "cli-sq20", {"nx": 20, "ny": 20, "eps": 1.0, "m_values": [0.0, 2.0, 700.0],
-                                   "eps_grid": [0.3, 0.12, 1.0]}
-CLI_COMMANDS = [
-    ("constants", "constants", []),
-    ("solve-eig", "solve", ["--start", "eig:0.3"]),
-    ("solve-noise", "solve", ["--start", "noise:5"]),
-    ("check", "check", ["--field", "../solve-noise/solution.field"]),
-    ("sweep-unsorted", "sweep", []),
-]
+# the sets of commands outside the benchmark: name -> (config on top of
+# BASE_CONFIG, [(output subdirectory, command, its extra arguments)])
+CLI_SETS = {
+    "cli-sq20": (
+        {"nx": 20, "ny": 20, "eps": 1.0, "m_values": [0.0, 2.0, 700.0], "eps_grid": [0.3, 0.12, 1.0]},
+        [("constants", "constants", []),
+         ("solve-eig", "solve", ["--start", "eig:0.3"]),
+         ("solve-noise", "solve", ["--start", "noise:5"]),
+         ("check", "check", ["--field", "../solve-noise/solution.field"]),
+         ("sweep-unsorted", "sweep", [])],
+    ),
+    "cli-disk5": (
+        {"domain": "disk", "radius": 1.0, "refinement": 5, "eps": 1.0},
+        [("constants", "constants", []),
+         ("eigen", "eigen", []),
+         ("solve-noise", "solve", ["--start", "noise:5"])],
+    ),
+}
 
 
 def run_literals(*names: str) -> list:
@@ -68,7 +76,8 @@ def main(argv: list[str] | None = None) -> int:
     # name -> (config, [(output subdirectory, command, its extra arguments)])
     sets = {name: ({**base, **extra}, [("", command, [])])
             for name, (command, extra) in workloads.items()}
-    sets[CLI_SET] = ({**base, **CLI_CONFIG}, CLI_COMMANDS)
+    sets.update({name: ({**base, **extra}, commands)
+                 for name, (extra, commands) in CLI_SETS.items()})
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--workload", action="append", choices=sorted(sets),
