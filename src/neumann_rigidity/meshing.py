@@ -64,7 +64,8 @@ class Mesh:
             raise MeshFormatError("triangulation has no triangles")
         if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
             raise MeshFormatError("triangle indices out of range")
-        areas = _signed_areas(nodes, triangles)
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = _signed_areas(_edge_vectors(nodes, triangles))
         if not np.isfinite(areas).all():
             raise MeshFormatError("triangle areas overflow: node coordinates are too large")
         if np.any(areas <= 0.0):
@@ -118,18 +119,21 @@ class DiscreteOperator:
         return {**self.__dict__, "_cache": {}}
 
 
-def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+def _edge_vectors(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """The (t, 3, 2) edge vectors of the triangles: entry k is the edge
+    opposite vertex k, p[k+2] - p[k+1] with vertex indices taken mod 3."""
+    edges = np.take(nodes, triangles[:, [2, 0, 1]], axis=0)
+    edges -= np.take(nodes, triangles[:, [1, 2, 0]], axis=0)
+    return edges
 
 
-def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Signed triangle areas, silently inf or NaN where the coordinates are
-    too large; ``Mesh`` rejects those."""
-    p0 = nodes[triangles[:, 0]]
-    p1 = nodes[triangles[:, 1]]
-    p2 = nodes[triangles[:, 2]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * _cross2(p1 - p0, p2 - p0)
+def _signed_areas(edges: np.ndarray) -> np.ndarray:
+    """Signed triangle areas from ``_edge_vectors``: half the cross product
+    of the edges opposite vertices 1 and 2, positive for a counterclockwise
+    triangle.  Inf or NaN where the coordinates are too large; ``Mesh``
+    rejects those."""
+    e1, e2 = edges[:, 1], edges[:, 2]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def _edge_census(triangles: np.ndarray, n: int) -> sp.csr_matrix:
@@ -176,42 +180,32 @@ def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     return Mesh(nodes, triangles)
 
 
-def _stitch_rings(inner: np.ndarray, outer: np.ndarray) -> list[tuple[int, int, int]]:
-    """Triangulate the annulus between two uniformly spaced concentric rings.
-
-    Walks both rings by increasing angle, always advancing the pointer whose
-    next node comes first, yielding len(inner) + len(outer) triangles.  The
-    angle fractions (k+1)/n_in vs (n+1)/n_out are compared by exact integer
-    cross-multiplication so ties break identically in every sector and the
-    triangulation inherits the full rotational symmetry of the node rings.
-
-    Every triangle comes out counterclockwise by construction: an outer
-    step (inner[k], outer[n], outer[n+1]) runs along the outer ring by
-    increasing angle with the inner node on the centre side, and an inner
-    step (inner[k], outer[n], inner[k+1]) goes out and comes back to the
-    inner ring at the larger angle.
-    """
-    n_in, n_out = len(inner), len(outer)
-    tris = []
-    k = n = 0  # consumed steps on inner / outer ring
-    while k < n_in or n < n_out:
-        if n < n_out and (k >= n_in or (n + 1) * n_in <= (k + 1) * n_out):
-            tris.append((inner[k % n_in], outer[n % n_out], outer[(n + 1) % n_out]))
-            n += 1
-        else:
-            tris.append((inner[k % n_in], outer[n % n_out], inner[(k + 1) % n_in]))
-            k += 1
-    return tris
-
-
 def build_disk_mesh(refinement: int, radius: float = 1.0) -> Mesh:
     """Quasi-uniform triangulation of the regular polygon inscribed in a disk.
 
     Concentric rings at radii j/R carry 6*j nodes each, with R = 2**(refinement-1)
     rings, so the boundary resolution doubles per refinement level and the
-    polygonal area converges to pi*r**2.  The centre fan and the ring
-    stitches emit counterclockwise triangles, so no orientation pass runs;
-    ``Mesh`` would still reject a clockwise one.
+    polygonal area converges to pi*r**2.  Node 0 is the centre and ring j
+    starts at node 1 + 3*j*(j-1), its nodes by increasing angle.
+
+    The centre fan joins node 0 to ring 1.  Annulus j, between ring j
+    (``inner``, n_in = 6*j nodes) and ring j+1 (``outer``, n_out = 6*(j+1)),
+    takes one triangle per step along either ring, walking both by
+    increasing angle, with node indices taken round each ring: after k
+    inner and n outer steps, the outer step comes next when its end angle
+    fraction (n+1)/n_out is at most the inner one's (k+1)/n_in.  The
+    fractions are compared as the exact integers (n+1)*n_in and
+    (k+1)*n_out, so ties break identically in every sector and the
+    triangulation has the full rotational symmetry of the rings.  No step
+    is walked one at a time: a step's place in its annulus is its index on
+    its own ring plus the number of steps on the other ring that come
+    before it, a floor division of the same integers.  An outer
+    step gives (inner[k], outer[n], outer[n+1]), which runs along the outer
+    ring by increasing angle with the inner node on the centre side; an
+    inner step gives (inner[k], outer[n], inner[k+1]), which goes out and
+    comes back to the inner ring at the larger angle.  Both are
+    counterclockwise, as is the fan, so no orientation pass runs; ``Mesh``
+    would still reject a clockwise triangle.
 
     Parameters
     ----------
@@ -225,25 +219,30 @@ def build_disk_mesh(refinement: int, radius: float = 1.0) -> Mesh:
     if not radius > 0.0:
         raise ValueError("radius must be positive")
 
+    def node(j, p):  # node p of ring j, counted round the ring
+        return 1 + 3 * j * (j - 1) + p % (6 * j)
+
     rings = 2 ** (refinement - 1)
-    coords = [(0.0, 0.0)]
-    ring_ids: list[np.ndarray] = []
-    for j in range(1, rings + 1):
-        n_j = 6 * j
-        theta = 2.0 * np.pi * np.arange(n_j) / n_j
-        r_j = radius * j / rings
-        start = len(coords)
-        coords.extend(zip(r_j * np.cos(theta), r_j * np.sin(theta)))
-        ring_ids.append(np.arange(start, start + n_j))
+    j = np.arange(1, rings + 1)
+    ring = np.repeat(j, 6 * j)  # the ring of nodes 1, 2, ...
+    pos = np.arange(1, ring.size + 1) - node(ring, 0)  # their places in it
+    theta = 2.0 * np.pi * pos / (6 * ring)
+    r = radius * ring / rings
+    nodes = np.vstack([(0.0, 0.0), np.column_stack([r * np.cos(theta), r * np.sin(theta)])])
 
-    tris: list[tuple[int, int, int]] = []
-    first = ring_ids[0]
-    for i in range(6):  # center fan
-        tris.append((0, first[i], first[(i + 1) % 6]))
-    for j in range(1, rings):
-        tris.extend(_stitch_rings(ring_ids[j - 1], ring_ids[j]))
-
-    return Mesh(np.asarray(coords, dtype=float), np.asarray(tris, dtype=np.int64))
+    # annulus j's steps are triangles 6*j**2 on, in walk order: outer step n
+    # follows the k inner steps with (k+1)*n_out < (n+1)*n_in, inner step k
+    # the n outer steps with (n+1)*n_in <= (k+1)*n_out, and n_in/n_out = j/(j+1)
+    triangles = np.empty((6 * rings**2, 3), dtype=np.int64)
+    triangles[:6] = np.column_stack([np.zeros(6, dtype=np.int64), np.arange(1, 7),
+                                     np.arange(1, 7) % 6 + 1])  # the centre fan
+    j, n = ring[6:] - 1, pos[6:]  # one outer step per node of rings 2..R
+    k = ((n + 1) * j - 1) // (j + 1)
+    triangles[6 * j**2 + k + n] = np.column_stack([node(j, k), node(j + 1, n), node(j + 1, n + 1)])
+    j, k = ring[:-6 * rings], pos[:-6 * rings]  # one inner step per node of rings 1..R-1
+    n = (k + 1) * (j + 1) // j
+    triangles[6 * j**2 + k + n] = np.column_stack([node(j, k), node(j + 1, n), node(j, k + 1)])
+    return Mesh(nodes, triangles)
 
 
 def assemble(mesh: Mesh) -> DiscreteOperator:
@@ -254,13 +253,9 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
     entry (i, j) is dot(e_i, e_j) / (4*area).  The mesh checked its
     triangles when it was made, so every area is finite and positive.
     """
-    nodes, triangles = mesh.nodes, mesh.triangles
-    areas = _signed_areas(nodes, triangles)
-    p0 = nodes[triangles[:, 0]]
-    p1 = nodes[triangles[:, 1]]
-    p2 = nodes[triangles[:, 2]]
-
-    edges = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)  # (t, 3, 2): edge opposite vertex k
+    triangles = mesh.triangles
+    edges = _edge_vectors(mesh.nodes, triangles)
+    areas = _signed_areas(edges)
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
@@ -303,12 +298,8 @@ def _diameter(mesh: Mesh) -> float:
 
 def mesh_size(mesh: Mesh) -> float:
     """Longest edge length in the triangulation."""
-    t = mesh.triangles
-    h = 0.0
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        d = mesh.nodes[t[:, i]] - mesh.nodes[t[:, j]]
-        h = max(h, float(np.sqrt((d**2).sum(axis=1)).max()))
-    return h
+    edges = _edge_vectors(mesh.nodes, mesh.triangles)
+    return float(np.sqrt((edges**2).sum(axis=2)).max())
 
 
 # -- plain-text file formats -------------------------------------------------

@@ -18,6 +18,7 @@ from neumann_rigidity.meshing import (
     MAX_DISK_REFINEMENT,
     MAX_NODES,
     _edge_census,
+    _edge_vectors,
     _signed_areas,
     mesh_size,
 )
@@ -40,6 +41,34 @@ def _l_shape():
     kept = square.triangles[~np.all(centroids > 1.0, axis=1)]
     used, triangles = np.unique(kept, return_inverse=True)
     return Mesh(square.nodes[used], triangles.reshape(-1, 3))
+
+
+def _ring_walk_disk(refinement, radius):
+    """The disk's nodes and triangles made one ring and one triangle at a
+    time: the reference that ``build_disk_mesh`` must equal bit for bit."""
+    rings = 2 ** (refinement - 1)
+    coords = [(0.0, 0.0)]
+    ring_ids = []
+    for j in range(1, rings + 1):
+        n_j = 6 * j
+        theta = 2.0 * np.pi * np.arange(n_j) / n_j
+        r_j = radius * j / rings
+        start = len(coords)
+        coords.extend(zip(r_j * np.cos(theta), r_j * np.sin(theta)))
+        ring_ids.append(np.arange(start, start + n_j))
+    first = ring_ids[0]
+    tris = [(0, first[i], first[(i + 1) % 6]) for i in range(6)]
+    for inner, outer in zip(ring_ids, ring_ids[1:]):
+        n_in, n_out = len(inner), len(outer)
+        k = n = 0  # steps taken on the inner / outer ring
+        while k < n_in or n < n_out:
+            if n < n_out and (k >= n_in or (n + 1) * n_in <= (k + 1) * n_out):
+                tris.append((inner[k % n_in], outer[n % n_out], outer[(n + 1) % n_out]))
+                n += 1
+            else:
+                tris.append((inner[k % n_in], outer[n % n_out], inner[(k + 1) % n_in]))
+                k += 1
+    return np.asarray(coords, dtype=float), np.asarray(tris, dtype=np.int64)
 
 
 def _write_mesh_text(path, nodes, triangles):
@@ -96,7 +125,7 @@ class TestRectangleMesh:
                 reference += [(v00, v10, v11), (v00, v11, v01)]
         assert mesh.triangles.dtype == np.int64
         assert np.array_equal(mesh.triangles, np.array(reference))
-        assert np.all(_signed_areas(mesh.nodes, mesh.triangles) > 0.0)
+        assert np.all(_signed_areas(_edge_vectors(mesh.nodes, mesh.triangles)) > 0.0)
 
 
 EDGE_COUNT_MESHES = {
@@ -159,6 +188,17 @@ class TestDiskMesh:
         mesh = build_disk_mesh(3, 2.5)
         r = np.sqrt((mesh.nodes**2).sum(axis=1))
         assert np.all(r <= 2.5 + 1e-12)
+
+    @pytest.mark.parametrize("refinement, radius", [(r, 1.0) for r in range(1, 9)] + [(3, 2.5)])
+    def test_matches_ring_walk(self, refinement, radius):
+        mesh = build_disk_mesh(refinement, radius)
+        nodes, triangles = _ring_walk_disk(refinement, radius)
+        rings = 2 ** (refinement - 1)
+        assert mesh.triangles.dtype == np.int64
+        assert mesh.n_nodes == 1 + 3 * rings * (rings + 1)
+        assert mesh.n_triangles == 6 * rings**2
+        assert np.array_equal(mesh.nodes, nodes)
+        assert np.array_equal(mesh.triangles, triangles)
 
     def test_rotation_symmetry(self):
         # the triangulation maps to itself under a 60 degree rotation
@@ -265,6 +305,22 @@ class TestDomainMetrics:
     def test_mesh_size_square(self):
         h = mesh_size(build_rectangle_mesh(10, 10, 1.0, 1.0))
         assert h == pytest.approx(np.sqrt(2.0) / 10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["disk4", "lshape", "renumbered20"])
+    def test_mesh_size_and_areas_equal_row_by_row(self, name):
+        mesh = {
+            "disk4": lambda: build_disk_mesh(4, 1.0),
+            "lshape": _l_shape,
+            "renumbered20": lambda: renumbered(build_rectangle_mesh(20, 20, 1.0, 1.0), 3),
+        }[name]()
+        lengths, areas = [], []
+        for i0, i1, i2 in mesh.triangles:
+            p0, p1, p2 = mesh.nodes[i0], mesh.nodes[i1], mesh.nodes[i2]
+            lengths += [np.sqrt(((p - q)**2).sum()) for p, q in ((p0, p1), (p1, p2), (p2, p0))]
+            u, v = p1 - p0, p2 - p0
+            areas.append(0.5 * (u[0] * v[1] - u[1] * v[0]))
+        assert mesh_size(mesh) == float(max(lengths))
+        assert np.array_equal(_signed_areas(_edge_vectors(mesh.nodes, mesh.triangles)), areas)
 
 
 class TestFileFormats:

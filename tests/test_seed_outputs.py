@@ -45,3 +45,14 @@ def test_writes_disk_set_outputs(tmp_path):
     assert (config["domain"], config["radius"], config["refinement"]) == ("disk", 1.0, 5)
     assert (out / "eigen" / "eigen.json").is_file()
     assert (out / "solve-noise" / "solution.field").is_file()
+
+
+def test_writes_fine_disk_set_outputs(tmp_path):
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), "--workload", "cli-disk7"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "cli-disk7"
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "eigen"]
+    config = json.loads((out / "config.json").read_text())
+    assert (config["domain"], config["radius"], config["refinement"]) == ("disk", 1.0, 7)
+    assert json.loads((out / "eigen" / "eigen.json").read_text())["n_nodes"] == 12_481

@@ -3,9 +3,9 @@ single-state commands.
 
     python tools/seed_outputs.py OUT_DIR [--workload NAME ...]
 
-Each workload of perfbench/run.py, and the extra sets ``cli-sq20`` and
-``cli-disk5`` (all of them unless ``--workload`` names some), runs its
-neumann-lab commands once, at seed 0, from the ``src/`` of the checkout
+Each workload of perfbench/run.py, and the extra sets ``cli-sq20``,
+``cli-disk5`` and ``cli-disk7`` (all of them unless ``--workload`` names
+some), runs its neumann-lab commands once, at seed 0, from the ``src/`` of the checkout
 this file is in, in a fresh interpreter with BLAS and OpenMP pinned to one thread, as a benchmark
 operation does.  OUT_DIR/NAME gets the config; each command writes its
 output files and its standard output (``stdout.txt``) to its own directory
@@ -15,7 +15,9 @@ under it, which for a benchmark workload is OUT_DIR/NAME itself.
 20x20 square, with ``m_values`` at both ends of their range and between,
 and ``sweep`` over a grid given out of order, whose files list it in
 ascending eps.  ``cli-disk5`` runs ``constants``, ``eigen`` and ``solve``
-from ``noise:5`` at eps 1 on the unit disk at refinement 5.
+from ``noise:5`` at eps 1 on the unit disk at refinement 5, and
+``cli-disk7`` runs ``eigen`` on the refinement-7 unit disk, whose 64 rings
+reach ring stitches that the 16 of refinement 5 do not.
 Each command runs from inside its output directory, so ``check`` reads
 the solution by a relative path and ``check.json`` echoes the same path in
 every checkout.  ``WORKLOADS``, ``BASE_CONFIG`` and ``THREAD_VARS`` are
@@ -56,6 +58,10 @@ CLI_SETS = {
         [("constants", "constants", []),
          ("eigen", "eigen", []),
          ("solve-noise", "solve", ["--start", "noise:5"])],
+    ),
+    "cli-disk7": (
+        {"domain": "disk", "radius": 1.0, "refinement": 7},
+        [("eigen", "eigen", [])],
     ),
 }
 
