@@ -5,9 +5,10 @@
 and its help line.  ``main`` loads the config, refuses a missing key, builds
 the operator and calls the function.  Exit codes: 0 success, 2
 configuration/validation (``ConfigError``), 3 numerical failure (any
-``NumericalError``), 4 input/output.  All commands are deterministic given
-the config, whose ``seed`` and ``threads`` keys set the noise seed and the
-sweep's worker count.
+``NumericalError``) or memory exhausted (``MemoryError``), 4
+input/output.  All commands are deterministic given the config, whose
+``seed`` and ``threads`` keys set the noise seed and the sweep's worker
+count.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from .diagnostics import run_diagnostics
 from .errors import ConfigError, MeshFormatError, NumericalError
 from .linsolve import first_eigenpair
 from .meshing import (
-    MAX_DISK_REFINEMENT,
-    MAX_NODES,
     DiscreteOperator,
     assemble,
     build_disk_mesh,
     build_rectangle_mesh,
+    check_disk_args,
+    check_rectangle_args,
     read_field,
     read_mesh,
     write_field,
@@ -74,27 +75,22 @@ class ExperimentConfig:
             raise ConfigError("a must exceed 1")
         if not self.q > 2.0:
             raise ConfigError("q must exceed 2")
-        if self.domain == "rectangle":
-            if None in (self.lx, self.ly, self.nx, self.ny):
-                raise ConfigError("rectangle domain needs lx, ly, nx, ny")
-            if self.nx < 2 or self.ny < 2:
-                raise ConfigError("nx and ny must both be at least 2")
-            if (self.nx + 1) * (self.ny + 1) > MAX_NODES:
-                raise ConfigError(f"(nx+1)*(ny+1) must not exceed {MAX_NODES} nodes")
-            if self.lx <= 0 or self.ly <= 0:
-                raise ConfigError("lx and ly must be positive")
-        elif self.domain == "disk":
-            if None in (self.radius, self.refinement):
-                raise ConfigError("disk domain needs radius and refinement")
-            if not 1 <= self.refinement <= MAX_DISK_REFINEMENT:
-                raise ConfigError(f"refinement must lie in [1, {MAX_DISK_REFINEMENT}]")
-            if self.radius <= 0:
-                raise ConfigError("radius must be positive")
-        elif self.domain == "mesh_file":
-            if not self.mesh_path:
-                raise ConfigError("mesh_file domain needs mesh_path")
-        else:
-            raise ConfigError(f"unknown domain type {self.domain!r}")
+        try:  # the mesh builder's own argument checks, before any meshing
+            if self.domain == "rectangle":
+                if None in (self.lx, self.ly, self.nx, self.ny):
+                    raise ConfigError("rectangle domain needs lx, ly, nx, ny")
+                check_rectangle_args(self.nx, self.ny, self.lx, self.ly)
+            elif self.domain == "disk":
+                if None in (self.radius, self.refinement):
+                    raise ConfigError("disk domain needs radius and refinement")
+                check_disk_args(self.refinement, self.radius)
+            elif self.domain == "mesh_file":
+                if not self.mesh_path:
+                    raise ConfigError("mesh_file domain needs mesh_path")
+            else:
+                raise ConfigError(f"unknown domain type {self.domain!r}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.eps is not None and not self.eps > 0.0:
             raise ConfigError("eps must be positive")
         if self.eps_grid is not None:
@@ -409,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # the computation, not the files: a mesh too large for the host
+        print(f"out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 3
     except (MeshFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -82,11 +82,13 @@ def stability_indicator(u: np.ndarray, eps: float, a: float, op: DiscreteOperato
     below by -max f'(u), which places the shift of the shift-invert
     eigensolver.  The Jacobian eps*A - diag(m*f'(u)) is never assembled:
     its shifted pencil, positive definite, is filled straight into the
-    operator's cached band layout and factored by band Cholesky.
+    operator's cached band layout and factored by band Cholesky.  Lanczos
+    starts from phi1, the indicator's eigenvector on the constant branch
+    and a close guess near it.
     """
     fp = eval_f_prime_clipped(u, a)
     return restricted_smallest_eigen(bordered(op), -float(fp.max()), scale=eps,
-                                     d=op.lumped_mass * fp)[0]
+                                     d=op.lumped_mass * fp, start=first_eigenpair(op).phi1)[0]
 
 
 def detect_bifurcation(a: float, op: DiscreteOperator, bracket: tuple[float, float],

@@ -34,16 +34,19 @@ LU solve (d given).
 
 One shift-invert Lanczos routine (ARPACK mode 3; Lehoucq, Sorensen & Yang,
 ARPACK Users' Guide, SIAM 1998) returns the k eigenpairs nearest a shift,
-and each caller hands it its inverse and its k: mu1 passes the Poisson
-solve at shift 0 with k = 2, and the stability indicator the solve with
-the shifted pencil below the spectrum with k = 1.  Those shifted pencils
-are positive definite, so they get the band Cholesky, and a failed
-Cholesky says that the shift was not below the spectrum.  Only that
-shift-invert operator needs the mean border [[B, m], [m', 0]]: it is
-closed by the Schur complement s = m'B^{-1}m, x = y - B^{-1}m (m'y)/s with
-y = B^{-1}b, which sends constants to zero and so restricts the spectrum
-to mean-zero fields without any projection; that K is singular exactly
-when s = 0.
+and each caller hands it its inverse, its k and its start vector: mu1
+passes the Poisson solve at shift 0 with k = 2 and a seeded random start,
+and the stability indicator the solve with the shifted pencil below the
+spectrum with k = 1 and a start near the eigenvector.  It runs on the
+symmetric standard form M^{1/2} K^{-1} M^{1/2} of the pencil, M = diag(m),
+so ARPACK makes no products with M, with a basis of 2k + 4 vectors.
+Those shifted pencils are positive definite, so they get the band
+Cholesky, and a failed Cholesky says that the shift was not below the
+spectrum.  Only that shift-invert operator needs the mean border
+[[B, m], [m', 0]]: it is closed by the Schur complement s = m'B^{-1}m,
+x = y - B^{-1}m (m'y)/s with y = B^{-1}b, which sends constants to zero
+and so restricts the spectrum to mean-zero fields without any
+projection; that K is singular exactly when s = 0.
 """
 
 from __future__ import annotations
@@ -199,6 +202,8 @@ class BorderedSystem:
         self.m = np.asarray(m, dtype=float)
         self.n = self.m.shape[0]
         self._band = _band(a_mat)
+        self._held = None  # (scale, d, solve) of the last band LU
+        self.factorizations = 0  # band LUs made so far
         ground = np.zeros(self.n)
         ground[0] = -a_mat.diagonal()[0]  # B = A + A[0, 0]*e0*e0'
         try:
@@ -224,16 +229,28 @@ class BorderedSystem:
         """The solve with the band LU of B = scale*A - diag(d), for any d,
         even an all-zero one: one ``dgbtrs`` call per right-hand side block.
 
+        The last LU is held, keyed on (scale, d) by value, and a call with
+        the same key returns its solve without factoring again.  Any other
+        band factorization drops it first, so at most one LU is alive.
+
         Raises NoConvergenceError when it finds B numerically singular: a
         zero pivot, or min|U_ii| <= n*eps*max|U_ii|.
         """
+        if self._held is not None and self._held[0] == scale \
+                and np.array_equal(self._held[1], d):
+            return self._held[2]
+        self._held = None
         k = self._band.k
-        lu, piv, info = dgbtrf(self._band.lu.fill(scale, d), k, k, overwrite_ab=1)
+        band = self._band.lu.fill(scale, d)
+        self.factorizations += 1
+        lu, piv, info = dgbtrf(band, k, k, overwrite_ab=1)
         pivots = np.abs(lu[2 * k])
         if info > 0 or not pivots.min() > self.n * _EPS * pivots.max():
             raise NoConvergenceError("matrix is singular: zero pivot in band LU")
-        return _band_solve(self._band.order,
-                           lambda rhs: dgbtrs(lu, k, k, rhs, piv, overwrite_b=1)[0])
+        solve = _band_solve(self._band.order,
+                            lambda rhs: dgbtrs(lu, k, k, rhs, piv, overwrite_b=1)[0])
+        self._held = (scale, np.array(d, dtype=float), solve)
+        return solve
 
     def cholesky(self, scale: float, d: np.ndarray | float) -> Solve:
         """The solve with the band Cholesky factor L L' of
@@ -244,6 +261,7 @@ class BorderedSystem:
         Raises NoConvergenceError when ``dpbtrf`` finds B not positive
         definite.
         """
+        self._held = None
         chol, info = dpbtrf(self._band.lower.fill(scale, d), lower=1, overwrite_ab=1)
         if info > 0:
             raise NoConvergenceError("shifted pencil is not positive definite: "
@@ -268,10 +286,11 @@ def solve_projected(system: BorderedSystem, b: np.ndarray, scale: float = 1.0,
     ``system.poisson``, from the factor made once per operator, divided
     by scale.  Its multiplier removes exactly the range-incompatible part
     of b (its plain sum, along the mass vector).  With d given it is the
-    plain solve x = B^{-1} b of B = scale*A - diag(d) with a fresh band LU
-    (``system.factor(scale, d)(b)``), and it raises NoConvergenceError
-    when B is numerically singular.  ``b`` is an (n,) vector or an (n, k)
-    block of right-hand sides sharing the factorization.
+    plain solve x = B^{-1} b of B = scale*A - diag(d) with its band LU
+    (``system.factor(scale, d)(b)``), which is reused while (scale, d)
+    repeats, and it raises NoConvergenceError when B is numerically
+    singular.  ``b`` is an (n,) vector or an (n, k) block of right-hand
+    sides sharing the factorization.
     """
     if d is None:
         return system.poisson(b) / scale
@@ -320,28 +339,34 @@ def _mean_bordered(solve: Solve, m: np.ndarray) -> Solve:
 
 
 def _nearest_eigenpairs(system: BorderedSystem, solve: Solve, shift: float, k: int,
-                        tol: float) -> tuple[np.ndarray, np.ndarray]:
+                        tol: float, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The k eigenpairs of a pencil (B, diag(m)) on the mean-zero subspace
-    nearest to ``shift``, ascending.
+    nearest to ``shift``, ascending, by Lanczos from ``start``.
 
-    Shift-invert Lanczos (ARPACK mode 3) whose inverse ``solve`` applies
-    (B - shift*diag(m))^{-1} restricted to the mean-zero subspace, which is
-    its range; Lanczos in the M inner product returns vectors of weighted
-    norm one.  The start vector is seeded, so repeated calls give identical
-    results.
+    ``solve`` applies K^{-1} = (B - shift*diag(m))^{-1} restricted to the
+    mean-zero subspace, which is its range.  ARPACK mode 3 runs on the
+    symmetric standard form M^{1/2} K^{-1} M^{1/2}, M = diag(m), whose
+    eigenvectors y give the pencil's as x = M^{-1/2} y, of weighted norm
+    one; its basis holds ncv = 2k + 4 vectors.  The start's weighted mean
+    is removed first, and a fixed start gives identical results.
     """
     n, m = system.n, system.m
-    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
-    x = np.random.default_rng(_RNG_SEED).standard_normal(n)
-    v0 = x - weighted_mean(x, m)  # any start in the mean-zero subspace will do
+    root = np.sqrt(m)
+    op_inv = LinearOperator((n, n), matvec=lambda y: root * solve(root * y.reshape(n)),
+                            dtype=float)
     try:
         # mode 3 reads its A argument only for the shape and dtype
-        theta, vecs = eigsh(op_inv, k=k, M=sp.diags(m), sigma=shift, OPinv=op_inv,
-                            v0=v0, tol=tol)
+        theta, vecs = eigsh(op_inv, k=k, sigma=shift, OPinv=op_inv, ncv=min(n, 2 * k + 4),
+                            v0=root * (start - weighted_mean(start, m)), tol=tol)
     except ArpackError as exc:  # non-convergence included
         raise NoConvergenceError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(theta)
-    return theta[order], vecs[:, order]
+    return theta[order], vecs[:, order] / root[:, None]
+
+
+def _seeded_start(n: int) -> np.ndarray:
+    """The deterministic random start of a Lanczos run with no better guess."""
+    return np.random.default_rng(_RNG_SEED).standard_normal(n)
 
 
 def smallest_nonzero_eigen(system: BorderedSystem) -> EigenPair:
@@ -351,7 +376,8 @@ def smallest_nonzero_eigen(system: BorderedSystem) -> EigenPair:
     inverting with the Poisson solve; the second eigenvalue detects a
     (near-)degenerate first eigenvalue.
     """
-    theta, vecs = _nearest_eigenpairs(system, system.poisson, 0.0, 2, MU1_TOL)
+    theta, vecs = _nearest_eigenpairs(system, system.poisson, 0.0, 2, MU1_TOL,
+                                      _seeded_start(system.n))
     mu1, mu2 = float(theta[0]), float(theta[1])
     degenerate = abs(mu2 - mu1) <= 10.0 * MU1_TOL * max(1.0, abs(mu1))
     return EigenPair(mu1=mu1, phi1=vecs[:, 0].copy(), degenerate=degenerate,
@@ -360,9 +386,13 @@ def smallest_nonzero_eigen(system: BorderedSystem) -> EigenPair:
 
 def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
                               scale: float = 1.0,
-                              d: np.ndarray | float = 0.0) -> tuple[float, np.ndarray]:
+                              d: np.ndarray | float = 0.0,
+                              start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Smallest mean-zero-subspace eigenvalue of the symmetric pencil
     (scale*A - diag(d), diag(m)) and its eigenvector, to INDICATOR_TOL.
+
+    Lanczos runs from ``start``, or from the seeded random vector when it
+    is omitted; a start near the eigenvector saves shift-invert solves.
 
     ``lower_bound`` must bound the whole pencil spectrum from below, the
     constant direction included, not only the mean-zero part (for reaction
@@ -383,7 +413,8 @@ def restricted_smallest_eigen(system: BorderedSystem, lower_bound: float,
                                  "the shifted pencil cannot be certified")
     shift = lower_bound - margin
     solve = _mean_bordered(system.cholesky(scale, d + shift * m), m)
-    theta, vecs = _nearest_eigenpairs(system, solve, shift, 1, INDICATOR_TOL)
+    theta, vecs = _nearest_eigenpairs(system, solve, shift, 1, INDICATOR_TOL,
+                                      _seeded_start(system.n) if start is None else start)
     return float(theta[0]), vecs[:, 0].copy()
 
 

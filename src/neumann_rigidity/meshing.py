@@ -139,12 +139,36 @@ def _signed_areas(edges: np.ndarray) -> np.ndarray:
 def _edge_census(triangles: np.ndarray, n: int) -> sp.csr_matrix:
     """The edge census: an (n, n) sparse matrix whose entry (lo, hi), lo < hi,
     counts the triangles on the edge lo-hi.  Building it sums the duplicate
-    entries of the 3t sorted edge pairs, so each stored value is an exact
-    count, and its pattern is the node graph of the triangulation.
+    int32 entries of the 3t sorted edge pairs, gathered into one (3t, 2)
+    array, so each stored value is an exact count, and its pattern is the
+    node graph of the triangulation.
     """
-    pairs = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    lo, hi = np.sort(pairs, axis=1).T
-    return sp.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
+    t = triangles.shape[0]
+    pairs = np.empty((3 * t, 2), dtype=triangles.dtype)
+    for i, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+        pairs[i * t:(i + 1) * t, 0] = triangles[:, a]
+        pairs[i * t:(i + 1) * t, 1] = triangles[:, b]
+    pairs.sort(axis=1)
+    return sp.csr_matrix((np.ones(3 * t, dtype=np.int32), (pairs[:, 0], pairs[:, 1])),
+                         shape=(n, n))
+
+
+def check_rectangle_args(nx: int, ny: int, lx: float, ly: float) -> None:
+    """Raise ValueError unless ``build_rectangle_mesh`` accepts these arguments."""
+    if nx < 2 or ny < 2:
+        raise ValueError("nx and ny must both be at least 2")
+    if (nx + 1) * (ny + 1) > MAX_NODES:
+        raise ValueError(f"(nx+1)*(ny+1) must not exceed {MAX_NODES} nodes")
+    if not (lx > 0.0 and ly > 0.0):
+        raise ValueError("side lengths must be positive")
+
+
+def check_disk_args(refinement: int, radius: float) -> None:
+    """Raise ValueError unless ``build_disk_mesh`` accepts these arguments."""
+    if not 1 <= refinement <= MAX_DISK_REFINEMENT:
+        raise ValueError(f"refinement must lie in [1, {MAX_DISK_REFINEMENT}]")
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
 
 
 def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
@@ -160,12 +184,7 @@ def build_rectangle_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     lx, ly : float
         Side lengths, positive.
     """
-    if nx < 2 or ny < 2:
-        raise ValueError("nx and ny must both be at least 2")
-    if (nx + 1) * (ny + 1) > MAX_NODES:
-        raise ValueError(f"(nx+1)*(ny+1) must not exceed {MAX_NODES} nodes")
-    if not (lx > 0.0 and ly > 0.0):
-        raise ValueError("side lengths must be positive")
+    check_rectangle_args(nx, ny, lx, ly)
 
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
@@ -214,10 +233,7 @@ def build_disk_mesh(refinement: int, radius: float = 1.0) -> Mesh:
     radius : float
         Disk radius, positive.
     """
-    if not 1 <= refinement <= MAX_DISK_REFINEMENT:
-        raise ValueError(f"refinement must lie in [1, {MAX_DISK_REFINEMENT}]")
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
+    check_disk_args(refinement, radius)
 
     def node(j, p):  # node p of ring j, counted round the ring
         return 1 + 3 * j * (j - 1) + p % (6 * j)

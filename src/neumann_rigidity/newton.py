@@ -12,9 +12,11 @@ check suite on one, and ``multi_start`` runs it on each distinct state it
 reports.
 
 The Newton direction is -J^{-1} r with the symmetric Jacobian
-J = eps*A - diag(m*f'(u)): one band LU of J per iteration, in the
-operator's cached band order (``linsolve.bordered``), and one solve with
-it.  A numerically singular J raises SingularJacobianError.
+J = eps*A - diag(m*f'(u)): a band LU of J in the operator's cached band
+order (``linsolve.bordered``), and one solve with it per iteration.  While
+the iteration contracts, the LU of the last fresh Jacobian is held and
+reused (a chord step; Kelley, Solving Nonlinear Equations with Newton's
+Method, SIAM 2003).  A numerically singular J raises SingularJacobianError.
 """
 
 from __future__ import annotations
@@ -42,13 +44,15 @@ DAMPING = 0.5        # line-search backtracking factor
 MIN_ALPHA = 1e-8     # line-search step underflow
 STALL_WINDOW = 10    # give up when this many iterations shrink the residual
 STALL_FACTOR = 0.3   # by less than this factor
+CONTRACTION = 0.1    # a full step that cuts the residual this much keeps its factor
 
 
 @dataclass(frozen=True)
 class SolutionRecord:
     """A converged steady state with its mass-weighted ``mean`` and its sup
     fluctuation ``max|u - mean|``, which ``classify`` sets to 0.0 for a
-    constant state; the check report is None until ``attach_diagnostics``
+    constant state; ``factorizations`` counts the band LUs its Newton
+    iteration made.  The check report is None until ``attach_diagnostics``
     fills it in."""
 
     u: np.ndarray
@@ -57,6 +61,7 @@ class SolutionRecord:
     newton_iters: int
     mean: float
     sup_fluct: float
+    factorizations: int = 0
     diagnostics: DiagnosticsReport | None = None
 
     @property
@@ -97,11 +102,15 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> 
     ``diagnostics.default_tol(op)``; raises on failure.
 
     Backtracks alpha in {1, 1/2, 1/4, ...} until the mass-weighted residual
-    norm strictly decreases; raises NoConvergenceError on a start whose
-    residual norm is not finite, on the iteration cap or on step underflow,
-    and SingularJacobianError when the linear step is not solvable (typical
-    right at a bifurcation point).  A non-finite ``eps``, ``a`` or start
-    raises ValueError, and a NaN residual norm never counts as converged.
+    norm strictly decreases.  After a full step (alpha = 1) that cut the
+    norm by CONTRACTION or more, the next step reuses the Jacobian factor
+    of the last fresh step; it is accepted if it lowers the norm, and
+    otherwise discarded for a fresh damped step.  Raises
+    NoConvergenceError on a start whose residual norm is not finite, on
+    the iteration cap or on step underflow, and SingularJacobianError when
+    the linear step is not solvable (typical right at a bifurcation point).
+    A non-finite ``eps``, ``a`` or start raises ValueError, and a NaN
+    residual norm never counts as converged.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
@@ -115,6 +124,7 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> 
         raise ValueError("start vector length does not match the operator")
     if not np.all(np.isfinite(u)):
         raise ValueError("start vector has non-finite entries")
+    made = bordered(op).factorizations
     # huge states overflow the reaction and eps*A*u; the norms below are
     # checked for that explicitly, so numpy's warnings would be noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,6 +134,7 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> 
             raise NoConvergenceError(f"start residual {rnorm:.3e} is not finite")
         history = [rnorm]
         iters = 0
+        held = None  # the state whose Jacobian factor the next step reuses
         while not rnorm <= tol:
             if iters >= MAX_ITER:
                 raise NoConvergenceError(
@@ -133,7 +144,8 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> 
                 raise NoConvergenceError(
                     f"Newton stalled near residual {rnorm:.3e} after {iters} iterations"
                 )
-            delta = _newton_step(u, r, eps, a, op)
+            at = u if held is None else held
+            delta = _newton_step(at, r, eps, a, op)
 
             alpha = 1.0
             while True:
@@ -141,19 +153,25 @@ def newton_solve(u0: np.ndarray, eps: float, a: float, op: DiscreteOperator) -> 
                 r_trial = residual(trial, eps, a, op)
                 rnorm_trial = dual_norm(r_trial, m)
                 if rnorm_trial < rnorm:
-                    u, r, rnorm = trial, r_trial, rnorm_trial
                     break
+                if at is not u:  # the held factor failed: take a fresh step
+                    at = u
+                    delta = _newton_step(u, r, eps, a, op)
+                    continue
                 alpha *= DAMPING
                 if alpha < MIN_ALPHA:
                     raise NoConvergenceError(
                         f"line search underflow at residual {rnorm:.3e}"
                     )
+            held = at if alpha == 1.0 and rnorm_trial <= CONTRACTION * rnorm else None
+            u, r, rnorm = trial, r_trial, rnorm_trial
             history.append(rnorm)
             iters += 1
 
     mean, sup_fluct = classify(u, m)
     return SolutionRecord(u=u, epsilon=eps, residual_norm=rnorm, newton_iters=iters,
-                          mean=mean, sup_fluct=sup_fluct)
+                          mean=mean, sup_fluct=sup_fluct,
+                          factorizations=bordered(op).factorizations - made)
 
 
 def attach_diagnostics(record: SolutionRecord, a: float, q: float,

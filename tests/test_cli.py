@@ -89,8 +89,32 @@ class TestConfig:
             assert main(argv + (["--start", "const:0.5"] if command == "solve" else [])) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, build", [
+        ({"nx": 1}, lambda: build_rectangle_mesh(1, 20, 1.0, 1.0)),
+        ({"nx": 887, "ny": 888}, lambda: build_rectangle_mesh(887, 888, 1.0, 1.0)),
+        ({"ly": 0.0}, lambda: build_rectangle_mesh(20, 20, 1.0, 0.0)),
+        ({"domain": "disk", "radius": 1.0, "refinement": 0}, lambda: build_disk_mesh(0, 1.0)),
+        ({"domain": "disk", "radius": -1.0, "refinement": 2}, lambda: build_disk_mesh(2, -1.0)),
+    ], ids=["nx", "node_budget", "side", "refinement", "radius"])
+    def test_mesh_arguments_checked_by_the_builder_rule(self, tmp_path, bad, build):
+        # the config refuses exactly what the mesh builder refuses, in its words
+        with pytest.raises(ValueError) as built:
+            build()
+        with pytest.raises(ConfigError) as loaded:
+            load_config(make_config(tmp_path, **bad))
+        assert str(loaded.value) == str(built.value)
+
 
 class TestExitCodes:
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(mesh):
+            raise MemoryError("Unable to allocate 16.8 GiB for an array")
+
+        monkeypatch.setattr(cli, "assemble", exhausted)
+        assert main(["eigen", "--config", str(make_config(tmp_path))]) == 3
+        assert capsys.readouterr().err == (
+            "out of memory: Unable to allocate 16.8 GiB for an array\n")
+
     @pytest.mark.parametrize("error", NumericalError.__subclasses__(),
                              ids=lambda cls: cls.__name__)
     def test_numerical_errors_exit_3(self, tmp_path, capsys, monkeypatch, error):
@@ -265,8 +289,8 @@ class TestSolveCommand:
         assert payload["classification"] == "constant"
         assert abs(payload["mean"]) < 1e-8
         assert "diagnostics" in payload
-        assert set(payload) == {"epsilon", "residual_norm", "newton_iters", "classification",
-                                "mean", "sup_fluct", "diagnostics", "start"}
+        assert set(payload) == {"epsilon", "residual_norm", "newton_iters", "factorizations",
+                                "classification", "mean", "sup_fluct", "diagnostics", "start"}
 
     def test_xi_start(self, tmp_path):
         cfg = make_config(tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import cholesky, eigvalsh, null_space, solve_triangular
 
 import neumann_rigidity.continuation as continuation
+import neumann_rigidity.linsolve as linsolve
 import neumann_rigidity.newton as newton
 from neumann_rigidity import (
     bifurcation_epsilon,
@@ -32,6 +33,17 @@ from neumann_rigidity.newton import switch_directions
 A = 2.0
 XI = find_xi(A)
 FP_XI = eval_f_prime(XI, A)
+
+
+def _dense_indicator(op, u, eps):
+    """Smallest eigenvalue of Q'JQ, where J = eps*A - diag(m*f'(u)) and the
+    columns of Q are an M-orthonormal basis of {v : m'v = 0}."""
+    m = op.lumped_mass
+    basis = null_space(m[None, :])
+    chol = cholesky(basis.T @ (m[:, None] * basis), lower=True)
+    q = solve_triangular(chol, basis.T, lower=True).T
+    jac = eps * op.stiffness.toarray() - np.diag(m * (np.exp(u) - A))
+    return eigvalsh(q.T @ jac @ q, subset_by_index=[0, 0])[0]
 
 
 class TestStabilityIndicator:
@@ -65,13 +77,46 @@ class TestStabilityIndicator:
         point = continue_branch(rec, [0.9 * eps_star], A, square16)[-1]
         u, eps = point.solution.u, point.solution.epsilon
         assert eps == 0.9 * eps_star and point.solution.sup_fluct > 0.1
-        m = square16.lumped_mass
-        basis = null_space(m[None, :])
-        chol = cholesky(basis.T @ (m[:, None] * basis), lower=True)
-        q = solve_triangular(chol, basis.T, lower=True).T
-        jac = eps * square16.stiffness.toarray() - np.diag(m * (np.exp(u) - A))
-        dense = eigvalsh(q.T @ jac @ q)[0]
+        dense = _dense_indicator(square16, u, eps)
         assert point.stability_indicator == pytest.approx(dense, rel=1e-8)
+
+    @pytest.mark.parametrize("mesh", ["square16", "square20"])
+    def test_phi1_start_on_constant_branch(self, request, mesh):
+        # Lanczos starts from phi1, the exact eigenvector here, across the
+        # bifurcate bracket (0.10, 0.20); the identity and the dense pencil agree
+        op = request.getfixturevalue(mesh)
+        mu1 = first_eigenpair(op).mu1
+        u = np.full(op.n, XI)
+        for eps in np.linspace(0.10, 0.20, 6):
+            lam = stability_indicator(u, eps, A, op)
+            assert abs(lam - _dense_indicator(op, u, eps)) <= 1e-8
+            assert abs(lam - (eps * mu1 - FP_XI)) <= 1e-8
+
+    @pytest.mark.parametrize("mesh", ["square16", "square20"])
+    def test_phi1_start_at_branch_points(self, request, mesh):
+        # off the constant branch phi1 is only a guess of the eigenvector
+        op = request.getfixturevalue(mesh)
+        report = build_bifurcation_report(A, op, (0.10, 0.20))
+        points = report.branch + report.upward_branch
+        assert any(p.solution.sup_fluct > 0.1 for p in points)
+        for p in points:
+            dense = _dense_indicator(op, p.solution.u, p.solution.epsilon)
+            assert abs(p.stability_indicator - dense) <= 1e-8 * max(1.0, abs(dense))
+
+    def test_constant_state_takes_few_solves(self, square20, monkeypatch):
+        # from phi1 the constant-state indicator needs at most 8 shift-invert
+        # solves (the border's solve with m included), against 22 from a random start
+        first_eigenpair(square20)  # mu1's Poisson solves are made before counting
+        solves = []
+
+        def counting_dpbtrs(chol, rhs, **kwargs):
+            solves.append(rhs.shape[1])
+            return linsolve_dpbtrs(chol, rhs, **kwargs)
+
+        linsolve_dpbtrs = linsolve.dpbtrs
+        monkeypatch.setattr(linsolve, "dpbtrs", counting_dpbtrs)
+        stability_indicator(np.full(square20.n, XI), 0.12, A, square20)
+        assert 0 < len(solves) <= 8 and set(solves) == {1}
 
 
 class TestDetectBifurcation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg.lapack import dgbtrf, dpbtrf
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -267,7 +267,31 @@ class TestBorderedSystem:
         stability_indicator(np.full(square20.n, xi), 0.12, 2.0, square20)
         assert calls == {"dpbtrf": 1, "dgbtrf": 0}
         record = newton_solve(np.full(square20.n, 0.9 * xi), 0.12, 2.0, square20)
-        assert calls == {"dpbtrf": 1, "dgbtrf": record.newton_iters}
+        assert record.factorizations < record.newton_iters  # the held factor was reused
+        assert calls == {"dpbtrf": 1, "dgbtrf": record.factorizations}
+
+    def test_factor_holds_one_lu_keyed_by_value(self, square20, monkeypatch):
+        # the last LU is reused for an equal (scale, d); any other band
+        # factorization, a Cholesky included, drops it first
+        system = bordered(square20)
+        d, other = _reaction_diagonals(square20)
+        system.cholesky(0.3, other)  # drop whatever an earlier test left held
+        calls = []
+
+        def counting_dgbtrf(*args, **kwargs):
+            calls.append(1)
+            return dgbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(linsolve, "dgbtrf", counting_dgbtrf)
+        made = system.factorizations
+        solve = system.factor(0.3, d)
+        assert system.factor(0.3, d.copy()) is solve and len(calls) == 1
+        system.factor(0.3, other)
+        system.factor(0.3, d)
+        assert len(calls) == 3
+        system.cholesky(0.3, other)
+        system.factor(0.3, d)
+        assert len(calls) == 4 and system.factorizations - made == 4
 
     def test_band_order_ignores_node_numbering(self, square20, shuffled20):
         # reverse Cuthill-McKee finds the grid's band whatever the numbering;

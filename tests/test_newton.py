@@ -128,6 +128,29 @@ class TestNewtonStep:
         assert columns == [1] * rec.newton_iters
 
 
+class TestHeldFactor:
+    @pytest.mark.parametrize("eps", [0.08, 0.12, 0.3])
+    def test_census_matches_fresh_factor_every_iteration(self, square20, monkeypatch, eps):
+        # CONTRACTION = 0 never holds a factor: one fresh LU per iteration
+        held = multi_start(eps, A, square20, 50, seed=0)
+        monkeypatch.setattr(newton, "CONTRACTION", 0.0)
+        fresh = multi_start(eps, A, square20, 50, seed=0)
+        assert [r.converged for r in held.runs] == [r.converged for r in fresh.runs]
+        assert held.n_distinct == fresh.n_distinct
+        for h, f in zip(held.distinct, fresh.distinct):
+            assert np.abs(h.u - f.u).max() <= 1e-8
+
+    def test_factorizations_count_band_lus(self, square20, monkeypatch):
+        x = square20.mesh.nodes[:, 0]
+        u0 = XI + 0.5 * np.cos(np.pi * x)
+        rec = newton_solve(u0, 0.14, A, square20)
+        assert 0 < rec.factorizations < rec.newton_iters
+        monkeypatch.setattr(newton, "CONTRACTION", 0.0)
+        fresh = newton_solve(u0, 0.14, A, square20)
+        assert fresh.factorizations == fresh.newton_iters
+        assert np.abs(fresh.u - rec.u).max() <= 1e-8
+
+
 class TestNewtonSolve:
     def test_converges_to_xi(self, square20):
         rec = newton_solve(np.full(square20.n, 0.9 * XI), 1.0, A, square20)
