@@ -38,7 +38,6 @@ from .linsolve import (
     bordered,
     dual_norm,
     first_eigenpair,
-    mass_norm,
     project_mean_zero,
     smallest_nonzero_eigen,
     solve_projected,

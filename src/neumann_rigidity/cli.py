@@ -1,14 +1,17 @@
 """Command-line front end: configuration loading, the experiment verbs
 (constants, eigen, solve, sweep, bifurcate, check) and their file outputs.
 
-``COMMANDS`` defines each verb once: its function, the config keys it needs
-and its help line.  ``main`` loads the config, refuses a missing key, builds
-the operator and calls the function.  Exit codes: 0 success, 2
-configuration/validation (``ConfigError``), 3 numerical failure (any
-``NumericalError``) or memory exhausted (``MemoryError``), 4
-input/output.  All commands are deterministic given the config, whose
-``seed`` and ``threads`` keys set the noise seed and the sweep's worker
-count.
+``COMMANDS`` defines each verb whole: its function, the config keys it needs,
+its help line and its own required option (``solve``'s ``--start``,
+``check``'s ``--field``).  ``main`` loads the config, refuses a missing key,
+builds the operator and calls the function, which returns nothing; ``main``
+alone sets the exit status.  Exit codes: 0 success, 2
+configuration/validation (``ConfigError``, also for a mesh built from the
+config that fails the mesh checks), 3 numerical failure (any
+``NumericalError``) or memory exhausted (``MemoryError``), 4 input/output (a
+file that cannot be read or breaks its format).  All commands are
+deterministic given the config, whose ``seed`` and ``threads`` keys set the
+noise seed and the sweep's worker count.
 """
 
 from __future__ import annotations
@@ -159,13 +162,14 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_operator(cfg: ExperimentConfig) -> DiscreteOperator:
-    if cfg.domain == "rectangle":
-        mesh = build_rectangle_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
-    elif cfg.domain == "disk":
-        mesh = build_disk_mesh(cfg.refinement, cfg.radius)
-    else:
-        mesh = read_mesh(cfg.mesh_path)
-    return assemble(mesh)
+    if cfg.domain == "mesh_file":
+        return assemble(read_mesh(cfg.mesh_path))
+    try:  # no file was read: a mesh built from the config fails as the config
+        if cfg.domain == "rectangle":
+            return assemble(build_rectangle_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly))
+        return assemble(build_disk_mesh(cfg.refinement, cfg.radius))
+    except MeshFormatError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows) -> None:
@@ -188,7 +192,7 @@ def _emit_json(payload: dict, out_dir: Path | None, name: str) -> None:
 
 
 def cmd_constants(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
-                  args: argparse.Namespace) -> int:
+                  args: argparse.Namespace) -> None:
     pair = first_eigenpair(op)
     m_values = cfg.m_values or []
     payload = {
@@ -200,11 +204,10 @@ def cmd_constants(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | N
         "threshold_of_m": {str(m): rigidity_threshold(m, cfg.a, pair.mu1) for m in m_values},
     }
     _emit_json(payload, out_dir, "constants.json")
-    return 0
 
 
 def cmd_eigen(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
-              args: argparse.Namespace) -> int:
+              args: argparse.Namespace) -> None:
     pair = first_eigenpair(op)
     payload = {
         "mu1": pair.mu1,
@@ -217,7 +220,6 @@ def cmd_eigen(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
     _emit_json(payload, out_dir, "eigen.json")
     if out_dir is not None:
         write_field(out_dir / "eigen_phi1.field", pair.phi1, epsilon=0.0, a=cfg.a)
-    return 0
 
 
 def _finite_start_value(spec: str, arg: str, kind: str) -> float:
@@ -258,7 +260,7 @@ def _start_state(spec: str, cfg: ExperimentConfig, op: DiscreteOperator) -> np.n
 
 
 def cmd_solve(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
-              args: argparse.Namespace) -> int:
+              args: argparse.Namespace) -> None:
     u0 = _start_state(args.start, cfg, op)
     rec = newton_solve(u0, cfg.eps, cfg.a, op)
     rec = attach_diagnostics(rec, cfg.a, cfg.q, op)
@@ -267,7 +269,6 @@ def cmd_solve(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
     _emit_json(payload, out_dir, "solution.json")
     if out_dir is not None:
         write_field(out_dir / "solution.field", rec.u, epsilon=cfg.eps, a=cfg.a)
-    return 0
 
 
 # the MultiStartResult attributes of a sweep row: the sweep.csv columns and
@@ -276,7 +277,7 @@ SWEEP_COLUMNS = ("epsilon", "n_distinct", "any_nonconstant", "n_failed")
 
 
 def cmd_sweep(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
-              args: argparse.Namespace) -> int:
+              args: argparse.Namespace) -> None:
     pair = first_eigenpair(op)
     result = rigidity_sweep(cfg.eps_grid, cfg.a, op, cfg.n_starts, cfg.seed, q=cfg.q,
                             threads=cfg.threads)
@@ -310,11 +311,10 @@ def cmd_sweep(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
                     for row in result.rows
                     for rec in row.distinct
                     for d in [rec.diagnostics]))
-    return 0
 
 
 def cmd_bifurcate(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
-                  args: argparse.Namespace) -> int:
+                  args: argparse.Namespace) -> None:
     report = build_bifurcation_report(
         cfg.a, op, (cfg.bracket_lo, cfg.bracket_hi), tol=cfg.bif_tol)
     # the fields are read, not copied: asdict would deep-copy the branch states
@@ -334,11 +334,10 @@ def cmd_bifurcate(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | N
                     for direction, points in (("down", report.branch),
                                               ("up", report.upward_branch))
                     for bp in points))
-    return 0
 
 
 def cmd_check(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
-              args: argparse.Namespace) -> int:
+              args: argparse.Namespace) -> None:
     values, eps, a = read_field(args.field)
     if values.shape[0] != op.n:
         raise MeshFormatError(
@@ -355,18 +354,21 @@ def cmd_check(cfg: ExperimentConfig, op: DiscreteOperator, out_dir: Path | None,
     report = run_diagnostics(values, eps, a, cfg.q, op, first_eigenpair(op).mu1)
     payload = {"field": str(args.field), "epsilon": eps, "a": a, **asdict(report)}
     _emit_json(payload, out_dir, "check.json")
-    return 0
 
 
-# name -> (function, config keys it needs, help line)
+# name -> (function, config keys it needs, help line, the verb's own
+# required option as (flag, help) or None)
 COMMANDS = {
-    "constants": (cmd_constants, (), "print the constant chain, mu1 and the linear threshold"),
-    "eigen": (cmd_eigen, (), "compute the first nonzero no-flux eigenpair"),
-    "solve": (cmd_solve, ("eps",), "run one Newton solve from a start state"),
-    "sweep": (cmd_sweep, ("eps_grid",), "multi-start rigidity sweep over eps_grid"),
+    "constants": (cmd_constants, (), "print the constant chain, mu1 and the linear threshold",
+                  None),
+    "eigen": (cmd_eigen, (), "compute the first nonzero no-flux eigenpair", None),
+    "solve": (cmd_solve, ("eps",), "run one Newton solve from a start state",
+              ("--start", "start state: const:<v>|const:xi|const:log_a|eig:<amp>|noise:<seed>")),
+    "sweep": (cmd_sweep, ("eps_grid",), "multi-start rigidity sweep over eps_grid", None),
     "bifurcate": (cmd_bifurcate, ("bracket_lo", "bracket_hi"),
-                  "detect the primary bifurcation and trace the branch"),
-    "check": (cmd_check, (), "run the diagnostics suite on a stored field"),
+                  "detect the primary bifurcation and trace the branch", None),
+    "check": (cmd_check, (), "run the diagnostics suite on a stored field",
+              ("--field", "path to the field file")),
 }
 
 
@@ -377,21 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "with no-flux boundary conditions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, helptext) in COMMANDS.items():
+    for name, (_, _, helptext, option) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", type=Path, default=None, help="output directory (created)")
-        if name == "solve":
-            p.add_argument("--start", required=True,
-                           help="start state: const:<v>|const:xi|const:log_a|eig:<amp>|noise:<seed>")
-        if name == "check":
-            p.add_argument("--field", required=True, help="path to the field file")
+        if option is not None:
+            p.add_argument(option[0], required=True, help=option[1])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    command, needs, _ = COMMANDS[args.command]
+    command, needs, _, _ = COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         missing = [key for key in needs if getattr(cfg, key) is None]
@@ -399,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{args.command} needs {' and '.join(missing)} in the config")
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
-        return command(cfg, build_operator(cfg), args.out, args)
+        command(cfg, build_operator(cfg), args.out, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -412,6 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MeshFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Every solver failure subclasses ``NumericalError``; the command line maps
 that one base to exit code 3, ``ConfigError`` to 2 and ``MeshFormatError``
-to 4.
+to 4, except for a mesh built from the config, whose ``MeshFormatError`` it
+reports as a ``ConfigError``.
 """
 
 

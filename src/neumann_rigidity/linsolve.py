@@ -74,12 +74,6 @@ def weighted_mean(u: np.ndarray, m: np.ndarray) -> float:
     return float(np.dot(m, u) / m.sum())
 
 
-def mass_norm(v: np.ndarray, m: np.ndarray) -> float:
-    """Quadrature-weighted L2 norm sqrt(sum(m*v**2)); overflows to +inf."""
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.dot(m, v * v)))
-
-
 def dual_norm(r: np.ndarray, m: np.ndarray) -> float:
     """Mass-weighted norm sqrt(sum(r**2/m)) of a load-type vector.
 

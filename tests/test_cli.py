@@ -33,6 +33,21 @@ def _reject(constant):
     raise ValueError(f"non-standard JSON constant {constant}")
 
 
+def _count_calls(monkeypatch, module, calls: dict) -> None:
+    """Replace each function that ``calls`` names on ``module`` by a wrapper
+    that counts its calls in ``calls``."""
+    def counted(name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(module, name, counted(name))
+
+
 def make_config(tmp_path, **overrides):
     data = {
         "a": 2.0, "q": 4.0,
@@ -146,6 +161,59 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("eigen", {"lx": 1e-170, "ly": 1e-170, "nx": 4, "ny": 4},
+         "triangulation contains inverted or flat triangles"),
+        ("eigen", {"lx": 1e200, "ly": 1e200, "nx": 4, "ny": 4},
+         "triangle areas overflow: node coordinates are too large"),
+        ("eigen", {"lx": 1e300, "ly": 1e300, "nx": 8, "ny": 8},
+         "triangle areas overflow: node coordinates are too large"),
+        ("eigen", {"lx": 1.2e-161, "ly": 1.2e-161, "nx": 4, "ny": 4},
+         "lumped mass has nonpositive entries"),
+        ("eigen", {"domain": "disk", "radius": 1e-200, "refinement": 2},
+         "triangulation contains inverted or flat triangles"),
+        ("constants", {"domain": "disk", "radius": 1e300, "refinement": 2},
+         "triangle areas overflow: node coordinates are too large"),
+    ], ids=["rectangle_flat", "rectangle_overflow", "rectangle_overflow_8x8",
+            "rectangle_mass_underflow", "disk_flat", "disk_overflow"])
+    def test_config_mesh_failing_its_checks_exits_2(self, tmp_path, capsys, command,
+                                                    overrides, message):
+        # the config's numbers made the mesh and no file was read: the mesh
+        # checks' message, as a configuration error
+        cfg = make_config(tmp_path, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_mesh_file_with_flat_triangle_exits_4(self, tmp_path, capsys):
+        mesh_path = tmp_path / "flat.mesh"
+        mesh_path.write_text("nodes 3\n0 0\n1 0\n2 0\ntriangles 1\n0 1 2\n")
+        cfg = make_config(tmp_path, domain="mesh_file", mesh_path=str(mesh_path))
+        assert main(["eigen", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "i/o error: triangulation contains inverted or flat triangles\n")
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_verb_takes_exactly_its_table_option(self, name):
+        parser = cli.build_parser()
+        option = cli.COMMANDS[name][3]
+        own = [option[0]] if option else []
+        assert own == {"solve": ["--start"], "check": ["--field"]}.get(name, [])
+        argv = [name, "--config", "c.json"] + [arg for flag in own for arg in (flag, "x")]
+        args = parser.parse_args(argv)
+        assert all(getattr(args, flag[2:]) == "x" for flag in own)
+        refused = [argv + [flag, "x"] for flag in ("--start", "--field") if flag not in own]
+        if own:  # a verb's own option is required
+            refused.append(argv[:3])
+        for bad in refused:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(bad)
+            assert exc.value.code == 2
+
+
 class TestConstantsCommand:
     def test_json_payload(self, tmp_path, capsys):
         cfg = make_config(tmp_path)
@@ -225,19 +293,6 @@ class TestEigenCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("i/o error:")
 
-    @pytest.mark.parametrize("command, overrides", [
-        ("constants", {"domain": "disk", "radius": 1e300, "refinement": 2}),
-        ("eigen", {"lx": 1e300, "ly": 1e300, "nx": 8, "ny": 8}),
-    ], ids=["disk", "rectangle"])
-    def test_overflowing_triangulation_exits_4(self, tmp_path, capsys, command, overrides):
-        # finite coordinates whose triangle areas overflow to inf or NaN
-        cfg = make_config(tmp_path, **overrides)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command, "--config", str(cfg)]) == 4
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "triangle areas overflow" in err[0]
-
     @pytest.mark.parametrize("command", ["constants", "eigen"])
     def test_overflowing_poisson_solve_exits_3(self, tmp_path, capsys, command):
         # areas near 1e298 pass the mesh check, but the mass-weighted mean of
@@ -259,19 +314,17 @@ class TestEigenCommand:
             "mesh_file": {"domain": "mesh_file", "mesh_path": str(mesh_path)},
         }[domain]
         calls = {"_edge_census": 0, "connected_components": 0}
-
-        def counted(name):
-            original = getattr(meshing, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(meshing, name, counted(name))
+        _count_calls(monkeypatch, meshing, calls)
         assert main(["eigen", "--config", str(make_config(tmp_path, **overrides))]) == 0
         assert calls == {"_edge_census": 1, "connected_components": 1}
+
+    def test_mesh_layer_called_through_cli_names(self, tmp_path, monkeypatch):
+        # the benchmark tracer wraps cli.build_rectangle_mesh and cli.assemble
+        # by attribute; a builder held anywhere else would escape it
+        calls = {"build_rectangle_mesh": 0, "assemble": 0}
+        _count_calls(monkeypatch, cli, calls)
+        assert main(["eigen", "--config", str(make_config(tmp_path, nx=4, ny=4))]) == 0
+        assert calls == {"build_rectangle_mesh": 1, "assemble": 1}
 
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys):
         cfg = make_config(tmp_path, nx="4")

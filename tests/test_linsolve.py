@@ -17,7 +17,6 @@ from neumann_rigidity import (
     build_rectangle_mesh,
     find_xi,
     first_eigenpair,
-    mass_norm,
     multi_start,
     newton_solve,
     project_mean_zero,
@@ -362,7 +361,7 @@ class TestSmallestNonzeroEigen:
         pair = first_eigenpair(square32)
         m = square32.lumped_mass
         assert abs(np.dot(m, pair.phi1)) <= 1e-10 * m.sum()
-        assert mass_norm(pair.phi1, m) == pytest.approx(1.0, rel=1e-12)
+        assert np.sqrt(np.sum(m * pair.phi1**2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_rayleigh_identity(self, square32):
         pair = first_eigenpair(square32)
@@ -453,6 +452,3 @@ class TestRestrictedSmallestEigen:
 class TestNorms:
     def test_weighted_mean_examples(self):
         assert weighted_mean(np.array([0.0, 2.0]), np.array([1.0, 3.0])) == 1.5
-
-    def test_mass_norm(self):
-        assert mass_norm(np.array([3.0, 4.0]), np.array([1.0, 1.0])) == 5.0
