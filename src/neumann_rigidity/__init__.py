@@ -29,6 +29,7 @@ from .diagnostics import (
     check_poincare,
     check_representation,
     check_zero_average,
+    classify,
     estimate_green_constants,
     run_diagnostics,
 )
@@ -68,7 +69,6 @@ from .newton import (
     MultiStartResult,
     SolutionRecord,
     attach_diagnostics,
-    classify,
     jacobian,
     multi_start,
     newton_solve,

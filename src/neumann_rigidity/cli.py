@@ -396,9 +396,10 @@ def main(argv: list[str] | None = None) -> int:
         missing = [key for key in needs if getattr(cfg, key) is None]
         if missing:
             raise ConfigError(f"{args.command} needs {' and '.join(missing)} in the config")
+        op = build_operator(cfg)  # before the output directory: a refused mesh leaves none
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
-        command(cfg, build_operator(cfg), args.out, args)
+        command(cfg, op, args.out, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,8 @@ LU solve (d given).
 One shift-invert Lanczos routine (ARPACK mode 3; Lehoucq, Sorensen & Yang,
 ARPACK Users' Guide, SIAM 1998) returns the k eigenpairs nearest a shift,
 and each caller hands it its inverse, its k and its start vector: mu1
-passes the Poisson solve at shift 0 with k = 2 and a seeded random start,
+passes the Poisson solve times a power of two near 1/max(m) at shift 0
+with k = 2 and a seeded random start,
 and the stability indicator the solve with the shifted pencil below the
 spectrum with k = 1 and a start near the eigenvector.  It runs on the
 symmetric standard form M^{1/2} K^{-1} M^{1/2} of the pencil, M = diag(m),
@@ -188,13 +189,17 @@ class BorderedSystem:
     diagonal d fills a band array in the same order: ``factor`` returns
     the solve with LAPACK's band LU ``dgbtrf`` of an indefinite B,
     ``cholesky`` the solve with the band Cholesky ``dpbtrf`` of a positive
-    definite one.  Each solve is a function b -> x.
+    definite one.  Each solve is a function b -> x.  ``unit``, the power
+    of two 2**-e with e the binary exponent of max(m), scales the masses
+    in ``poisson`` and the Poisson solve in ``smallest_nonzero_eigen`` to
+    order one at any mesh size.
     """
 
     def __init__(self, a_mat: sp.spmatrix, m: np.ndarray):
         self.a_mat = a_mat
         self.m = np.asarray(m, dtype=float)
         self.n = self.m.shape[0]
+        self.unit = 2.0 ** -int(np.frexp(self.m.max())[1])  # a power of two near 1/max(m)
         self._band = _band(a_mat)
         self._held = None  # (scale, d, solve) of the last band LU
         self.factorizations = 0  # band LUs made so far
@@ -212,9 +217,15 @@ class BorderedSystem:
         solves A x = b - lam*m with the Cholesky factor of
         A + A[0, 0]*e0*e0' and removes the weighted mean of x, which gives
         the field part of K^{-1} [b; 0] for K = [[A, m], [m', 0]].
+
+        Both mass-weighted steps use the masses times ``unit``, of order one
+        on a mesh of any size, so their sums and dot products overflow only
+        when the result does.  A power of two scales exactly: lam*m and the
+        mean are bitwise those of the unscaled masses wherever those are
+        finite.
         """
         b = np.asarray(b, dtype=float)
-        m = self.m
+        m = self.unit * self.m
         with np.errstate(over="ignore", invalid="ignore"):  # _finite reports overflow
             x = self._grounded(b - np.multiply.outer(m, b.sum(axis=0) / m.sum()))
             return _finite(x - np.dot(m, x) / m.sum())
@@ -296,7 +307,8 @@ class EigenPair:
     """First nonzero eigenvalue of the no-flux operator with its mode.
 
     ``phi1`` has weighted mean zero and weighted norm one.  ``degenerate``
-    flags a second eigenvalue within 10*MU1_TOL of mu1 (disks carry an exactly
+    flags a second eigenvalue within 10*MU1_TOL*mu1 of mu1, a relative gap,
+    so a scaled domain keeps its flag (disks carry an exactly
     degenerate first pair; on structured square meshes the diagonal split
     direction separates the pair by O(h**2), so the flag stays off there);
     ``mu2``/``phi2`` are the second eigenpair, kept because branch switching
@@ -367,13 +379,21 @@ def smallest_nonzero_eigen(system: BorderedSystem) -> EigenPair:
     """First nonzero eigenvalue mu1 of A x = mu * m x with A psd, A 1 = 0.
 
     Shift-invert Lanczos at shift 0 on the mean-zero subspace, to MU1_TOL,
-    inverting with the Poisson solve; the second eigenvalue detects a
-    (near-)degenerate first eigenvalue.
+    inverting with the Poisson solve times c = ``system.unit``, a power of
+    two near 1/max(m); the second eigenvalue detects a (near-)degenerate
+    first eigenvalue.  The Lanczos sees the eigenvalues c/mu, which are of
+    order one on a mesh of any size (mu scales as 1/area, m as area), and
+    returns mu/c, which c multiplies back exactly.  Unscaled, the eigenvalues
+    1/mu of a small domain fall below ARPACK's convergence floor, which
+    measures the residual against max(eps**(2/3), |Ritz value|) (``dsconv``),
+    so mu1 would stop early, and on a domain near the smallest that ``Mesh``
+    accepts (the 20x20 square of side 1e-152) ARPACK would fail outright.
     """
-    theta, vecs = _nearest_eigenpairs(system, system.poisson, 0.0, 2, MU1_TOL,
-                                      _seeded_start(system.n))
-    mu1, mu2 = float(theta[0]), float(theta[1])
-    degenerate = abs(mu2 - mu1) <= 10.0 * MU1_TOL * max(1.0, abs(mu1))
+    c = system.unit
+    theta, vecs = _nearest_eigenpairs(system, lambda b: c * system.poisson(b), 0.0, 2,
+                                      MU1_TOL, _seeded_start(system.n))
+    mu1, mu2 = c * float(theta[0]), c * float(theta[1])
+    degenerate = abs(mu2 - mu1) <= 10.0 * MU1_TOL * mu1
     return EigenPair(mu1=mu1, phi1=vecs[:, 0].copy(), degenerate=degenerate,
                      mu2=mu2, phi2=vecs[:, 1].copy())
 

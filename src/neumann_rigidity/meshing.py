@@ -32,14 +32,24 @@ class Mesh:
     """Conforming, connected triangulation with counterclockwise triangles,
     valid by construction: ``Mesh(nodes, triangles)`` raises
     MeshFormatError if a node coordinate is not finite, or if the
-    triangulation is empty, indexes a missing node, has a triangle area that
-    overflows, or is degenerate, non-conforming or disconnected (checked in
-    that order, so each check may rely on the ones before it).  One edge
+    triangulation is empty, indexes a missing node, spreads too far, has a
+    flat or inverted triangle, or is non-conforming or disconnected (checked
+    in that order, so each check may rely on the ones before it).  One edge
     census (``_edge_census``) gives conformity and the boundary nodes from
     its counts, and connectivity from its pattern.  A node that
     no triangle uses is a component of its own.  Connectivity makes the
     constants the whole kernel of the stiffness matrix, so grounding one
     node leaves it positive definite.
+
+    Two rules here are the only scale rules the package states.  The upper
+    rule: the squared spread of the nodes, the sum over x and y of
+    (max - min)**2, is finite.  It bounds every edge vector, every area,
+    every lumped mass and the diameter, so none of them overflows.  The
+    lower rule: every signed area is at least 3 * tiny, the smallest
+    normal float times three; a triangle below it is "flat", as a third
+    of its area is not a normal float.  A lumped mass sums thirds of the
+    areas of the triangles at its node, and connectivity puts every node
+    on one, so every mass is a positive normal float.
 
     Attributes
     ----------
@@ -64,11 +74,11 @@ class Mesh:
             raise MeshFormatError("triangulation has no triangles")
         if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
             raise MeshFormatError("triangle indices out of range")
-        with np.errstate(over="ignore", invalid="ignore"):
-            areas = _signed_areas(_edge_vectors(nodes, triangles))
-        if not np.isfinite(areas).all():
+        with np.errstate(over="ignore"):
+            spread2 = (np.ptp(nodes, axis=0) ** 2).sum()
+        if not np.isfinite(spread2):
             raise MeshFormatError("triangle areas overflow: node coordinates are too large")
-        if np.any(areas <= 0.0):
+        if not _signed_areas(_edge_vectors(nodes, triangles)).min() >= 3 * np.finfo(float).tiny:
             raise MeshFormatError("triangulation contains inverted or flat triangles")
         census = _edge_census(triangles, nodes.shape[0])
         if census.data.max() > 2:
@@ -130,8 +140,7 @@ def _edge_vectors(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 def _signed_areas(edges: np.ndarray) -> np.ndarray:
     """Signed triangle areas from ``_edge_vectors``: half the cross product
     of the edges opposite vertices 1 and 2, positive for a counterclockwise
-    triangle.  Inf or NaN where the coordinates are too large; ``Mesh``
-    rejects those."""
+    triangle.  Finite for every mesh, by ``Mesh``'s spread rule."""
     e1, e2 = edges[:, 1], edges[:, 2]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
@@ -266,8 +275,9 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
 
     Per triangle, the gradient of the barycentric basis at vertex k is the
     rotated opposite edge divided by twice the area, so the local stiffness
-    entry (i, j) is dot(e_i, e_j) / (4*area).  The mesh checked its
-    triangles when it was made, so every area is finite and positive.
+    entry (i, j) is dot(e_i, e_j) / (4*area).  It checks nothing: the mesh
+    checked its triangles when it was made, so every area and every lumped
+    mass is a finite, positive normal float, and the diameter is finite.
     """
     triangles = mesh.triangles
     edges = _edge_vectors(mesh.nodes, triangles)
@@ -290,9 +300,6 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
     a_mat.sum_duplicates()  # a no-op that sets scipy's lazy format flags, so pickles keep a size
 
     lumped = np.bincount(triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=n)
-    if np.any(lumped <= 0.0):
-        raise MeshFormatError("lumped mass has nonpositive entries")
-
     return DiscreteOperator(stiffness=a_mat, lumped_mass=lumped, area=float(areas.sum()),
                             diameter=_diameter(mesh), mesh=mesh)
 

@@ -32,12 +32,6 @@ from .linsolve import bordered, dual_norm, first_eigenpair, solve_projected
 from .meshing import DiscreteOperator
 from .model import eval_f_clipped, eval_f_prime_clipped, find_xi
 
-__all__ = [
-    "SolutionRecord", "StartOutcome", "MultiStartResult",
-    "residual", "jacobian", "newton_solve", "attach_diagnostics", "classify",
-    "multi_start", "dedup_records", "switch_directions",
-]
-
 DEDUP_REL_TOL = 1e-5
 MAX_ITER = 40
 DAMPING = 0.5        # line-search backtracking factor

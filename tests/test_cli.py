@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import neumann_rigidity
-from neumann_rigidity import (build_disk_mesh, build_rectangle_mesh, cli, find_xi, linsolve,
-                              meshing, write_field, write_mesh)
+from neumann_rigidity import (assemble, build_disk_mesh, build_rectangle_mesh, cli, find_xi,
+                              first_eigenpair, linsolve, meshing, write_field, write_mesh)
 from neumann_rigidity.cli import load_config, main
 from neumann_rigidity.errors import ConfigError, NumericalError
 
@@ -161,38 +161,54 @@ class TestExitCodes:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command, overrides, message", [
-        ("eigen", {"lx": 1e-170, "ly": 1e-170, "nx": 4, "ny": 4},
+    @pytest.mark.parametrize("overrides, message", [
+        ({"lx": 1e-170, "ly": 1e-170, "nx": 4, "ny": 4},
          "triangulation contains inverted or flat triangles"),
-        ("eigen", {"lx": 1e200, "ly": 1e200, "nx": 4, "ny": 4},
+        ({"lx": 1e200, "ly": 1e200, "nx": 4, "ny": 4},
          "triangle areas overflow: node coordinates are too large"),
-        ("eigen", {"lx": 1e300, "ly": 1e300, "nx": 8, "ny": 8},
+        ({"lx": 1e300, "ly": 1e300, "nx": 8, "ny": 8},
          "triangle areas overflow: node coordinates are too large"),
-        ("eigen", {"lx": 1.2e-161, "ly": 1.2e-161, "nx": 4, "ny": 4},
-         "lumped mass has nonpositive entries"),
-        ("eigen", {"domain": "disk", "radius": 1e-200, "refinement": 2},
+        ({"lx": 1.2e-161, "ly": 1.2e-161, "nx": 4, "ny": 4},
          "triangulation contains inverted or flat triangles"),
-        ("constants", {"domain": "disk", "radius": 1e300, "refinement": 2},
+        ({"lx": 1.5e-161, "ly": 1.5e-161, "nx": 4, "ny": 4},
+         "triangulation contains inverted or flat triangles"),
+        ({"lx": 3e-160, "ly": 3e-160, "nx": 4, "ny": 4},
+         "triangulation contains inverted or flat triangles"),
+        ({"domain": "disk", "radius": 1e-200, "refinement": 2},
+         "triangulation contains inverted or flat triangles"),
+        ({"domain": "disk", "radius": 1e-158, "refinement": 3},
+         "triangulation contains inverted or flat triangles"),
+        ({"domain": "disk", "radius": 1e300, "refinement": 2},
+         "triangle areas overflow: node coordinates are too large"),
+        ({"lx": 2.5e154, "ly": 2.5e154, "nx": 2, "ny": 2},
          "triangle areas overflow: node coordinates are too large"),
     ], ids=["rectangle_flat", "rectangle_overflow", "rectangle_overflow_8x8",
-            "rectangle_mass_underflow", "disk_flat", "disk_overflow"])
-    def test_config_mesh_failing_its_checks_exits_2(self, tmp_path, capsys, command,
-                                                    overrides, message):
+            "rectangle_mass_underflow", "rectangle_subnormal_area_1.5e-161",
+            "rectangle_subnormal_area_3e-160", "disk_flat", "disk_subnormal_area",
+            "disk_overflow", "rectangle_diameter_overflow"])
+    def test_config_mesh_failing_its_checks_exits_2(self, tmp_path, capsys, overrides, message):
         # the config's numbers made the mesh and no file was read: the mesh
-        # checks' message, as a configuration error
+        # checks' message, as a configuration error, from every command, and
+        # no output directory is made
         cfg = make_config(tmp_path, **overrides)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command, "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        out = tmp_path / "out"
+        for command, (_, _, _, option) in cli.COMMANDS.items():
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv + ([option[0], "x"] if option else [])) == 2, command
+            assert capsys.readouterr().err == f"configuration error: {message}\n"
+            assert not out.exists()
 
     def test_mesh_file_with_flat_triangle_exits_4(self, tmp_path, capsys):
         mesh_path = tmp_path / "flat.mesh"
         mesh_path.write_text("nodes 3\n0 0\n1 0\n2 0\ntriangles 1\n0 1 2\n")
         cfg = make_config(tmp_path, domain="mesh_file", mesh_path=str(mesh_path))
-        assert main(["eigen", "--config", str(cfg)]) == 4
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", str(cfg), "--out", str(out)]) == 4
         assert capsys.readouterr().err == (
             "i/o error: triangulation contains inverted or flat triangles\n")
+        assert not out.exists()
 
 
 class TestParser:
@@ -281,8 +297,9 @@ class TestEigenCommand:
         "nodes 3\n0 0\n1e200 0\n0 1e200\ntriangles 1\n0 1 2\n",
         _mesh_text(build_rectangle_mesh(4, 4, 1.0, 1.0)) + "triangles 2\n0 1 5\n1 6 5\nstray\n",
         "nodes 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n0 1 2\n",
+        "nodes 3\n0 0\n1e-160 0\n0 1e-160\ntriangles 1\n0 1 2\n",
     ], ids=["index_ge_n", "zero_triangles", "disconnected", "nan_node", "inf_node",
-            "overflowing_area", "trailing_content", "repeated_triangle"])
+            "overflowing_area", "trailing_content", "repeated_triangle", "subnormal_area"])
     def test_bad_mesh_file_exits_4(self, tmp_path, capsys, text):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)
@@ -292,17 +309,19 @@ class TestEigenCommand:
             assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("i/o error:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["constants", "eigen"])
-    def test_overflowing_poisson_solve_exits_3(self, tmp_path, capsys, command):
-        # areas near 1e298 pass the mesh check, but the mass-weighted mean of
-        # the first Poisson solve overflows: the solve reports it, no warning
+    def test_huge_square_scales_mu1(self, tmp_path, capsys, command):
+        # areas near 1e298: the masses enter the Poisson solves scaled by a
+        # power of two, so mu1 * side**2 is the unit square's mu1
+        unit = first_eigenpair(assemble(build_rectangle_mesh(8, 8, 1.0, 1.0))).mu1
         cfg = make_config(tmp_path, lx=1e150, ly=1e150, nx=8, ny=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["numerical failure: linear solve produced non-finite values"]
+            assert main([command, "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject)
+        assert payload["mu1"] * 1e150**2 == pytest.approx(unit, rel=1e-12)
 
     @pytest.mark.parametrize("domain", ["rectangle", "disk", "mesh_file"])
     def test_one_triangulation_check_per_command(self, tmp_path, monkeypatch, domain):

@@ -410,6 +410,22 @@ class TestSmallestNonzeroEigen:
         # next rectangle mode is pi^2 (both (2,0) and (0,1) land there)
         assert abs(pair.mu2 - np.pi**2) / np.pi**2 < 0.02
 
+    @pytest.mark.parametrize("side", [1e-152, 1e-120, 1e-100, 1e-8, 1e50, 1e100, 1e150])
+    def test_mu1_scales_as_inverse_area(self, square20, side):
+        # mu1 * side**2 is the unit square's mu1 from near the smallest side
+        # Mesh accepts to near the largest; 1e50 is a control
+        pair = first_eigenpair(assemble(build_rectangle_mesh(20, 20, side, side)))
+        assert pair.mu1 * side**2 == pytest.approx(first_eigenpair(square20).mu1, rel=1e-12)
+
+    @pytest.mark.parametrize("side", [1e-152, 1e50, 1e150])
+    def test_square_pair_stays_split_at_any_side(self, side):
+        # the degeneracy test is relative to mu1, so a scaled square keeps its flag
+        assert not first_eigenpair(assemble(build_rectangle_mesh(20, 20, side, side))).degenerate
+
+    @pytest.mark.parametrize("radius", [1e-150, 1e-8, 1e100, 1e150])
+    def test_disk_stays_degenerate_at_any_radius(self, radius):
+        assert first_eigenpair(assemble(build_disk_mesh(5, radius))).degenerate
+
 
 class TestRestrictedSmallestEigen:
     def test_matches_plain_eigen_for_stiffness(self, square20):

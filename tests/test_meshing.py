@@ -258,6 +258,17 @@ class TestAssembly:
             Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                  np.array([[0, 2, 1]]))  # clockwise
 
+    def test_flat_means_a_third_of_the_area_is_not_normal(self):
+        # the triangle (0,0), (1,0), (0, 2h) has area h
+        tiny = np.finfo(float).tiny
+
+        def one_triangle(h):
+            return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0 * h]]), np.array([[0, 1, 2]]))
+
+        with pytest.raises(MeshFormatError, match="inverted or flat triangles"):
+            one_triangle(2.0 * tiny)
+        assert np.all(assemble(one_triangle(4.0 * tiny)).lumped_mass >= tiny)
+
     def test_galerkin_energy_cos(self, square64):
         u = np.cos(np.pi * square64.mesh.nodes[:, 0])
         energy = u @ square64.stiffness.dot(u)

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "seed_outputs.py"
 
 
@@ -56,3 +59,22 @@ def test_writes_fine_disk_set_outputs(tmp_path):
     config = json.loads((out / "config.json").read_text())
     assert (config["domain"], config["radius"], config["refinement"]) == ("disk", 1.0, 7)
     assert json.loads((out / "eigen" / "eigen.json").read_text())["n_nodes"] == 12_481
+
+
+@pytest.mark.parametrize("name, domain", [("cli-tiny", "rectangle"), ("cli-huge", "disk")])
+def test_writes_scale_set_outputs(tmp_path, name, domain):
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), "--workload", name],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / name
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "constants", "eigen"]
+    config = json.loads((out / "config.json").read_text())
+    assert config["domain"] == domain
+    side = config["lx"] if domain == "rectangle" else config["radius"]
+    constants = json.loads((out / "constants" / "constants.json").read_text())
+    eigen = json.loads((out / "eigen" / "eigen.json").read_text())
+    assert constants["mu1"] == eigen["mu1"]
+    # mu1 * side**2: the unit square's pi**2, the unit disk's j'11**2, as discretized
+    target = np.pi**2 if domain == "rectangle" else 1.8411837813406593**2
+    assert eigen["mu1"] * side**2 == pytest.approx(target, rel=0.02)
+    assert eigen["degenerate"] == (domain == "disk")

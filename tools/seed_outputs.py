@@ -4,8 +4,8 @@ single-state commands.
     python tools/seed_outputs.py OUT_DIR [--workload NAME ...]
 
 Each workload of perfbench/run.py, and the extra sets ``cli-sq20``,
-``cli-disk5`` and ``cli-disk7`` (all of them unless ``--workload`` names
-some), runs its neumann-lab commands once, at seed 0, from the ``src/`` of the checkout
+``cli-disk5``, ``cli-disk7``, ``cli-tiny`` and ``cli-huge`` (all of them
+unless ``--workload`` names some), runs its neumann-lab commands once, at seed 0, from the ``src/`` of the checkout
 this file is in, in a fresh interpreter with BLAS and OpenMP pinned to one thread, as a benchmark
 operation does.  OUT_DIR/NAME gets the config; each command writes its
 output files and its standard output (``stdout.txt``) to its own directory
@@ -17,7 +17,10 @@ and ``sweep`` over a grid given out of order, whose files list it in
 ascending eps.  ``cli-disk5`` runs ``constants``, ``eigen`` and ``solve``
 from ``noise:5`` at eps 1 on the unit disk at refinement 5, and
 ``cli-disk7`` runs ``eigen`` on the refinement-7 unit disk, whose 64 rings
-reach ring stitches that the 16 of refinement 5 do not.
+reach ring stitches that the 16 of refinement 5 do not.  ``cli-tiny`` and
+``cli-huge`` run ``constants`` and ``eigen`` near the two ends of the scale
+range that ``Mesh`` accepts: on the 20x20 square of side 1e-120, and on the
+refinement-5 disk of radius 1e150.
 Each command runs from inside its output directory, so ``check`` reads
 the solution by a relative path and ``check.json`` echoes the same path in
 every checkout.  ``WORKLOADS``, ``BASE_CONFIG`` and ``THREAD_VARS`` are
@@ -62,6 +65,16 @@ CLI_SETS = {
     "cli-disk7": (
         {"domain": "disk", "radius": 1.0, "refinement": 7},
         [("eigen", "eigen", [])],
+    ),
+    "cli-tiny": (
+        {"nx": 20, "ny": 20, "lx": 1e-120, "ly": 1e-120},
+        [("constants", "constants", []),
+         ("eigen", "eigen", [])],
+    ),
+    "cli-huge": (
+        {"domain": "disk", "radius": 1e150, "refinement": 5},
+        [("constants", "constants", []),
+         ("eigen", "eigen", [])],
     ),
 }
 
