@@ -22,13 +22,6 @@ from .continuation import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    check_energy_identity,
-    check_exp_integrability,
-    check_l1_bound,
-    check_mean_bounds,
-    check_poincare,
-    check_representation,
-    check_zero_average,
     classify,
     estimate_green_constants,
     run_diagnostics,

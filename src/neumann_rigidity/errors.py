@@ -3,7 +3,9 @@
 Every solver failure subclasses ``NumericalError``; the command line maps
 that one base to exit code 3, ``ConfigError`` to 2 and ``MeshFormatError``
 to 4, except for a mesh built from the config, whose ``MeshFormatError`` it
-reports as a ``ConfigError``.
+reports as a ``ConfigError``.  The check suite raises none of them beyond
+its own linear solve: an estimate that fails, or overflows, fails its flag
+in the report.
 """
 
 
@@ -50,7 +52,3 @@ class BranchLostError(NumericalError):
 
 class FellBackToConstantError(NumericalError):
     """A branch-switch attempt converged back onto the constant branch."""
-
-
-class ZeroFieldError(NumericalError):
-    """An operation that needs a nonzero fluctuation received (numerically) zero."""

@@ -33,23 +33,28 @@ class Mesh:
     valid by construction: ``Mesh(nodes, triangles)`` raises
     MeshFormatError if a node coordinate is not finite, or if the
     triangulation is empty, indexes a missing node, spreads too far, has a
-    flat or inverted triangle, or is non-conforming or disconnected (checked
-    in that order, so each check may rely on the ones before it).  One edge
-    census (``_edge_census``) gives conformity and the boundary nodes from
-    its counts, and connectivity from its pattern.  A node that
-    no triangle uses is a component of its own.  Connectivity makes the
+    flat or inverted triangle or a needle, or is non-conforming or
+    disconnected (checked in that order, so each check may rely on the ones
+    before it).  One edge census (``_edge_census``) gives conformity and the
+    boundary nodes from its counts, and connectivity from its pattern.  A
+    node that no triangle uses is a component of its own.  Connectivity makes the
     constants the whole kernel of the stiffness matrix, so grounding one
     node leaves it positive definite.
 
-    Two rules here are the only scale rules the package states.  The upper
-    rule: the squared spread of the nodes, the sum over x and y of
+    Two rules here are the only scale rules the package states.  The
+    upper rule: the squared spread of the nodes, the sum over x and y of
     (max - min)**2, is finite.  It bounds every edge vector, every area,
     every lumped mass and the diameter, so none of them overflows.  The
     lower rule: every signed area is at least 3 * tiny, the smallest
     normal float times three; a triangle below it is "flat", as a third
     of its area is not a normal float.  A lumped mass sums thirds of the
     areas of the triangles at its node, and connectivity puts every node
-    on one, so every mass is a positive normal float.
+    on one, so every mass is a positive normal float.  A third rule, the
+    needle rule, bounds shape, not scale: for every node, the sum over its
+    triangles of max|e|**2/area, e their edge vectors, is finite.  The sum
+    is at least 4 times every stiffness entry in the node's row, and twice
+    the grounded diagonal 2*A[0,0] at node 0, so no stiffness entry and no
+    grounded pivot overflows.
 
     Attributes
     ----------
@@ -78,8 +83,15 @@ class Mesh:
             spread2 = (np.ptp(nodes, axis=0) ** 2).sum()
         if not np.isfinite(spread2):
             raise MeshFormatError("triangle areas overflow: node coordinates are too large")
-        if not _signed_areas(_edge_vectors(nodes, triangles)).min() >= 3 * np.finfo(float).tiny:
+        edges = _edge_vectors(nodes, triangles)
+        areas = _signed_areas(edges)
+        if not areas.min() >= 3 * np.finfo(float).tiny:
             raise MeshFormatError("triangulation contains inverted or flat triangles")
+        with np.errstate(over="ignore"):  # (3, t): numpy's max over a length-3 last axis is slow
+            needles = np.einsum("tkd,tkd->kt", edges, edges, order="C").max(axis=0) / areas
+        del edges, areas  # the edge census peaks higher; it need not hold these
+        if not np.isfinite(np.bincount(triangles.ravel(), weights=np.repeat(needles, 3))).all():
+            raise MeshFormatError("triangulation contains needle triangles: stiffness overflows")
         census = _edge_census(triangles, nodes.shape[0])
         if census.data.max() > 2:
             raise MeshFormatError("non-conforming mesh: an edge is shared by >2 triangles")
@@ -277,7 +289,8 @@ def assemble(mesh: Mesh) -> DiscreteOperator:
     rotated opposite edge divided by twice the area, so the local stiffness
     entry (i, j) is dot(e_i, e_j) / (4*area).  It checks nothing: the mesh
     checked its triangles when it was made, so every area and every lumped
-    mass is a finite, positive normal float, and the diameter is finite.
+    mass is a finite, positive normal float, and the diameter and every
+    stiffness entry are finite.
     """
     triangles = mesh.triangles
     edges = _edge_vectors(mesh.nodes, triangles)

@@ -298,8 +298,10 @@ class TestEigenCommand:
         _mesh_text(build_rectangle_mesh(4, 4, 1.0, 1.0)) + "triangles 2\n0 1 5\n1 6 5\nstray\n",
         "nodes 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n0 1 2\n",
         "nodes 3\n0 0\n1e-160 0\n0 1e-160\ntriangles 1\n0 1 2\n",
+        "nodes 3\n0 0\n1000 0\n0 1.4e-310\ntriangles 1\n0 1 2\n",
     ], ids=["index_ge_n", "zero_triangles", "disconnected", "nan_node", "inf_node",
-            "overflowing_area", "trailing_content", "repeated_triangle", "subnormal_area"])
+            "overflowing_area", "trailing_content", "repeated_triangle", "subnormal_area",
+            "needle"])
     def test_bad_mesh_file_exits_4(self, tmp_path, capsys, text):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)

@@ -1,29 +1,25 @@
-"""The per-solution check suite and the empirical Green-kernel constants."""
+"""The per-solution check suite and the empirical Green-kernel constants.
+
+Each estimate is reached through ``run_diagnostics``, the one entry point of
+the suite, and read off its report.
+"""
 
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import neumann_rigidity.diagnostics as diagnostics
 from neumann_rigidity import (
     bordered,
-    check_energy_identity,
-    check_exp_integrability,
-    check_l1_bound,
-    check_mean_bounds,
-    check_poincare,
-    check_representation,
-    check_zero_average,
     estimate_green_constants,
     find_xi,
     first_eigenpair,
     newton_solve,
-    project_mean_zero,
     run_diagnostics,
     solve_projected,
 )
 from neumann_rigidity.diagnostics import classify, cq_numerical_estimate
-from neumann_rigidity.errors import ZeroFieldError
 from neumann_rigidity.newton import default_tol
 
 A = 2.0
@@ -39,126 +35,164 @@ def pattern32(square32):
     return newton_solve(XI + 0.5 * np.cos(np.pi * x), eps, A, square32)
 
 
+def report(u, eps, op, q=4.0):
+    """The suite's report on u at the operator's own mu1."""
+    return run_diagnostics(u, eps, A, q, op, first_eigenpair(op).mu1)
+
+
+def pattern_report(op, state, q=4.0):
+    return report(state.u, state.epsilon, op, q)
+
+
 class TestZeroAverage:
     def test_constants_pass(self, square20):
-        m = square20.lumped_mass
         for c in (0.0, XI):
-            res, ok = check_zero_average(np.full(square20.n, c), m, A, tol=1e-12)
-            assert ok and res <= 1e-13
+            r = report(np.full(square20.n, c), 1.0, square20)
+            assert r.zero_avg_ok and r.zero_avg_residual <= 1e-13
 
     def test_converged_pattern(self, square32, pattern32):
-        res, ok = check_zero_average(pattern32.u, square32.lumped_mass, A,
-                                     tol=10.0 * default_tol(square32))
-        assert ok
-        assert res <= 10.0 * default_tol(square32)
+        r = pattern_report(square32, pattern32)
+        assert r.zero_avg_ok
+        assert r.zero_avg_residual <= 10.0 * default_tol(square32)
 
 
 class TestL1Bound:
     def test_zero_state(self, square20):
-        l1, bound, ok = check_l1_bound(np.zeros(square20.n), square20.lumped_mass, A)
-        assert ok and l1 == 0.0
-        assert bound == pytest.approx(2.0 * (2.0 * np.log(2.0) - 1.0), rel=1e-12)
+        r = report(np.zeros(square20.n), 1.0, square20)
+        assert r.l1_ok and r.l1_norm_f == 0.0
+        assert r.l1_bound == pytest.approx(2.0 * (2.0 * np.log(2.0) - 1.0), rel=1e-12)
 
     def test_pattern_strictly_below_bound(self, square32, pattern32):
-        l1, bound, ok = check_l1_bound(pattern32.u, square32.lumped_mass, A)
-        assert ok and 0.0 < l1 < bound
+        r = pattern_report(square32, pattern32)
+        assert r.l1_ok and 0.0 < r.l1_norm_f < r.l1_bound
 
 
 class TestMeanBounds:
     def test_solutions_pass(self, square20):
         for c in (0.0, XI):
-            mean, ok = check_mean_bounds(np.full(square20.n, c), square20.lumped_mass, A)
-            assert ok and mean == pytest.approx(c, abs=1e-12)
+            r = report(np.full(square20.n, c), 1.0, square20)
+            assert r.mean_in_bounds and r.mean_u == pytest.approx(c, abs=1e-12)
 
     def test_negative_control(self, square20):
         # twice the root is not a steady state and violates the mean bound
-        mean, ok = check_mean_bounds(np.full(square20.n, 2.0 * XI),
-                                     square20.lumped_mass, A)
-        assert not ok and mean > XI
+        r = report(np.full(square20.n, 2.0 * XI), 1.0, square20)
+        assert not r.mean_in_bounds and r.mean_u > XI
 
 
 class TestExpIntegrability:
     def test_constant_gives_area(self, square20):
-        integral, ref = check_exp_integrability(np.full(square20.n, XI),
-                                                square20.lumped_mass, q=4.0)
-        assert ref == pytest.approx(square20.area, rel=1e-14)
-        assert integral == pytest.approx(square20.area, rel=1e-14)
+        r = report(np.full(square20.n, XI), 1.0, square20)
+        assert r.exp_integral_q == pytest.approx(square20.area, rel=1e-14)
 
     def test_monotone_in_q(self, square32, pattern32):
-        i3, _ = check_exp_integrability(pattern32.u, square32.lumped_mass, q=3.0)
-        i4, _ = check_exp_integrability(pattern32.u, square32.lumped_mass, q=4.0)
+        i3 = pattern_report(square32, pattern32, q=3.0).exp_integral_q
+        i4 = pattern_report(square32, pattern32, q=4.0).exp_integral_q
         assert i4 >= i3
 
     def test_rejects_small_q(self, square20):
-        with pytest.raises(ValueError):
-            check_exp_integrability(np.zeros(square20.n), square20.lumped_mass, q=2.0)
+        with pytest.raises(ValueError, match="q must exceed 2"):
+            report(np.zeros(square20.n), 1.0, square20, q=2.0)
 
     def test_extreme_field_overflows_to_inf(self, square20):
+        # 4*|v| passes the exp overflow at 710 while f(u) and its solve stay finite
         u = np.zeros(square20.n)
-        u[0] = 500.0
-        integral, _ = check_exp_integrability(u, square20.lumped_mass, q=4.0)
-        assert np.isinf(integral)
+        u[0] = 200.0
+        r = report(u, 1.0, square20)
+        assert np.isinf(r.exp_integral_q)
+        assert np.isfinite(r.l1_norm_f) and np.isfinite(r.representation_error)
 
 
 class TestEnergyIdentity:
     def test_constant_trivial(self, square20):
-        lhs, rhs, ok = check_energy_identity(np.full(square20.n, XI), 1.0, square20,
-                                             A, tol=1e-12)
-        assert ok and lhs == 0.0 and abs(rhs) <= 1e-12
+        r = report(np.full(square20.n, XI), 1.0, square20)
+        assert r.energy_ok and r.energy_lhs == 0.0 and abs(r.energy_rhs) <= 1e-12
 
     def test_converged_pattern(self, square32, pattern32):
         tol = 10.0 * default_tol(square32)
-        lhs, rhs, ok = check_energy_identity(pattern32.u, pattern32.epsilon, square32,
-                                             A, tol=tol)
-        assert ok and lhs > 0.0
-        assert abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
+        r = pattern_report(square32, pattern32)
+        assert r.energy_ok and r.energy_lhs > 0.0
+        assert abs(r.energy_lhs - r.energy_rhs) <= tol * (1.0 + abs(r.energy_lhs))
 
     def test_random_field_fails(self, square20, rng):
-        u = rng.standard_normal(square20.n)
-        _, _, ok = check_energy_identity(u, 0.5, square20, A, tol=1e-10)
-        assert not ok
+        r = report(rng.standard_normal(square20.n), 0.5, square20)
+        assert not r.energy_ok
 
 
 class TestPoincare:
     def test_first_eigenfunction_ratio_one(self, square20):
-        pair = first_eigenpair(square20)
-        ratio, ok = check_poincare(pair.phi1, square20.lumped_mass, square20, pair.mu1)
-        assert ok and ratio == pytest.approx(1.0, abs=1e-8)
+        r = report(first_eigenpair(square20).phi1, 1.0, square20)
+        assert r.poincare_ok and r.poincare_ratio == pytest.approx(1.0, abs=1e-8)
 
     def test_second_eigenfunction_above_one(self, square20):
-        pair = first_eigenpair(square20)
-        ratio, ok = check_poincare(pair.phi2, square20.lumped_mass, square20, pair.mu1)
-        assert ok and ratio > 1.0
+        r = report(first_eigenpair(square20).phi2, 1.0, square20)
+        assert r.poincare_ok and r.poincare_ratio > 1.0
 
     def test_random_fields(self, square20, rng):
-        pair = first_eigenpair(square20)
-        m = square20.lumped_mass
         for _ in range(100):
-            v = project_mean_zero(rng.standard_normal(square20.n), m)
-            ratio, ok = check_poincare(v, m, square20, pair.mu1)
-            assert ok and ratio >= 1.0 - 1e-8
+            r = report(rng.standard_normal(square20.n), 1.0, square20)
+            assert r.poincare_ok and r.poincare_ratio >= 1.0 - 1e-8
 
-    def test_zero_field_rejected(self, square20):
-        with pytest.raises(ZeroFieldError):
-            check_poincare(np.zeros(square20.n), square20.lumped_mass, square20, 9.8)
+    def test_zero_field_gets_unit_ratio(self, square20):
+        r = report(np.zeros(square20.n), 1.0, square20)
+        assert (r.poincare_ratio, r.poincare_ok) == (1.0, True)
+
+    def test_vanishing_projection_fails_quietly(self, square20, rng, monkeypatch):
+        # if m'w**2 vanishes the ratio is 0/0 = NaN: the flag fails, and
+        # nothing is raised or warned (warnings are errors in this suite)
+        monkeypatch.setattr(diagnostics, "project_mean_zero", lambda u, m: np.zeros_like(u))
+        r = report(rng.standard_normal(square20.n), 1.0, square20)
+        assert np.isnan(r.poincare_ratio) and not r.poincare_ok
 
 
 class TestRepresentation:
     def test_constant(self, square20):
-        err, ok = check_representation(np.full(square20.n, XI), 1.0, A, square20,
-                                       tol=1e-10)
-        assert ok and err <= 1e-12
+        r = report(np.full(square20.n, XI), 1.0, square20)
+        assert r.representation_ok and r.representation_error <= 1e-12
 
     def test_converged_pattern(self, square32, pattern32):
-        tol = 100.0 * default_tol(square32)
-        err, ok = check_representation(pattern32.u, pattern32.epsilon, A, square32,
-                                       tol=tol)
-        assert ok and err <= tol
+        r = pattern_report(square32, pattern32)
+        assert r.representation_ok
+        assert r.representation_error <= 100.0 * default_tol(square32)
 
     def test_manufactured_field_fails(self, square20):
         u = XI + 0.5 * np.sin(2.0 * np.pi * square20.mesh.nodes[:, 1])
-        err, ok = check_representation(u, 0.3, A, square20, tol=1e-8)
-        assert not ok and err > 1e-3
+        r = report(u, 0.3, square20)
+        assert not r.representation_ok and r.representation_error > 1e-3
+
+
+@pytest.mark.parametrize("field", ["constant", "pattern32", "random"])
+def test_report_equals_textbook_formulas(field, square32, pattern32, rng):
+    """Each quantity recomputed from its formula with plain numpy; the
+    Green representation reuses the package's mean-zero Poisson solve."""
+    q = 4.0
+    u, eps = {"constant": (np.full(square32.n, XI), 0.3),
+              "pattern32": (pattern32.u, pattern32.epsilon),
+              "random": (XI + rng.standard_normal(square32.n), 0.3)}[field]
+    m, stiff = square32.lumped_mass, square32.stiffness
+    mu1 = first_eigenpair(square32).mu1
+    r = run_diagnostics(u, eps, A, q, square32, mu1)
+
+    def f(t):
+        return np.exp(t) - 1.0 - A * t
+
+    mean = m @ u / m.sum()
+    v = u - mean
+    fu = f(u)
+    assert r.zero_avg_residual == abs(m @ fu)
+    assert r.l1_norm_f == m @ np.abs(fu)
+    assert r.l1_bound == 2.0 * (A * np.log(A) - A + 1.0) * m.sum()
+    assert r.mean_u == mean
+    assert r.exp_integral_q == m @ np.exp(q * np.abs(v))
+    assert r.energy_lhs == eps * (v @ (stiff @ v))
+    assert r.energy_rhs == m @ ((fu - f(mean)) * v)
+    if field == "constant":
+        assert r.poincare_ratio == 1.0
+    else:
+        w = v - m @ v / m.sum()
+        assert r.poincare_ratio == (w @ (stiff @ w)) / (mu1 * (m @ (w * w)))
+    green = solve_projected(bordered(square32), m * fu / eps)
+    assert r.representation_error == np.abs(green - v).max() / (1.0 + np.abs(v).max())
+    assert r.sup_norm == np.abs(u).max()
 
 
 class TestGreenConstants:

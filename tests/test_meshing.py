@@ -269,6 +269,17 @@ class TestAssembly:
             one_triangle(2.0 * tiny)
         assert np.all(assemble(one_triangle(4.0 * tiny)).lumped_mass >= tiny)
 
+    def test_needle_means_a_stiffness_bound_overflows(self):
+        # the triangle (0,0), (1000,0), (0,h) has max|e|**2/area = 2e3/h + h/500,
+        # finite for h = 2e-305 and past the largest float for h = 1e-305
+        def one_triangle(h):
+            return Mesh(np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, h]]), np.array([[0, 1, 2]]))
+
+        with pytest.raises(MeshFormatError, match="needle triangles"):
+            one_triangle(1e-305)
+        stiffness = assemble(one_triangle(2e-305)).stiffness
+        assert np.isfinite(stiffness.data).all() and stiffness.diagonal().max() > 1e307
+
     def test_galerkin_energy_cos(self, square64):
         u = np.cos(np.pi * square64.mesh.nodes[:, 0])
         energy = u @ square64.stiffness.dot(u)

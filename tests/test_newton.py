@@ -12,7 +12,6 @@ from neumann_rigidity import (
     assemble,
     attach_diagnostics,
     build_rectangle_mesh,
-    check_exp_integrability,
     classify,
     dual_norm,
     find_xi,
@@ -371,10 +370,10 @@ class TestMultiStart:
 
     def test_reports_use_q(self, square20):
         result = multi_start(0.125, A, square20, 15, seed=0, q=3.0)
-        m = square20.lumped_mass
+        mu1 = first_eigenpair(square20).mu1
         assert any(r.classification == "nonconstant" for r in result.distinct)
         for rec in result.distinct:
-            assert rec.diagnostics.exp_integral_q == check_exp_integrability(rec.u, m, 3.0)[0]
+            assert rec.diagnostics == run_diagnostics(rec.u, rec.epsilon, A, 3.0, square20, mu1)
 
     def test_bad_q_rejected_before_any_start(self, square16, monkeypatch):
         calls = []

@@ -37,6 +37,23 @@ def test_writes_cli_set_outputs(tmp_path):
         (out / "check" / "check.json").read_text().strip()
 
 
+def test_writes_pattern_set_outputs(tmp_path):
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), "--workload", "cli-pattern"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "cli-pattern"
+    assert sorted(p.name for p in out.iterdir()) == ["check", "config.json", "solve-eig"]
+    solution = json.loads((out / "solve-eig" / "solution.json").read_text())
+    check = json.loads((out / "check" / "check.json").read_text())
+    # the start lands on a patterned state, so its report holds a real
+    # spectral-gap ratio and energy pair, which check reproduces
+    assert solution["classification"] == "nonconstant" and solution["sup_fluct"] > 0.5
+    assert check["field"] == "../solve-eig/solution.field"
+    assert check["poincare_ratio"] > 1.0 and check["energy_lhs"] > 0.0
+    for key, value in solution["diagnostics"].items():
+        assert check[key] == value, key
+
+
 def test_writes_disk_set_outputs(tmp_path):
     done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), "--workload", "cli-disk5"],
                           capture_output=True, text=True)

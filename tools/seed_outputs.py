@@ -4,17 +4,21 @@ single-state commands.
     python tools/seed_outputs.py OUT_DIR [--workload NAME ...]
 
 Each workload of perfbench/run.py, and the extra sets ``cli-sq20``,
-``cli-disk5``, ``cli-disk7``, ``cli-tiny`` and ``cli-huge`` (all of them
-unless ``--workload`` names some), runs its neumann-lab commands once, at seed 0, from the ``src/`` of the checkout
-this file is in, in a fresh interpreter with BLAS and OpenMP pinned to one thread, as a benchmark
-operation does.  OUT_DIR/NAME gets the config; each command writes its
+``cli-pattern``, ``cli-disk5``, ``cli-disk7``, ``cli-tiny`` and ``cli-huge``
+(all of them unless ``--workload`` names some), runs its neumann-lab
+commands once, at seed 0, from the ``src/`` of the checkout this file is in,
+in a fresh interpreter with BLAS and OpenMP pinned to one thread, as a
+benchmark operation does.  OUT_DIR/NAME gets the config; each command writes its
 output files and its standard output (``stdout.txt``) to its own directory
 under it, which for a benchmark workload is OUT_DIR/NAME itself.
 ``cli-sq20`` runs ``constants``, ``solve`` from ``eig:0.3`` and from
 ``noise:5``, and ``check`` on the ``noise:5`` solution, at eps 1 on the
 20x20 square, with ``m_values`` at both ends of their range and between,
 and ``sweep`` over a grid given out of order, whose files list it in
-ascending eps.  ``cli-disk5`` runs ``constants``, ``eigen`` and ``solve``
+ascending eps.  ``cli-pattern`` runs ``solve`` from ``eig:0.6`` at eps 0.12
+on the 20x20 square, which lands on a patterned state, and ``check`` on
+it, so that a full report of a nonconstant state (the spectral-gap ratio
+and both sides of the energy identity) is pinned.  ``cli-disk5`` runs ``constants``, ``eigen`` and ``solve``
 from ``noise:5`` at eps 1 on the unit disk at refinement 5, and
 ``cli-disk7`` runs ``eigen`` on the refinement-7 unit disk, whose 64 rings
 reach ring stitches that the 16 of refinement 5 do not.  ``cli-tiny`` and
@@ -55,6 +59,11 @@ CLI_SETS = {
          ("solve-noise", "solve", ["--start", "noise:5"]),
          ("check", "check", ["--field", "../solve-noise/solution.field"]),
          ("sweep-unsorted", "sweep", [])],
+    ),
+    "cli-pattern": (
+        {"nx": 20, "ny": 20, "eps": 0.12},
+        [("solve-eig", "solve", ["--start", "eig:0.6"]),
+         ("check", "check", ["--field", "../solve-eig/solution.field"])],
     ),
     "cli-disk5": (
         {"domain": "disk", "radius": 1.0, "refinement": 5, "eps": 1.0},
